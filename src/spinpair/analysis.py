@@ -25,6 +25,7 @@ from .linalg import unitarity_defect
 from .propagators import (
     Frame,
     TimeGrid,
+    Trajectory,
     frame_rotations,
     full_propagator_paths,
     reference_propagate,
@@ -104,9 +105,15 @@ def _state_infidelities(reference: np.ndarray, approx: np.ndarray) -> np.ndarray
 
 def compare_solutions(params: SystemParams, grid: TimeGrid, initial_index: int,
                       *, tol_per_time: float = 1e-10,
-                      max_halvings: int = 12) -> ComparisonReport:
+                      max_halvings: int = 12,
+                      reference: Trajectory | None = None) -> ComparisonReport:
     """Run the reference integrator and both block approximations from the
     frame basis state ``initial_index`` (zero based) and report infidelities.
+
+    A ``reference`` trajectory already computed for the same start (rotating
+    frame, same grid, starting in that basis state) is used as is instead of
+    running the integrator again; ``tol_per_time`` and ``max_halvings`` then
+    play no part, the caller having certified it.
 
     The lab-frame and frame-basis infidelities are computed independently and
     must agree to 1e-9 (the frame rotation is unitary and common to both
@@ -118,10 +125,20 @@ def compare_solutions(params: SystemParams, grid: TimeGrid, initial_index: int,
 
     phi0 = np.zeros(4, dtype=complex)
     phi0[initial_index] = 1.0
-    reference = reference_propagate(
-        params, grid, phi0, Frame.ADIABATIC,
-        tol_per_time=tol_per_time, max_halvings=max_halvings,
-    )
+    if reference is None:
+        reference = reference_propagate(
+            params, grid, phi0, Frame.ADIABATIC,
+            tol_per_time=tol_per_time, max_halvings=max_halvings,
+        )
+    elif reference.frame is not Frame.ADIABATIC:
+        raise ValueError("reference must be integrated in the adiabatic frame")
+    elif reference.grid != grid:
+        raise ValueError("reference grid differs from the comparison grid")
+    elif (reference.adiabatic_states is None
+          or not np.array_equal(reference.adiabatic_states[0], phi0)):
+        raise ValueError(
+            f"reference does not start in frame basis state {initial_index}"
+        )
     times, zeroth_nodes, first_nodes = full_propagator_paths(params, grid)
     zeroth_states = np.einsum("nij,j->ni", zeroth_nodes, phi0)
     first_states = np.einsum("nij,j->ni", first_nodes, phi0)

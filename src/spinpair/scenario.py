@@ -16,7 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import compare_solutions, lz_asymptotic, populations
+from .analysis import (
+    ADIABATIC_WARNING_THRESHOLD,
+    compare_solutions,
+    lz_asymptotic,
+    populations,
+)
 from .errors import ConfigError, IoError
 from .fields import (
     Constant,
@@ -350,7 +355,7 @@ def run_scenario(config: ScenarioConfig, out_dir, fmt: str = "csv",
     if "comparison" in config.outputs:
         comparison = compare_solutions(
             params, grid, int(config.initial_label[-1]) - 1,
-            tol_per_time=config.tol_per_time, max_halvings=config.max_halvings,
+            reference=trajectory,
         )
 
     summary = _summarize(config, trajectory, eta, comparison)
@@ -433,7 +438,7 @@ def _summarize(config: ScenarioConfig, trajectory, eta, comparison) -> dict:
         "final_populations": [float(p) for p in pops],
         "survival_probability": float(abs(np.vdot(initial_lab, final_lab)) ** 2),
         "max_eta": max_eta,
-        "adiabatic_warning": bool(max_eta > 0.1),
+        "adiabatic_warning": bool(max_eta > ADIABATIC_WARNING_THRESHOLD),
         "halvings": int(trajectory.halvings),
         "error_estimate": float(trajectory.error_estimate),
     }
@@ -531,7 +536,7 @@ def run_sweep(config: ScenarioConfig, out_dir, fmt: str = "csv",
         if point.initial_label.startswith("phi"):
             comparison = compare_solutions(
                 point.params, point.grid, int(point.initial_label[-1]) - 1,
-                tol_per_time=point.tol_per_time, max_halvings=point.max_halvings,
+                reference=trajectory,
             )
         summary = _summarize(point, trajectory, eta, comparison)
         row = {"value": value,

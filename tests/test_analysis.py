@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -130,3 +132,27 @@ class TestCompareSolutions:
         p = params(0.0, Constant(2.0))
         with pytest.raises(ValueError):
             compare_solutions(p, TimeGrid(0.0, 1.0, 10), 4)
+
+    def test_precomputed_reference_gives_identical_report(self):
+        p = params(THETA_PERPENDICULAR, TanhRamp(3.0, 2.0, 4.0))
+        grid = TimeGrid(-8.0, 16.0, 150)
+        traj = reference_propagate(p, grid, np.eye(4, dtype=complex)[2],
+                                   Frame.ADIABATIC, tol_per_time=1e-9)
+        fresh = compare_solutions(p, grid, 2, tol_per_time=1e-9)
+        reused = compare_solutions(p, grid, 2, reference=traj)
+        for field in dataclasses.fields(fresh):
+            assert np.array_equal(getattr(reused, field.name),
+                                  getattr(fresh, field.name)), field.name
+
+    def test_mismatched_reference_rejected(self):
+        p = params(0.0, TanhRamp(3.0, 2.0, 4.0))
+        grid = TimeGrid(-8.0, 16.0, 60)
+        phi1 = np.eye(4, dtype=complex)[1]
+        lab = reference_propagate(p, grid, phi1, Frame.LAB, tol_per_time=1e-6)
+        other_grid = reference_propagate(p, TimeGrid(-8.0, 16.0, 30), phi1,
+                                         Frame.ADIABATIC, tol_per_time=1e-6)
+        other_start = reference_propagate(p, grid, np.eye(4, dtype=complex)[2],
+                                          Frame.ADIABATIC, tol_per_time=1e-6)
+        for reference in (lab, other_grid, other_start):
+            with pytest.raises(ValueError):
+                compare_solutions(p, grid, 1, reference=reference)

@@ -10,13 +10,15 @@ from spinpair.errors import (
     UnsupportedBlock,
 )
 from spinpair.fields import Constant, Harmonic, LinearRamp, TanhRamp
-from spinpair.frames import initial_adiabatic_states
-from spinpair.hamiltonian import THETA_PERPENDICULAR, SystemParams
-from spinpair.linalg import dagger, unitarity_defect
+from spinpair.frames import effective_h_batch, initial_adiabatic_states
+from spinpair.hamiltonian import THETA_PERPENDICULAR, SystemParams, hamiltonian_batch
+from spinpair.linalg import dagger, expm_unitary, unitarity_defect
 from spinpair.propagators import (
     BlockId,
     Frame,
     TimeGrid,
+    _mul2,
+    _prefix_product,
     assemble_full_propagator,
     first_order_block_solution,
     fixed_step_propagators,
@@ -283,3 +285,73 @@ def test_full_paths_match_block_solutions():
     assembled = assemble_full_propagator(p, [sol23, sol14], grid.t_end)
     np.testing.assert_allclose(first[-1], assembled, atol=1e-12)
     assert unitarity_defect(zeroth[-1]) <= 1e-10
+
+
+def midpoint_nodes_4x4(p, grid, frame, substeps):
+    """Node propagators of the midpoint rule from full 4x4 generators, with
+    ``eigh`` exponentials and a sequential product."""
+    generators = hamiltonian_batch if frame is Frame.LAB else effective_h_batch
+    h = grid.dt / substeps
+    mids = grid.times()[:-1, None] + ((np.arange(substeps) + 0.5) * h)[None, :]
+    w, v = np.linalg.eigh(generators(p, mids.reshape(-1)))
+    steps = (v * np.exp(-1j * h * w)[:, None, :]) @ dagger(v)
+    nodes = [np.eye(4, dtype=complex)]
+    for cell in steps.reshape(grid.n_steps, substeps, 4, 4):
+        u = nodes[-1]
+        for step in cell:
+            u = step @ u
+        nodes.append(u)
+    return np.array(nodes)
+
+
+def random_unitary_2x2(count, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((count, 2, 2)) + 1j * rng.standard_normal((count, 2, 2))
+    return expm_unitary(a + dagger(a), 1.0)
+
+
+class TestBlockNativePropagation:
+    BLOCK_MASK = np.array([[1, 0, 0, 1],
+                           [0, 1, 1, 0],
+                           [0, 1, 1, 0],
+                           [1, 0, 0, 1]], dtype=bool)
+
+    @pytest.mark.parametrize("theta", [0.0, THETA_PERPENDICULAR])
+    @pytest.mark.parametrize("frame", [Frame.LAB, Frame.ADIABATIC])
+    @pytest.mark.parametrize("substeps", [1, 8, 64])
+    @pytest.mark.parametrize("profile", [TanhRamp(3.0, 2.0, 4.0),
+                                         Harmonic(2.0, 1.0, 0.7, 0.3)])
+    def test_matches_4x4_midpoint_product(self, theta, frame, substeps, profile):
+        p = params(theta, profile)
+        grid = TimeGrid(-6.0, 9.0, 40)
+        nodes = fixed_step_propagators(p, grid, frame, substeps)
+        expected = midpoint_nodes_4x4(p, grid, frame, substeps)
+        assert np.max(np.abs(nodes - expected)) <= 1e-11
+
+    @pytest.mark.parametrize("theta", [0.0, THETA_PERPENDICULAR])
+    @pytest.mark.parametrize("frame", [Frame.LAB, Frame.ADIABATIC])
+    def test_off_block_entries_exactly_zero(self, theta, frame):
+        p = params(theta, TanhRamp(3.0, 2.0, 4.0))
+        nodes = fixed_step_propagators(p, TimeGrid(-8.0, 16.0, 50), frame, 4)
+        assert np.all(nodes[:, ~self.BLOCK_MASK] == 0.0)
+        assert np.all(nodes[0] == np.eye(4))
+
+    def test_entrywise_product_matches_matmul(self):
+        a = random_unitary_2x2(300, 1)
+        b = random_unitary_2x2(300, 2)
+        np.testing.assert_allclose(_mul2(a, b), a @ b, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(_mul2(a, b[0]), a @ b[0], rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 7, 300])
+    def test_prefix_product_matches_sequential_loop(self, length):
+        units = random_unitary_2x2(length, length)
+        expected = [units[0]]
+        for u in units[1:]:
+            expected.append(u @ expected[-1])
+        scanned = _prefix_product(units)
+        assert scanned.shape == units.shape
+        np.testing.assert_allclose(scanned, np.array(expected), rtol=0.0, atol=1e-12)
+        # a leading stack axis (the two blocks) is scanned independently
+        pair = _prefix_product(np.stack([units, units[::-1]]))
+        np.testing.assert_array_equal(pair[0], scanned)
+        np.testing.assert_array_equal(pair[1], _prefix_product(units[::-1]))

@@ -1,12 +1,21 @@
 import json
 from pathlib import Path
 
+import spinpair.analysis
+import spinpair.scenario
+
 import numpy as np
 import pytest
 
 from spinpair.cli import main
 from spinpair.errors import ConfigError
-from spinpair.scenario import load_config, parse_config, run_scenario, run_validation
+from spinpair.scenario import (
+    load_config,
+    parse_config,
+    run_scenario,
+    run_sweep,
+    run_validation,
+)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -142,6 +151,29 @@ class TestRunScenario:
         header = (tmp_path / "trajectory.csv").read_text().splitlines()[0]
         assert "re_phi1" not in header  # no frame companion away from 0, pi/2
         assert report["summary"]["survival_probability"] <= 1.0
+
+    def test_one_reference_run_per_compared_point(self, tmp_path, monkeypatch):
+        calls = []
+        original = spinpair.scenario.reference_propagate
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        for module in (spinpair.scenario, spinpair.analysis):
+            monkeypatch.setattr(module, "reference_propagate", counting)
+        config = base_config(outputs=["trajectory", "comparison"])
+        config["profile"] = {"kind": "tanh", "omega_mid": 3.0,
+                             "amplitude": 2.0, "tau": 2.0}
+        config["grid"] = {"t_start": -4.0, "t_end": 8.0, "n_steps": 100}
+        config["sweep"] = {"parameter": "rate", "values": [1.0, 0.5, 0.25]}
+        cfg = parse_config(config)
+        run_scenario(cfg, tmp_path / "single")
+        assert len(calls) == 1
+        report = run_sweep(cfg, tmp_path / "sweep")
+        assert len(calls) == 4
+        assert len(report["summary"]["points"]) == 3
+        assert len(set(calls[1:])) == 3
 
     def test_custom_initial_state(self, tmp_path):
         amp = 1.0 / np.sqrt(2.0)
