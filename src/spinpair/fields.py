@@ -22,6 +22,8 @@ OMEGA_SINGULAR = 1e-12
 class FieldProfile:
     """Base interface: ``evaluate(t) -> (omega, omega_dot)``."""
 
+    knots = np.empty(0)  # interior times where the rate has a kink
+
     def _values(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
@@ -126,6 +128,7 @@ class Tabulated(FieldProfile):
             raise ValueError("tabulated sample times must be strictly increasing")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "omegas", omegas)
+        object.__setattr__(self, "knots", times[1:-1])
         interp = PchipInterpolator(times, omegas)
         object.__setattr__(self, "_interp", interp)
         object.__setattr__(self, "_deriv", interp.derivative())

@@ -90,19 +90,22 @@ def _half_angle(coupling: float, detuning: np.ndarray) -> np.ndarray:
     return 0.5 * doubled
 
 
-def _angle_rate(coupling: float, zfac: float, w, wdot):
-    if coupling == 0.0:
-        return np.zeros_like(np.asarray(w, dtype=float))
-    detuning = w * zfac
-    return -(coupling * zfac) * wdot / (4.0 * coupling * coupling + detuning * detuning)
+def block_splitting_and_rate(params: SystemParams, block: str, w, wdot):
+    """The block's level splitting (see ``level_splitting``) and the exact
+    rate of its mixing angle, from the field ``w`` and its rate ``wdot``."""
+    c = block_coupling(params, block)
+    zfac = block_zeta_factor(params, block)
+    detuning = np.asarray(w, dtype=float) * zfac
+    if c == 0.0:
+        return detuning, np.zeros_like(detuning)
+    gap_sq = 4.0 * c * c + detuning * detuning
+    return (math.copysign(1.0, c) * np.sqrt(gap_sq),
+            -(c * zfac) * np.asarray(wdot, dtype=float) / gap_sq)
 
 
 def block_angle_rate(params: SystemParams, block: str, times):
     """Exact rate of the block's mixing angle at the given time(s)."""
-    c = block_coupling(params, block)
-    zfac = block_zeta_factor(params, block)
-    w, wdot = params.profile.evaluate(times)
-    return _angle_rate(c, zfac, np.asarray(w, dtype=float), np.asarray(wdot, dtype=float))
+    return block_splitting_and_rate(params, block, *params.profile.evaluate(times))[1]
 
 
 def angles_arrays(params: SystemParams, times: np.ndarray):
@@ -116,8 +119,8 @@ def angles_arrays(params: SystemParams, times: np.ndarray):
     wdot = np.atleast_1d(np.asarray(wdot, dtype=float))
     theta1 = _half_angle(c23, w * zm)
     theta2 = _half_angle(c14, w * zp)
-    rate1 = _angle_rate(c23, zm, w, wdot)
-    rate2 = _angle_rate(c14, zp, w, wdot)
+    _, rate1 = block_splitting_and_rate(params, BLOCK_CENTRAL, w, wdot)
+    _, rate2 = block_splitting_and_rate(params, BLOCK_CORNER, w, wdot)
     return theta1, theta2, rate1, rate2
 
 
@@ -174,13 +177,7 @@ def level_splitting(params: SystemParams, block: str, times):
     the field along the axis), so the sign convention always matches the
     branch of the mixing angles.
     """
-    c = block_coupling(params, block)
-    zfac = block_zeta_factor(params, block)
-    w, _ = params.profile.evaluate(times)
-    detuning = np.asarray(w, dtype=float) * zfac
-    if c == 0.0:
-        return detuning
-    return math.copysign(1.0, c) * np.sqrt(4.0 * c * c + detuning * detuning)
+    return block_splitting_and_rate(params, block, *params.profile.evaluate(times))[0]
 
 
 def effective_diag_arrays(params: SystemParams, times: np.ndarray):
@@ -270,6 +267,7 @@ __all__ = [
     "block_angle_rate",
     "block_coupling",
     "block_diagonal_offset",
+    "block_splitting_and_rate",
     "block_zeta_factor",
     "diagonalization_residual",
     "effective_diag_arrays",

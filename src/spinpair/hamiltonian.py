@@ -78,10 +78,6 @@ class SystemParams:
         """Anisotropy seen by the frame angles: (a_par - a_perp) * sin(theta)**2."""
         return (self.a_par - self.a_perp) * math.sin(self.theta) ** 2
 
-    def omega(self, t):
-        """Shortcut for ``profile.evaluate(t)``."""
-        return self.profile.evaluate(t)
-
 
 def field_coupling_matrix(params: SystemParams) -> np.ndarray:
     """Constant matrix multiplying omega(t): Zeeman action on both spins."""

@@ -119,10 +119,6 @@ def _expm4(h: np.ndarray, s: np.ndarray) -> np.ndarray:
     return (v * phases[..., None, :]) @ dagger(v)
 
 
-def state_norm(psi: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(psi)))
-
-
 def fidelity(psi: np.ndarray, phi: np.ndarray) -> float:
     """Squared overlap ``|<psi|phi>|**2`` of two unit-norm amplitude vectors."""
     psi = np.asarray(psi, dtype=complex)

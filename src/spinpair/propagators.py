@@ -18,6 +18,9 @@ Two independent routes to the same dynamics live here.
   exponential is approximated by exponentiating its first Magnus term.  That
   keeps every block exactly unitary (|alpha|^2 + |beta|^2 = 1) while agreeing
   with the plain first-order expansion to leading order in the drive rate.
+  Over a grid, each quadrature refinement level evaluates the field once for
+  both blocks and all their running integrals; the running phase at the Gauss
+  nodes comes from the integration matrix applied to the splittings there.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     ComputeError,
@@ -44,16 +47,17 @@ from .frames import (
     block_angle_rate,
     block_coupling,
     block_diagonal_offset,
+    block_splitting_and_rate,
     effective_h_batch,
     frame_matrices,
     level_splitting,
 )
 from .hamiltonian import SystemParams, hamiltonian_batch
 from .linalg import SIGMA_X, SIGMA_Y, STATE_NORM_TOL, dagger, expm_unitary
-from .quadrature import cumulative_at, cumulative_integral
+from .quadrature import cumulative_integral, running_integral
 
 _CHUNK_SUBSTEPS = 1 << 17
-_QUAD_TOL = 1e-12
+_PHASE_PER_CELL = 1.0
 # product-basis slots of the central and corner 2x2 blocks, as fancy indices
 _BLOCK_SLOTS = np.array([[1, 2], [0, 3]])
 _BLOCK_ROWS = _BLOCK_SLOTS[:, :, None]
@@ -153,18 +157,17 @@ def _require_block(params: SystemParams, block: BlockId) -> None:
 
 
 def _splitting_integral(params: SystemParams, key: str, t0: float, t: float) -> float:
-    """Accumulated level splitting, adaptive Gauss-Kronrod to 1e-12."""
-    if t == t0:
-        return 0.0
-    value, _ = quad(
-        lambda s: float(level_splitting(params, key, s)),
-        t0,
-        t,
-        epsabs=_QUAD_TOL,
-        epsrel=_QUAD_TOL,
-        limit=500,
-    )
-    return value
+    """Accumulated level splitting from ``t0`` to ``t``, on even cells of about
+    ``_PHASE_PER_CELL`` rad cut at the profile's knots, so the engine's absolute
+    per-cell tolerance holds on long spans and across the kinks of a table."""
+    splitting = partial(level_splitting, params, key)
+    mean_splitting = np.mean(np.abs(splitting(np.linspace(t0, t, 65))))
+    cells = max(1, math.ceil(abs(t - t0) * mean_splitting / _PHASE_PER_CELL))
+    knots = params.profile.knots
+    edges = np.concatenate([np.linspace(t0, t, cells + 1),
+                            knots[(knots - t0) * (knots - t) < 0]])
+    edges = edges[np.argsort(abs(edges - t0))]  # from t0 towards t, either way
+    return float(cumulative_integral(splitting, edges)[-1])
 
 
 def _unperturbed_2x2(params: SystemParams, key: str, t: float, t0: float) -> np.ndarray:
@@ -218,54 +221,53 @@ def _scatter_blocks(central: np.ndarray, corner: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _BlockPath:
-    """Per-node block data over a grid (both approximation orders)."""
+    """Per-node data of one block over a grid (both approximation orders)."""
 
-    key: str
-    times: np.ndarray
-    phi: np.ndarray
     phase: np.ndarray
     su2_zero: np.ndarray
     su2_first: np.ndarray
 
 
-def _block_path(params: SystemParams, key: str, grid: TimeGrid) -> _BlockPath:
+def _block_paths(params: SystemParams, grid: TimeGrid,
+                 keys=(BLOCK_CENTRAL, BLOCK_CORNER)):
+    """Node times and one ``_BlockPath`` per block key over the grid.
+
+    The integrand rows are each block's splitting ``g`` and, for a coupled
+    block, ``-rate sin(Phi)`` and ``-rate cos(Phi)`` with ``Phi = int g``.
+    """
     edges = grid.times()
-    c = block_coupling(params, key)
-    d = block_diagonal_offset(params, key)
+    coupled = [block_coupling(params, key) != 0.0 for key in keys]
 
-    def splitting(ts):
-        return np.asarray(level_splitting(params, key, ts), dtype=float)
+    def integrand(nodes):
+        w, wdot = params.profile.evaluate(nodes)
+        rows = []
+        for key, has_rate in zip(keys, coupled):
+            g, rate = block_splitting_and_rate(params, key, w, wdot)
+            rows.append(g)
+            if has_rate:
+                phi = running_integral(g, edges)
+                rows += [-rate * np.sin(phi), -rate * np.cos(phi)]
+        return np.stack(rows)
 
-    phi = cumulative_integral(splitting, edges, tol=_QUAD_TOL)
-    phase = np.exp(-1j * d * (edges - edges[0]))
-    half = np.exp(-0.5j * phi)
-    su2_zero = np.zeros((edges.size, 2, 2), dtype=complex)
-    su2_zero[:, 0, 0] = half
-    su2_zero[:, 1, 1] = np.conj(half)
-
-    if c == 0.0:
+    rows = iter(cumulative_integral(integrand, edges))
+    paths = []
+    for key, has_rate in zip(keys, coupled):
+        half = np.exp(-0.5j * next(rows))
+        su2_zero = np.zeros((edges.size, 2, 2), dtype=complex)
+        su2_zero[:, 0, 0] = half
+        su2_zero[:, 1, 1] = np.conj(half)
         # no coupling, no gauge rate: the first order is the zeroth order
         su2_first = su2_zero
-    else:
-        def comp_x(ts):
-            running = cumulative_at(splitting, edges, phi, ts)
-            return -np.asarray(block_angle_rate(params, key, ts)) * np.sin(running)
-
-        def comp_y(ts):
-            running = cumulative_at(splitting, edges, phi, ts)
-            return -np.asarray(block_angle_rate(params, key, ts)) * np.cos(running)
-
-        ix = cumulative_integral(comp_x, edges, tol=_QUAD_TOL)
-        iy = cumulative_integral(comp_y, edges, tol=_QUAD_TOL)
-        magnus = np.zeros((edges.size, 2, 2), dtype=complex)
-        magnus[:, 0, 1] = ix - 1j * iy
-        magnus[:, 1, 0] = ix + 1j * iy
-        su2_first = su2_zero @ expm_unitary(magnus, 1.0)
-
-    return _BlockPath(
-        key=key, times=edges, phi=phi, phase=phase,
-        su2_zero=su2_zero, su2_first=su2_first,
-    )
+        if has_rate:
+            ix, iy = next(rows), next(rows)
+            magnus = np.zeros((edges.size, 2, 2), dtype=complex)
+            magnus[:, 0, 1] = ix - 1j * iy
+            magnus[:, 1, 0] = ix + 1j * iy
+            su2_first = su2_zero @ expm_unitary(magnus, 1.0)
+        d = block_diagonal_offset(params, key)
+        paths.append(_BlockPath(phase=np.exp(-1j * d * (edges - edges[0])),
+                                su2_zero=su2_zero, su2_first=su2_first))
+    return edges, paths
 
 
 def first_order_block_solution(params: SystemParams, block: BlockId,
@@ -273,16 +275,11 @@ def first_order_block_solution(params: SystemParams, block: BlockId,
     """Block propagator over the grid with the time-ordered exponential
     replaced by the exponential of its first Magnus term."""
     _require_block(params, block)
-    path = _block_path(params, _block_key(block), grid)
+    _, (path,) = _block_paths(params, grid, (_block_key(block),))
     u2 = path.su2_first[-1]
-    return BlockSolution(
-        block=block,
-        grid=grid,
-        alpha=complex(u2[0, 0]),
-        beta=complex(u2[0, 1]),
-        u2=u2.copy(),
-        phase_factor=complex(path.phase[-1]),
-    )
+    return BlockSolution(block=block, grid=grid, alpha=complex(u2[0, 0]),
+                         beta=complex(u2[0, 1]), u2=u2.copy(),
+                         phase_factor=complex(path.phase[-1]))
 
 
 def _check_solution_time(solution: BlockSolution, t: float) -> None:
@@ -342,14 +339,13 @@ def full_propagator_paths(params: SystemParams, grid: TimeGrid):
     exact phases automatically (zero coupling, zero rate).
     """
     params.require_special_orientation()
-    central = _block_path(params, BLOCK_CENTRAL, grid)
-    corner = _block_path(params, BLOCK_CORNER, grid)
+    times, (central, corner) = _block_paths(params, grid)
 
     def nodes(mid, cor):
         return _scatter_blocks(central.phase[:, None, None] * mid,
                                corner.phase[:, None, None] * cor)
 
-    return (central.times, nodes(central.su2_zero, corner.su2_zero),
+    return (times, nodes(central.su2_zero, corner.su2_zero),
             nodes(central.su2_first, corner.su2_first))
 
 

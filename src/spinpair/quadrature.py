@@ -1,10 +1,11 @@
 """Composite Gauss-Legendre quadrature tied to a propagation grid.
 
 The running integrals that feed the block solutions (accumulated level
-splittings, first-order perturbation components) are evaluated on the same
-cell structure as the propagation grid, with per-cell Gauss rules and a
-subdivision check so quadrature error stays far below the physics being
-measured.
+splittings, first-order perturbation components) are evaluated on the cells of
+the propagation grid.  Each refinement level splits every cell into ``m``
+sub-cells and calls the integrand once on all their Gauss nodes; a running
+integral the integrand needs at those nodes (the phase inside the first-order
+terms) comes from the Gauss integration matrix applied to values already there.
 """
 
 from __future__ import annotations
@@ -22,71 +23,79 @@ REFINE_LIMIT = 8
 
 @lru_cache(maxsize=None)
 def _gauss_rule(order: int):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
+    return np.polynomial.legendre.leggauss(order)
 
 
-def _cells_subdivided(f, edges: np.ndarray, m: int, order: int) -> np.ndarray:
-    """Integral of ``f`` over each grid cell, each cell split into ``m`` parts."""
-    x, w = _gauss_rule(order)
-    left = edges[:-1]
-    width = np.diff(edges)
-    # fractional positions of all Gauss nodes of all m sub-cells, shape (m, order)
-    offsets = (np.arange(m)[:, None] + 0.5 * (x + 1.0)[None, :]) / m
-    nodes = left[:, None, None] + width[:, None, None] * offsets[None, :, :]
-    values = np.asarray(f(nodes.reshape(-1)), dtype=float).reshape(nodes.shape)
-    return (0.5 * width / m) * np.einsum("cmo,o->c", values, w)
+@lru_cache(maxsize=None)
+def _integration_matrix(order: int) -> np.ndarray:
+    """``S[i, j] = int_0^{u_i} l_j``: the integrals from 0 to each Gauss node
+    ``u_i`` of the Lagrange basis ``l_j`` on the nodes, over ``[0, 1]``.
 
-
-def cell_integrals(f, edges: np.ndarray, order: int = DEFAULT_ORDER,
-                   tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Per-cell integrals of ``f``, refined by subdivision until stable.
-
-    Raises :class:`QuadratureFailure` if doubling the subdivision ``REFINE_LIMIT``
-    times never brings the per-cell change below ``tol``.
+    Built in the Legendre basis: Gauss quadrature is exact for the products
+    ``P_k P_j`` (degree below ``2 order``), so the coefficients of ``l_j`` are
+    ``(k + 1/2) w_j P_k(x_j)``, and ``legint`` integrates each ``P_k`` from -1.
     """
-    edges = np.asarray(edges, dtype=float)
-    m = 1
-    coarse = _cells_subdivided(f, edges, m, order)
-    for _ in range(REFINE_LIMIT):
-        fine = _cells_subdivided(f, edges, 2 * m, order)
-        if np.max(np.abs(fine - coarse)) <= tol:
-            return fine
-        m *= 2
-        coarse = fine
-    raise QuadratureFailure(
-        f"cell integrals did not stabilize to {tol:.1e} after {REFINE_LIMIT} refinements"
-    )
+    leg = np.polynomial.legendre
+    x, w = _gauss_rule(order)
+    to_coefficients = ((np.arange(order) + 0.5)[:, None]
+                       * leg.legvander(x, order - 1).T * w[None, :])
+    integrals = leg.legvander(x, order) @ leg.legint(np.eye(order), lbnd=-1)
+    return 0.5 * integrals @ to_coefficients
+
+
+def running_integral(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Integral from ``edges[0]`` to every Gauss node of one refinement level.
+
+    ``values`` holds an integrand at the nodes of ``cumulative_integral``'s
+    pass, shape ``(..., cells, m, order)``; the result has the same shape.
+    Each value is the sum of the earlier cells, the earlier sub-cells of its
+    own cell and the part of its sub-cell up to the node, the last from the
+    Gauss integration matrix, so it is exact for polynomials of degree below
+    ``order`` on every sub-cell.
+    """
+    *_, m, order = values.shape
+    _, w = _gauss_rule(order)
+    sub_width = (np.diff(edges) / m)[:, None, None]
+    partial = sub_width * (values @ _integration_matrix(order).T)
+    sub_cells = sub_width[..., 0] * (values @ (0.5 * w))
+    within = np.cumsum(sub_cells, axis=-1) - sub_cells
+    cells = np.sum(sub_cells, axis=-1)
+    before = np.cumsum(cells, axis=-1) - cells
+    return before[..., None, None] + within[..., None] + partial
+
+
+def _cell_integrals(f, edges: np.ndarray, m: int, order: int) -> np.ndarray:
+    """Integral of every row of ``f`` over each grid cell split into ``m`` parts."""
+    x, w = _gauss_rule(order)
+    width = np.diff(edges)
+    offsets = (np.arange(m)[:, None] + 0.5 * (x + 1.0)[None, :]) / m
+    values = np.asarray(f(edges[:-1, None, None] + width[:, None, None] * offsets))
+    return (0.5 * width / m) * np.sum(values @ w, axis=-1)
 
 
 def cumulative_integral(f, edges: np.ndarray, order: int = DEFAULT_ORDER,
                         tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Cumulative integral of ``f`` from ``edges[0]``, one value per edge."""
-    cells = cell_integrals(f, edges, order=order, tol=tol)
-    out = np.empty(edges.size)
-    out[0] = 0.0
-    np.cumsum(cells, out=out[1:])
-    return out
+    """Cumulative integrals from ``edges[0]``, one value per edge.
 
-
-def integrals_between(f, a: np.ndarray, b: np.ndarray,
-                      order: int = DEFAULT_ORDER) -> np.ndarray:
-    """Gauss integral of ``f`` over each interval ``[a_i, b_i]`` (no refinement;
-    intended for sub-cell spans where a single rule is already exhaustive)."""
-    x, w = _gauss_rule(order)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    width = b - a
-    nodes = a[..., None] + 0.5 * (x + 1.0) * width[..., None]
-    values = np.asarray(f(nodes.reshape(-1)), dtype=float).reshape(nodes.shape)
-    return 0.5 * width * (values @ w)
-
-
-def cumulative_at(f, edges: np.ndarray, cumulative_edges: np.ndarray,
-                  ts: np.ndarray, order: int = DEFAULT_ORDER) -> np.ndarray:
-    """Cumulative integral of ``f`` from ``edges[0]`` at arbitrary points ``ts``
-    inside the grid, reusing the cumulative values at the cell edges."""
-    ts = np.asarray(ts, dtype=float)
-    idx = np.searchsorted(edges, ts, side="right") - 1
-    idx = np.clip(idx, 0, edges.size - 2)
-    return cumulative_edges[idx] + integrals_between(f, edges[idx], ts, order=order)
+    ``f`` is called once per refinement level on the Gauss nodes of every cell
+    split into ``m`` parts, an array of shape ``(cells, m, order)``, with
+    ``m = 1, 2, 4, ...``.  It returns one integrand row of that shape, or a
+    stack of rows ``(k, cells, m, order)``; the result is then ``(k, edges)``.
+    Refinement stops once no cell integral of any row changes by more than
+    ``tol`` between consecutive levels; :class:`QuadratureFailure` is raised
+    if ``REFINE_LIMIT`` refinements never get there.
+    """
+    edges = np.asarray(edges, dtype=float)
+    m = 1
+    coarse = _cell_integrals(f, edges, m, order)
+    for _ in range(REFINE_LIMIT):
+        m *= 2
+        fine = _cell_integrals(f, edges, m, order)
+        if np.max(np.abs(fine - coarse)) <= tol:
+            out = np.zeros(fine.shape[:-1] + (edges.size,))
+            np.cumsum(fine, axis=-1, out=out[..., 1:])
+            return out
+        coarse = fine
+    raise QuadratureFailure(
+        f"cell integrals did not stabilize to {tol:.1e} after {REFINE_LIMIT} refinements"
+    )

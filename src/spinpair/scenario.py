@@ -61,6 +61,7 @@ _GRID_KEYS = {"t_start", "t_end", "n_steps"}
 _INTEGRATOR_KEYS = {"tol_per_time", "max_halvings"}
 _SWEEP_KEYS = {"parameter", "values"}
 _OUTPUT_KINDS = {"trajectory", "comparison", "propagator"}
+_CSV_BLOCK_ROWS = 256
 
 _PROFILE_SCHEMAS = {
     "constant": {"omega0"},
@@ -301,21 +302,19 @@ def load_config(path) -> ScenarioConfig:
     return parse_config(raw, base_dir=path.parent)
 
 
-def _fmt(value: float) -> str:
-    return f"{float(value):.17g}"
-
-
 def _write_table(path: Path, header: list, columns: list, fmt: str) -> None:
-    rows = np.column_stack(columns)
+    table = np.column_stack(columns).astype(float, copy=False)
     try:
         if fmt == "csv":
+            line = ",".join(["%.17g"] * table.shape[1]) + "\n"
             with open(path, "w", newline="\n") as fh:
                 fh.write(",".join(header) + "\n")
-                for row in rows:
-                    fh.write(",".join(_fmt(v) for v in row) + "\n")
+                # row blocks bound the Python-float copy of a long table
+                for start in range(0, len(table), _CSV_BLOCK_ROWS):
+                    block = table[start:start + _CSV_BLOCK_ROWS].tolist()
+                    fh.writelines(line % tuple(row) for row in block)
         else:
-            payload = {"columns": header,
-                       "rows": [[float(v) for v in row] for row in rows]}
+            payload = {"columns": header, "rows": table.tolist()}
             with open(path, "w", newline="\n") as fh:
                 json.dump(payload, fh, indent=2)
                 fh.write("\n")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from spinpair.errors import (
     MissingBlock,
@@ -9,8 +10,13 @@ from spinpair.errors import (
     ToleranceNotMet,
     UnsupportedBlock,
 )
-from spinpair.fields import Constant, Harmonic, LinearRamp, TanhRamp
-from spinpair.frames import effective_h_batch, initial_adiabatic_states
+from spinpair.fields import Constant, Harmonic, LinearRamp, TanhRamp, Tabulated
+from spinpair.frames import (
+    block_diagonal_offset,
+    effective_h_batch,
+    initial_adiabatic_states,
+    level_splitting,
+)
 from spinpair.hamiltonian import THETA_PERPENDICULAR, SystemParams, hamiltonian_batch
 from spinpair.linalg import dagger, expm_unitary, unitarity_defect
 from spinpair.propagators import (
@@ -148,6 +154,37 @@ class TestUnperturbedBlock:
         p = params(0.0, Constant(2.0))
         with pytest.raises(UnsupportedBlock):
             unperturbed_block_u(p, BlockId.BLOCK14, 1.0)
+
+    @staticmethod
+    def quad_block(p, key, t0, t, cuts):
+        """``unperturbed_block_u`` from ``quad`` run piece by piece over ``cuts``."""
+        phi = sum(quad(lambda s: float(level_splitting(p, key, s)), a, b,
+                       epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+                  for a, b in zip(cuts[:-1], cuts[1:]))
+        d = np.exp(-1j * block_diagonal_offset(p, key) * (t - t0))
+        return d * np.diag([np.exp(-0.5j * phi), np.exp(0.5j * phi)])
+
+    def test_long_span_matches_quad(self):
+        # about 1.6e4 rad of accumulated splitting
+        p = params(0.0, TanhRamp(30.0, 20.0, 2.0))
+        u0 = unperturbed_block_u(p, BlockId.BLOCK23, 300.0, t0=-300.0)
+        expected = self.quad_block(p, "23", -300.0, 300.0,
+                                   np.linspace(-300.0, 300.0, 601))
+        np.testing.assert_allclose(u0, expected, rtol=0, atol=1e-8)
+
+    def test_tabulated_knots_off_dyadic_points_match_quad(self):
+        knots = np.array([0.0, 0.37, 1.1, 1.93, 2.6, 3.31, 4.0])
+        profile = Tabulated(knots, 3.0 + np.sin(1.7 * knots))
+        p = params(THETA_PERPENDICULAR, profile)
+        cuts = np.concatenate([[0.05], knots[1:-1], [3.9]])
+        for block, key in ((BlockId.BLOCK23, "23"), (BlockId.BLOCK14, "14")):
+            u0 = unperturbed_block_u(p, block, 3.9, t0=0.05)
+            np.testing.assert_allclose(u0, self.quad_block(p, key, 0.05, 3.9, cuts),
+                                       rtol=0, atol=1e-12)
+        # a backward span accumulates the opposite phase
+        back = unperturbed_block_u(p, BlockId.BLOCK23, 0.05, t0=3.9)
+        forward = unperturbed_block_u(p, BlockId.BLOCK23, 3.9, t0=0.05)
+        np.testing.assert_allclose(back, np.conj(forward), rtol=0, atol=1e-12)
 
 
 class TestInteractionPicture:

@@ -1,0 +1,124 @@
+import numpy as np
+import pytest
+from scipy.integrate import quad
+from scipy.linalg import expm
+
+from spinpair.errors import QuadratureFailure
+from spinpair.fields import Tabulated
+from spinpair.frames import block_angle_rate, level_splitting
+from spinpair.hamiltonian import THETA_PERPENDICULAR, SystemParams
+from spinpair.propagators import BlockId, TimeGrid, first_order_block_solution
+from spinpair.quadrature import (
+    DEFAULT_ORDER,
+    REFINE_LIMIT,
+    cumulative_integral,
+    running_integral,
+)
+
+EDGES = np.array([-1.0, -0.55, -0.1, 0.3, 0.62, 1.0])
+
+
+def level_nodes(edges, m):
+    """The Gauss nodes ``cumulative_integral`` hands its integrand at level ``m``."""
+    seen = []
+
+    def capture(nodes):
+        seen.append(nodes)
+        return np.ones_like(nodes)
+
+    with pytest.raises(QuadratureFailure):
+        cumulative_integral(capture, edges, tol=-1.0)
+    return next(nodes for nodes in seen if nodes.shape[1] == m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 8])
+def test_running_integral_exact_for_polynomials(m):
+    nodes = level_nodes(EDGES, m)
+    assert nodes.shape == (EDGES.size - 1, m, DEFAULT_ORDER)
+    for degree in range(DEFAULT_ORDER):
+        coefficients = np.cos(np.arange(degree + 1))
+        poly = np.polynomial.Polynomial(coefficients)
+        antiderivative = poly.integ()
+        got = running_integral(poly(nodes), EDGES)
+        expected = antiderivative(nodes) - antiderivative(EDGES[0])
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
+
+
+def test_running_integral_stacks_rows():
+    nodes = level_nodes(EDGES, 4)
+    rows = np.stack([nodes ** 2, np.ones_like(nodes)])
+    got = running_integral(rows, EDGES)
+    np.testing.assert_allclose(got[0], (nodes ** 3 + 1.0) / 3.0, atol=1e-15)
+    np.testing.assert_allclose(got[1], nodes + 1.0, atol=1e-15)
+
+
+def test_cumulative_integral_rows_match_analytic():
+    edges = np.linspace(-2.0, 3.0, 41)
+    got = cumulative_integral(
+        lambda t: np.stack([np.sin(t), np.cos(t), t ** 5]), edges
+    )
+    assert got.shape == (3, edges.size)
+    a = edges[0]
+    np.testing.assert_allclose(got[0], np.cos(a) - np.cos(edges), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(got[1], np.sin(edges) - np.sin(a), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(got[2], (edges ** 6 - a ** 6) / 6.0, rtol=0, atol=1e-13)
+
+
+def test_single_row_is_one_dimensional():
+    got = cumulative_integral(np.exp, np.array([0.0, 1.0]))
+    assert got.shape == (2,)
+    assert got[0] == 0.0
+    assert got[1] == pytest.approx(np.e - 1.0, abs=1e-14)
+
+
+def test_kink_off_dyadic_points_fails_after_refine_limit():
+    levels = []
+
+    def kink(nodes):
+        levels.append(nodes.shape[1])
+        return np.abs(nodes - 1.0 / 3.0)
+
+    with pytest.raises(QuadratureFailure):
+        cumulative_integral(kink, np.array([0.0, 0.5, 1.0]))
+    assert levels == [2 ** k for k in range(REFINE_LIMIT + 1)]
+
+
+def _split_quad_block(p, key, knots):
+    """Final first-order 2x2 block from ``scipy.integrate.quad`` split at the
+    profile knots, with the running phase integrated piece by piece."""
+    def g(t):
+        return float(level_splitting(p, key, t))
+
+    def rate(t):
+        return float(block_angle_rate(p, key, t))
+
+    def integral(f, a, b):
+        return quad(f, a, b, epsabs=1e-13, epsrel=1e-13)[0]
+
+    pieces = list(zip(knots[:-1], knots[1:]))
+    phi_knots = np.concatenate([[0.0], np.cumsum([integral(g, a, b) for a, b in pieces])])
+    ix = iy = 0.0
+    for phi_a, (a, b) in zip(phi_knots, pieces):
+        def phi(t, phi_a=phi_a, a=a):
+            return phi_a + integral(g, a, t)
+
+        ix += integral(lambda t: -rate(t) * np.sin(phi(t)), a, b)
+        iy += integral(lambda t: -rate(t) * np.cos(phi(t)), a, b)
+    half = np.exp(-0.5j * phi_knots[-1])
+    magnus = np.array([[0.0, ix - 1j * iy], [ix + 1j * iy, 0.0]])
+    return np.diag([half, np.conj(half)]) @ expm(-1j * magnus)
+
+
+@pytest.mark.parametrize("n_steps", [2, 4])
+def test_tabulated_first_order_block_matches_split_quad(n_steps):
+    # knots every 1.0 over [0, 8]: at the quarter points of 2 cells and the
+    # midpoints of 4 cells, so the kinks in the angle rate sit inside cells
+    # at positions the sub-cell refinement reaches
+    knots = np.arange(0.0, 9.0, 1.0)
+    omegas = 3.0 + 0.6 * np.sin(0.9 * knots) + 0.2 * np.cos(2.3 * knots)
+    p = SystemParams(1.0, 0.5, 0.1, THETA_PERPENDICULAR, Tabulated(knots, omegas))
+    grid = TimeGrid(0.0, 8.0, n_steps)
+    for block, key in ((BlockId.BLOCK23, "23"), (BlockId.BLOCK14, "14")):
+        sol = first_order_block_solution(p, block, grid)
+        np.testing.assert_allclose(sol.u2, _split_quad_block(p, key, knots),
+                                   rtol=0, atol=1e-11)

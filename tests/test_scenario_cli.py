@@ -10,6 +10,7 @@ import pytest
 from spinpair.cli import main
 from spinpair.errors import ConfigError
 from spinpair.scenario import (
+    _write_table,
     load_config,
     parse_config,
     run_scenario,
@@ -126,6 +127,24 @@ class TestRunScenario:
         for name in ("trajectory.csv", "comparison.csv", "report.json"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
+
+    def test_table_writer_matches_per_value_format(self, tmp_path):
+        special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300,
+                            -1e300, 0.1, 1.0 / 3.0, 2.0 ** 53 + 2.0, -7.0])
+        # more rows than one write block, so block boundaries are covered
+        special = np.resize(special, 600)
+        columns = [special, special[::-1], np.linspace(-1.0, 1.0, special.size)]
+        header = ["a", "b", "c"]
+        rows = np.column_stack(columns)
+        _write_table(tmp_path / "t.csv", header, columns, "csv")
+        expected = "a,b,c\n" + "".join(
+            ",".join(f"{float(v):.17g}" for v in row) + "\n" for row in rows)
+        assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+        _write_table(tmp_path / "t.json", header, columns, "json")
+        payload = {"columns": header,
+                   "rows": [[float(v) for v in row] for row in rows]}
+        expected = json.dumps(payload, indent=2) + "\n"
+        assert (tmp_path / "t.json").read_bytes() == expected.encode()
 
     def test_propagator_dump(self, tmp_path):
         cfg = parse_config(base_config(outputs=["trajectory", "propagator"],
@@ -253,6 +272,23 @@ class TestCli:
                      "--out", str(tmp_path / "out")])
         assert code == 0
         assert (tmp_path / "out" / "validation.json").exists()
+
+    @pytest.mark.parametrize("n_steps, expected", [(2, 3), (9, 0)])
+    def test_tabulated_compare_exit_codes(self, tmp_path, n_steps, expected):
+        # knots at integer times: inside the 2 cells at non-dyadic positions
+        # (the block quadrature cannot converge), on the edges of the 9 cells
+        knots = np.arange(10.0)
+        config = base_config(outputs=["trajectory", "comparison"])
+        config["system"]["orientation"] = "perpendicular"
+        config["profile"] = {"kind": "tabulated", "times": knots.tolist(),
+                             "omegas": (3.0 + 0.5 * np.sin(knots)).tolist()}
+        config["grid"] = {"t_start": 0.0, "t_end": 9.0, "n_steps": n_steps}
+        config["integrator"] = {"tol_per_time": 1e-6}
+        path = self.write(tmp_path, config)
+        out = tmp_path / "out"
+        code = main(["compare", "--config", str(path), "--out", str(out), "--quiet"])
+        assert code == expected
+        assert (out / "comparison.csv").exists() == (expected == 0)
 
     def test_sweep_subcommand_ordering(self, tmp_path):
         config = base_config(outputs=["comparison"])
