@@ -180,36 +180,19 @@ def level_splitting(params: SystemParams, block: str, times):
     return block_splitting_and_rate(params, block, *params.profile.evaluate(times))[0]
 
 
-def effective_diag_arrays(params: SystemParams, times: np.ndarray):
-    """Frame-level energies (slots 1..4) over ``times``, as four arrays."""
-    g23 = np.atleast_1d(level_splitting(params, BLOCK_CENTRAL, times))
-    g14 = np.atleast_1d(level_splitting(params, BLOCK_CORNER, times))
-    d23 = block_diagonal_offset(params, BLOCK_CENTRAL)
-    d14 = block_diagonal_offset(params, BLOCK_CORNER)
-    return (
-        d14 + 0.5 * g14,
-        d23 + 0.5 * g23,
-        d23 - 0.5 * g23,
-        d14 - 0.5 * g14,
-    )
-
-
 def effective_h_batch(params: SystemParams, times: np.ndarray) -> np.ndarray:
-    """Stacked frame generators ``T^dagger H T - i T^dagger dT/dt`` (closed form)."""
-    times = np.asarray(times, dtype=float)
-    e1, e2, e3, e4 = effective_diag_arrays(params, times)
-    _, _, rate1, rate2 = angles_arrays(params, times)
-    n = e1.shape[0]
-    h = np.zeros((n, 4, 4), dtype=complex)
-    h[:, 0, 0] = e1
-    h[:, 1, 1] = e2
-    h[:, 2, 2] = e3
-    h[:, 3, 3] = e4
-    # -i * gauge: Hermitian, imaginary off-diagonal within each block
-    h[:, 0, 3] = 1j * rate2
-    h[:, 3, 0] = -1j * rate2
-    h[:, 1, 2] = 1j * rate1
-    h[:, 2, 1] = -1j * rate1
+    """Stacked frame generators ``T^dagger H T - i T^dagger dT/dt`` (closed
+    form), with both blocks built from one evaluation of the field."""
+    w, wdot = params.profile.evaluate(np.asarray(times, dtype=float))
+    h = np.zeros((np.size(w), 4, 4), dtype=complex)
+    for key, upper, lower in ((BLOCK_CORNER, 0, 3), (BLOCK_CENTRAL, 1, 2)):
+        g, rate = block_splitting_and_rate(params, key, w, wdot)
+        d = block_diagonal_offset(params, key)
+        h[:, upper, upper] = d + 0.5 * g
+        h[:, lower, lower] = d - 0.5 * g
+        # -i * gauge: Hermitian, imaginary off-diagonal within each block
+        h[:, upper, lower] = 1j * rate
+        h[:, lower, upper] = -1j * rate
     return h
 
 
@@ -270,7 +253,6 @@ __all__ = [
     "block_splitting_and_rate",
     "block_zeta_factor",
     "diagonalization_residual",
-    "effective_diag_arrays",
     "effective_h_batch",
     "effective_hamiltonian",
     "frame_eigenvalue_order_matches",

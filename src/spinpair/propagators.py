@@ -2,15 +2,16 @@
 
 Two independent routes to the same dynamics live here.
 
-* ``reference_propagate`` integrates the Schrodinger equation directly with an
-  exponential-midpoint rule, ``U_step = exp(-i dt H(t + dt/2))``.  Each step is
-  exactly unitary, the scheme is second order, and a Richardson step-halving
-  loop certifies the accuracy instead of assuming it.  It runs in the lab
-  frame (any orientation) or the rotating eigenbasis frame.  At the two
-  special orientations the generator is block diagonal in both frames, so the
-  central and corner 2x2 blocks are propagated on their own (closed-form
-  Pauli exponentials, entrywise 2x2 products, a log-depth prefix product over
-  the cells); any other orientation propagates the full 4x4 generator.
+* ``reference_propagate`` integrates the Schrodinger equation directly with
+  exactly unitary exponential steps, and a Richardson step-halving loop
+  certifies the accuracy instead of assuming it.  It runs in the lab frame
+  (any orientation) or the rotating eigenbasis frame.  At the two special
+  orientations the generator is block diagonal in both frames, so the central
+  and corner 2x2 blocks are propagated on their own (closed-form Pauli
+  exponentials, entrywise 2x2 products, a log-depth prefix product over the
+  cells); any other orientation propagates the full 4x4 generator.  The step
+  is the fourth-order Gauss Magnus step at the special orientations with a
+  smooth drive (no knots), else the second-order exponential midpoint rule.
 
 * The block solutions exploit the two-level split: the unperturbed propagator
   is a pair of accumulated dynamical phases, the gauge coupling becomes an
@@ -58,6 +59,13 @@ from .quadrature import cumulative_integral, running_integral
 
 _CHUNK_SUBSTEPS = 1 << 17
 _PHASE_PER_CELL = 1.0
+# Gauss nodes of a step sit this many step widths either side of its midpoint
+_GAUSS_OFFSET = math.sqrt(3.0) / 6.0
+# a level change up to this much per step is round-off (measured: about
+# 0.5 eps for the closed-form 2x2 step, 2-3 eps for the 4x4 eigh step)
+_ROUNDOFF_PER_STEP = 4.0 * np.finfo(float).eps
+# successive changes of a fourth-order scheme shrink 16-fold in its regime
+_REGIME_RATIO = 8.0
 # product-basis slots of the central and corner 2x2 blocks, as fancy indices
 _BLOCK_SLOTS = np.array([[1, 2], [0, 3]])
 _BLOCK_ROWS = _BLOCK_SLOTS[:, :, None]
@@ -138,6 +146,7 @@ class Trajectory:
     propagators: np.ndarray
     halvings: int
     error_estimate: float
+    scheme: str  # "magnus4" or "midpoint", the stepper that certified it
 
     def times(self) -> np.ndarray:
         return self.grid.times()
@@ -410,12 +419,12 @@ def _generator_batch(params: SystemParams, frame: Frame, times: np.ndarray) -> n
     return effective_h_batch(params, times)
 
 
-def _midpoint_chunks(grid: TimeGrid, m: int):
+def _midpoint_chunks(grid: TimeGrid, m: int, nodes: int = 1):
     """``(c0, c1, midpoints)`` for consecutive runs of grid cells, holding
-    about ``_CHUNK_SUBSTEPS`` substep midpoints each."""
+    about ``_CHUNK_SUBSTEPS`` generator points (``nodes`` per substep) each."""
     edges = grid.times()
     offsets = (np.arange(m) + 0.5) * (grid.dt / m)
-    cells_per_chunk = max(1, _CHUNK_SUBSTEPS // m)
+    cells_per_chunk = max(1, _CHUNK_SUBSTEPS // (m * nodes))
     for c0 in range(0, grid.n_steps, cells_per_chunk):
         c1 = min(grid.n_steps, c0 + cells_per_chunk)
         yield c0, c1, (edges[c0:c1, None] + offsets[None, :]).reshape(-1)
@@ -437,15 +446,28 @@ def _full_nodes(params: SystemParams, grid: TimeGrid, frame: Frame,
     return u_nodes
 
 
+def _block_generators(params: SystemParams, frame: Frame, times: np.ndarray) -> np.ndarray:
+    """Central and corner 2x2 generator stacks at ``times``, shape ``(2, n, 2, 2)``."""
+    generators = _generator_batch(params, frame, times)
+    return np.moveaxis(generators[:, _BLOCK_ROWS, _BLOCK_COLS], 1, 0)
+
+
 def _block_nodes(params: SystemParams, grid: TimeGrid, frame: Frame,
-                 m: int) -> np.ndarray:
+                 m: int, order: int) -> np.ndarray:
     h = grid.dt / m
     blocks = np.empty((2, grid.n_steps + 1, 2, 2), dtype=complex)
     blocks[:, 0] = np.eye(2)
-    for c0, c1, midpoints in _midpoint_chunks(grid, m):
-        generators = _generator_batch(params, frame, midpoints)
-        pairs = np.moveaxis(generators[:, _BLOCK_ROWS, _BLOCK_COLS], 1, 0)
-        steps = expm_unitary(pairs, h).reshape(2 * (c1 - c0), m, 2, 2)
+    for c0, c1, midpoints in _midpoint_chunks(grid, m, order // 2):
+        if order == 2:
+            generators = _block_generators(params, frame, midpoints)
+        else:
+            # two-point Gauss Magnus step: mean generator plus the commutator
+            offset = _GAUSS_OFFSET * h
+            nodes = np.concatenate([midpoints - offset, midpoints + offset])
+            early, late = np.split(_block_generators(params, frame, nodes), 2, axis=1)
+            commutator = _mul2(late, early) - _mul2(early, late)
+            generators = 0.5 * (early + late) - (1j * _GAUSS_OFFSET / 2.0 * h) * commutator
+        steps = expm_unitary(generators, h).reshape(2 * (c1 - c0), m, 2, 2)
         cell_units = _ordered_product(steps, _mul2).reshape(2, c1 - c0, 2, 2)
         blocks[:, c0 + 1:c1 + 1] = _mul2(_prefix_product(cell_units),
                                          blocks[:, c0, None])
@@ -453,21 +475,28 @@ def _block_nodes(params: SystemParams, grid: TimeGrid, frame: Frame,
 
 
 def fixed_step_propagators(params: SystemParams, grid: TimeGrid, frame: Frame,
-                           substeps: int = 1) -> np.ndarray:
-    """Node propagators from the midpoint rule with ``substeps`` per grid cell.
+                           substeps: int = 1, order: int = 2) -> np.ndarray:
+    """Node propagators from ``substeps`` steps per grid cell.
 
-    ``substeps`` must be a power of two.  Returns shape ``(n_steps + 1, 4, 4)``
-    with the identity at the first node.  At the two special orientations the
-    generator is block diagonal in both frames, so the central and corner 2x2
-    blocks are propagated on their own and the entries off the blocks are
+    ``order=2`` is the exponential midpoint rule ``exp(-i h H(t_mid))``;
+    ``order=4`` (special orientations only) the two-point Gauss Magnus step
+    ``exp(-i h Hbar)``, ``Hbar = (H1 + H2)/2 - i (sqrt(3)/12) h [H2, H1]`` with
+    ``H1,2`` the generator at ``t_mid -+ (sqrt(3)/6) h``.  ``substeps`` must be
+    a power of two.  Returns shape ``(n_steps + 1, 4, 4)`` with the identity at
+    the first node.  At the two special orientations the central and corner
+    2x2 blocks are propagated on their own and the entries off the blocks are
     exact zeros; any other ``theta`` propagates the full 4x4 generator.
     """
     if substeps < 1 or substeps & (substeps - 1):
         raise ValueError("substeps must be a positive power of two")
+    if order not in (2, 4):
+        raise ValueError("order must be 2 (midpoint) or 4 (Gauss Magnus)")
     if frame is Frame.ADIABATIC:
         params.require_special_orientation()
     if params.is_special_orientation:
-        return _block_nodes(params, grid, frame, substeps)
+        return _block_nodes(params, grid, frame, substeps, order)
+    if order == 4:
+        raise ValueError("the fourth-order step needs a special orientation")
     return _full_nodes(params, grid, frame, substeps)
 
 
@@ -478,9 +507,15 @@ def reference_propagate(params: SystemParams, grid: TimeGrid, psi0: np.ndarray,
     """Brute-force trajectory with certified accuracy.
 
     The substep count per grid cell doubles until the Richardson estimate of
-    the remaining error (a third of the node-propagator change between
-    consecutive levels, second-order scheme) drops below
-    ``tol_per_time * duration``.  ``psi0`` is interpreted in ``frame``.
+    the remaining error, the largest node-propagator change between
+    consecutive levels over ``2**order - 1``, drops below
+    ``tol_per_time * duration``.  The fourth-order Magnus step serves at the
+    special orientations when the drive has no knots and the budget allows two
+    halvings; it certifies from the second halving on, once the previous change
+    is ``_REGIME_RATIO`` times the current one or at the round-off floor.
+    Tabulated drives (C1, kinked rate) and general ``theta`` use the midpoint
+    rule.  A change at the round-off floor with the estimate above target
+    raises ``ToleranceNotMet`` at once.  ``psi0`` is interpreted in ``frame``.
     """
     psi0 = np.asarray(psi0, dtype=complex).reshape(4)
     deviation = abs(np.linalg.norm(psi0) - 1.0)
@@ -489,23 +524,36 @@ def reference_propagate(params: SystemParams, grid: TimeGrid, psi0: np.ndarray,
     if frame is Frame.ADIABATIC:
         params.require_special_orientation()
 
+    order = 4 if (params.is_special_orientation and params.profile.knots.size == 0
+                  and max_halvings >= 2) else 2
     target = tol_per_time * grid.duration
     substeps = 1
-    previous = fixed_step_propagators(params, grid, frame, substeps)
+    previous = fixed_step_propagators(params, grid, frame, substeps, order=order)
     halvings = 0
+    last_change, last_floor = math.inf, 0.0
     while True:
         substeps *= 2
-        current = fixed_step_propagators(params, grid, frame, substeps)
-        estimate = float(np.max(np.abs(current - previous))) / 3.0
+        current = fixed_step_propagators(params, grid, frame, substeps, order=order)
+        change = float(np.max(np.abs(current - previous)))
+        estimate = change / (2 ** order - 1)
+        floor = _ROUNDOFF_PER_STEP * grid.n_steps * substeps
         halvings += 1
-        if estimate <= target:
+        in_regime = order == 2 or (halvings >= 2 and (
+            last_change >= _REGIME_RATIO * change or last_change <= last_floor))
+        if estimate <= target and in_regime:
             break
+        if estimate > target and change <= floor:
+            raise ToleranceNotMet(
+                f"refinement stalled at the round-off floor after {halvings} "
+                f"halvings: level change {change:.3e} within the floor "
+                f"{floor:.3e}, estimate {estimate:.3e} above target {target:.3e}"
+            )
         if halvings >= max_halvings:
             raise ToleranceNotMet(
                 f"estimate {estimate:.3e} above target {target:.3e} after "
                 f"{halvings} halvings"
             )
-        previous = current
+        previous, last_change, last_floor = current, change, floor
 
     times = grid.times()
     native_states = np.einsum("nij,j->ni", current, psi0)
@@ -535,4 +583,5 @@ def reference_propagate(params: SystemParams, grid: TimeGrid, psi0: np.ndarray,
         propagators=current,
         halvings=halvings,
         error_estimate=estimate,
+        scheme="magnus4" if order == 4 else "midpoint",
     )

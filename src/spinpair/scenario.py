@@ -438,6 +438,7 @@ def _summarize(config: ScenarioConfig, trajectory, eta, comparison) -> dict:
         "survival_probability": float(abs(np.vdot(initial_lab, final_lab)) ** 2),
         "max_eta": max_eta,
         "adiabatic_warning": bool(max_eta > ADIABATIC_WARNING_THRESHOLD),
+        "scheme": trajectory.scheme,
         "halvings": int(trajectory.halvings),
         "error_estimate": float(trajectory.error_estimate),
     }
@@ -558,7 +559,10 @@ def run_sweep(config: ScenarioConfig, out_dir, fmt: str = "csv",
         "version": __version__,
         "config": config.raw,
         "outputs": {},
-        "summary": {"parameter": parameter, "points": rows},
+        # every point shares the orientation, drive kind and budget that
+        # choose the scheme
+        "summary": {"parameter": parameter, "scheme": summary["scheme"],
+                    "points": rows},
     }
     ext = "csv" if fmt == "csv" else "json"
     report["outputs"]["sweep"] = f"sweep.{ext}"

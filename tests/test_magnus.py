@@ -1,0 +1,211 @@
+"""The fourth-order Gauss Magnus reference and its Richardson certificate."""
+
+import math
+import re
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spinpair.errors import ToleranceNotMet
+from spinpair.fields import Constant, Harmonic, LinearRamp, Tabulated, TanhRamp
+from spinpair.hamiltonian import THETA_PERPENDICULAR, SystemParams
+from spinpair.linalg import unitarity_defect
+from spinpair.propagators import (
+    Frame,
+    TimeGrid,
+    fixed_step_propagators,
+    reference_propagate,
+)
+from spinpair.scenario import load_config, parse_config, run_scenario
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+E2 = np.array([0, 1, 0, 0], dtype=complex)
+BLOCK_MASK = np.array([[1, 0, 0, 1],
+                       [0, 1, 1, 0],
+                       [0, 1, 1, 0],
+                       [1, 0, 0, 1]], dtype=bool)
+
+
+def midpoint_reference(p, grid, frame, target, max_halvings=12):
+    """The midpoint-only certification loop: ``(propagators, halvings,
+    estimate)`` once a third of the level change is within ``target``."""
+    substeps, halvings = 1, 0
+    previous = fixed_step_propagators(p, grid, frame, substeps)
+    while True:
+        substeps *= 2
+        halvings += 1
+        current = fixed_step_propagators(p, grid, frame, substeps)
+        estimate = float(np.max(np.abs(current - previous))) / 3.0
+        if estimate <= target or halvings >= max_halvings:
+            return current, halvings, estimate
+        previous = current
+
+
+@pytest.mark.parametrize("theta", [0.0, THETA_PERPENDICULAR])
+@pytest.mark.parametrize("frame", [Frame.LAB, Frame.ADIABATIC])
+def test_magnus_step_is_fourth_order(theta, frame):
+    # the criterion-9 harmonic drive
+    p = SystemParams(1.0, 0.5, 0.1, theta, Harmonic(2.0, 0.5, 0.7, 0.3))
+    grid = TimeGrid(0.0, 20.0, 50)
+    final = {sub: fixed_step_propagators(p, grid, frame, sub, order=4)[-1] @ E2
+             for sub in (8, 16, 32)}
+    d1 = np.linalg.norm(final[8] - final[16])
+    d2 = np.linalg.norm(final[16] - final[32])
+    assert 3.8 <= math.log2(d1 / d2) <= 4.2
+
+
+def test_magnus_step_needs_a_special_orientation():
+    p = SystemParams(1.0, 0.5, 0.1, 0.7, Harmonic(2.0, 0.5, 0.7, 0.3))
+    with pytest.raises(ValueError):
+        fixed_step_propagators(p, TimeGrid(0.0, 1.0, 4), Frame.LAB, 2, order=4)
+    with pytest.raises(ValueError):
+        fixed_step_propagators(p, TimeGrid(0.0, 1.0, 4), Frame.LAB, 2, order=3)
+
+
+@pytest.mark.parametrize("name", ["constant_parallel", "lz_sweep", "rate_sweep",
+                                  "tanh_compare"])
+def test_schemes_agree_on_shipped_scenarios(name):
+    config = load_config(SCENARIOS / f"{name}.json")
+    target = config.tol_per_time * config.grid.duration
+    magnus = reference_propagate(
+        config.params, config.grid, config.initial_state, config.initial_frame,
+        tol_per_time=config.tol_per_time, max_halvings=config.max_halvings)
+    assert magnus.scheme == "magnus4"
+    # the estimate is a fifteenth of the last level change
+    levels = [fixed_step_propagators(config.params, config.grid, config.initial_frame,
+                                     2 ** k, order=4)
+              for k in (magnus.halvings - 1, magnus.halvings)]
+    assert magnus.propagators.tobytes() == levels[1].tobytes()
+    assert magnus.error_estimate == np.max(np.abs(levels[1] - levels[0])) / 15.0
+    midpoint, _, _ = midpoint_reference(config.params, config.grid,
+                                        config.initial_frame, target)
+    assert np.max(np.abs(magnus.propagators - midpoint)) <= target
+
+
+def test_regime_gate_defers_a_pre_asymptotic_level():
+    # two cells against a fast drive: the first level changes are not yet
+    # shrinking 16-fold (d1/d2 < 1), and the second estimate would pass the
+    # target while understating the true error of that level
+    p = SystemParams(1.0, 0.5, 0.1, 0.0, Harmonic(2.0, 4.0, 0.7, 0.3))
+    grid = TimeGrid(0.0, 10.0, 2)
+    target = 0.1
+    levels = {sub: fixed_step_propagators(p, grid, Frame.LAB, sub, order=4)
+              for sub in (1, 2, 4, 64)}
+    d1 = np.max(np.abs(levels[2] - levels[1]))
+    d2 = np.max(np.abs(levels[4] - levels[2]))
+    assert d1 / d2 < 8.0 and d2 / 15.0 <= target
+    assert np.max(np.abs(levels[4] - levels[64])) > d2 / 15.0
+
+    traj = reference_propagate(p, grid, E2, tol_per_time=target / grid.duration)
+    assert traj.scheme == "magnus4"
+    assert traj.halvings == 3
+    assert np.max(np.abs(traj.propagators - levels[64])) <= target
+
+
+def test_roundoff_floor_certifies_a_long_constant_field():
+    # level changes of a constant field are pure round-off, ~0.5 eps per step,
+    # so their ratio shows no regime; a small budget keeps a miss cheap
+    p = SystemParams(1.0, 0.5, 0.1, 0.0, Constant(2.0))
+    traj = reference_propagate(p, TimeGrid(0.0, 200.0, 20000), E2,
+                               tol_per_time=1e-10, max_halvings=4)
+    assert traj.scheme == "magnus4"
+    assert traj.halvings == 2
+
+
+def halvings_reached(error):
+    return int(re.search(r"after (\d+) halvings", str(error)).group(1))
+
+
+def test_tolerance_below_roundoff_stops_early():
+    config = load_config(SCENARIOS / "tanh_compare.json")
+    start = time.perf_counter()
+    with pytest.raises(ToleranceNotMet, match="round-off floor") as info:
+        reference_propagate(config.params, config.grid, config.initial_state,
+                            config.initial_frame, tol_per_time=1e-16)
+    assert time.perf_counter() - start < 1.0
+    assert halvings_reached(info.value) <= 5
+
+
+def test_midpoint_stall_stops_early():
+    # general theta keeps the midpoint rule; a constant field changes only by
+    # round-off, so a tolerance below it fails within a few halvings
+    p = SystemParams(1.0, 0.5, 0.1, 0.7, Constant(2.0))
+    with pytest.raises(ToleranceNotMet, match="round-off floor") as info:
+        reference_propagate(p, TimeGrid(0.0, 10.0, 100), E2, tol_per_time=1e-18)
+    assert halvings_reached(info.value) <= 3
+
+
+def assert_midpoint_fallback(p, grid, frame, tol_per_time, max_halvings):
+    traj = reference_propagate(p, grid, E2, frame, tol_per_time=tol_per_time,
+                               max_halvings=max_halvings)
+    expected, halvings, estimate = midpoint_reference(
+        p, grid, frame, tol_per_time * grid.duration, max_halvings)
+    assert traj.scheme == "midpoint"
+    assert traj.halvings == halvings
+    assert traj.error_estimate == estimate
+    assert traj.propagators.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("theta", [0.0, THETA_PERPENDICULAR])
+def test_tabulated_drive_keeps_the_midpoint_rule(theta):
+    profile = Tabulated(np.linspace(-4.0, 8.0, 7),
+                        np.array([2.0, 2.4, 3.1, 3.5, 3.2, 3.9, 4.0]))
+    assert profile.knots.size == 5
+    p = SystemParams(1.0, 0.5, 0.1, theta, profile)
+    assert_midpoint_fallback(p, TimeGrid(-4.0, 8.0, 60), Frame.ADIABATIC, 1e-8, 12)
+
+
+def test_one_halving_budget_keeps_the_midpoint_rule(tmp_path):
+    p = SystemParams(1.0, 0.5, 0.1, 0.0, TanhRamp(3.0, 0.05, 5.0))
+    assert_midpoint_fallback(p, TimeGrid(-10.0, 20.0, 300), Frame.ADIABATIC, 1e-6, 1)
+    document = {
+        "system": {"a_par": 1.0, "a_perp": 0.5, "zeta": 0.1,
+                   "orientation": "parallel"},
+        "profile": {"kind": "tanh", "omega_mid": 3.0, "amplitude": 0.05,
+                    "tau": 5.0},
+        "grid": {"t_start": -10.0, "t_end": 20.0, "n_steps": 300},
+        "initial_state": "phi2",
+        "outputs": ["trajectory"],
+        "integrator": {"tol_per_time": 1e-6, "max_halvings": 1},
+        "seed": 0,
+    }
+    assert run_scenario(parse_config(document), tmp_path / "one")["summary"][
+        "scheme"] == "midpoint"
+    document["integrator"]["max_halvings"] = 2
+    assert run_scenario(parse_config(document), tmp_path / "two")["summary"][
+        "scheme"] == "magnus4"
+
+
+def smooth_profiles():
+    positive = st.floats(0.2, 2.0)
+    return st.one_of(
+        st.builds(Constant, st.floats(-3.0, 3.0)),
+        st.builds(LinearRamp, st.floats(-2.0, 2.0), st.floats(-0.5, 0.5)),
+        st.builds(TanhRamp, st.floats(-3.0, 3.0), st.floats(0.0, 2.0), positive),
+        st.builds(Harmonic, st.floats(-3.0, 3.0), st.floats(0.0, 1.0), positive,
+                  st.floats(0.0, 2.0 * math.pi)),
+    )
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(theta=st.sampled_from([0.0, THETA_PERPENDICULAR]),
+       zeta=st.floats(-0.5, 0.5),
+       a_par=st.floats(0.2, 2.0),
+       a_perp=st.floats(0.2, 2.0),
+       profile=smooth_profiles(),
+       frame=st.sampled_from([Frame.LAB, Frame.ADIABATIC]))
+def test_magnus_reference_within_midpoint_certificate(theta, zeta, a_par, a_perp,
+                                                      profile, frame):
+    p = SystemParams(a_par, a_perp, zeta, theta, profile)
+    grid = TimeGrid(-5.0, 5.0, 60)
+    tol_per_time = 1e-8
+    magnus = reference_propagate(p, grid, E2, frame, tol_per_time=tol_per_time)
+    assert magnus.scheme == "magnus4"
+    midpoint, _, _ = midpoint_reference(p, grid, frame, tol_per_time * grid.duration)
+    assert np.max(np.abs(magnus.propagators - midpoint)) <= tol_per_time * grid.duration
+    assert unitarity_defect(magnus.propagators) <= 1e-12
+    assert np.all(magnus.propagators[:, ~BLOCK_MASK] == 0.0)
