@@ -21,18 +21,14 @@ from .errors import (
     ComputeError,
     ConfigError,
     DegenerateGap,
-    DivergentMetric,
     IoError,
-    MissingBlock,
     NonHermitianInput,
     NonNormalizedInput,
-    NonNormalizedState,
     NonUnitaryInput,
     OutOfRange,
     QuadratureFailure,
     SpinPairError,
     ToleranceNotMet,
-    UnsupportedBlock,
     UnsupportedOrientation,
     ZeroRate,
 )
@@ -43,8 +39,6 @@ from .fields import (
     LinearRamp,
     Tabulated,
     TanhRamp,
-    adiabaticity,
-    omega_eval,
 )
 from .frames import (
     AdiabaticAngles,
@@ -58,15 +52,10 @@ from .frames import (
 from .hamiltonian import SystemParams, build_hamiltonian, closed_eigenvalues
 from .linalg import expm_unitary, fidelity, kron2
 from .propagators import (
-    BlockId,
-    BlockSolution,
     Frame,
     TimeGrid,
     Trajectory,
-    assemble_full_propagator,
-    first_order_block_solution,
-    interaction_picture_v,
+    full_propagator_paths,
     reference_propagate,
-    unperturbed_block_u,
 )
 from .scenario import ScenarioConfig, load_config, parse_config, run_scenario

@@ -13,20 +13,12 @@ class NonUnitaryInput(SpinPairError):
     """A matrix expected to be unitary is not, beyond tolerance."""
 
 
-class NonNormalizedState(SpinPairError):
-    """A state vector deviates from unit norm beyond tolerance."""
-
-
 class NonNormalizedInput(SpinPairError):
-    """An initial state handed to a propagator is not unit norm."""
+    """A state vector deviates from unit norm beyond tolerance."""
 
 
 class OutOfRange(SpinPairError):
     """A tabulated profile was queried outside its sample range."""
-
-
-class DivergentMetric(SpinPairError):
-    """The rate-of-change metric is evaluated where it diverges."""
 
 
 class UnsupportedOrientation(SpinPairError):
@@ -35,14 +27,6 @@ class UnsupportedOrientation(SpinPairError):
 
 class DegenerateGap(SpinPairError):
     """The central two-level sub-block has no gap for these parameters."""
-
-
-class UnsupportedBlock(SpinPairError):
-    """Block operation requested for an orientation where the block is trivial."""
-
-
-class MissingBlock(SpinPairError):
-    """A full propagator was assembled without all required block solutions."""
 
 
 class ToleranceNotMet(SpinPairError):

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .errors import DivergentMetric, OutOfRange
+from .errors import OutOfRange
 
 OMEGA_SINGULAR = 1e-12
 
@@ -163,26 +163,12 @@ class Tabulated(FieldProfile):
         return cls(np.asarray(times), np.asarray(omegas))
 
 
-def omega_eval(profile: FieldProfile, t):
-    """Field value and analytic rate at time(s) ``t``."""
-    return profile.evaluate(t)
-
-
-def adiabaticity(profile: FieldProfile, t) -> float:
-    """Rate-of-change metric omega_dot / omega**2 (dimensionless).
-
-    Diverges where omega vanishes; that is reported as an error rather than
-    clamped, because the metric genuinely loses meaning there even though the
-    dynamics stay perfectly regular.
-    """
-    w, wdot = profile.evaluate(t)
-    if np.any(np.abs(np.asarray(w)) < OMEGA_SINGULAR):
-        raise DivergentMetric("omega passes through zero; omega_dot/omega^2 diverges")
-    return wdot / np.asarray(w) ** 2
-
-
 def adiabaticity_profile(profile: FieldProfile, t: np.ndarray) -> np.ndarray:
-    """Array variant for reports: +inf where the metric diverges, no error."""
+    """Rate-of-change metric omega_dot / omega**2 (dimensionless) at ``t``.
+
+    The metric diverges where omega vanishes, although the dynamics stay
+    perfectly regular there; those entries are +inf rather than clamped.
+    """
     w, wdot = profile.evaluate(np.asarray(t, dtype=float))
     w = np.atleast_1d(np.asarray(w, dtype=float))
     wdot = np.atleast_1d(np.asarray(wdot, dtype=float))

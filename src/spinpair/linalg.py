@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonHermitianInput, NonNormalizedState, NonUnitaryInput
+from .errors import NonHermitianInput, NonNormalizedInput, NonUnitaryInput
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -126,7 +126,7 @@ def fidelity(psi: np.ndarray, phi: np.ndarray) -> float:
     for name, vec in (("psi", psi), ("phi", phi)):
         deviation = abs(np.linalg.norm(vec) - 1.0)
         if deviation > STATE_NORM_TOL:
-            raise NonNormalizedState(
+            raise NonNormalizedInput(
                 f"{name} deviates from unit norm by {deviation:.3e}"
             )
     return float(abs(np.vdot(psi, phi)) ** 2)

@@ -13,15 +13,17 @@ Two independent routes to the same dynamics live here.
   is the fourth-order Gauss Magnus step at the special orientations with a
   smooth drive (no knots), else the second-order exponential midpoint rule.
 
-* The block solutions exploit the two-level split: the unperturbed propagator
-  is a pair of accumulated dynamical phases, the gauge coupling becomes an
-  interaction-picture perturbation with a running phase, and the time-ordered
-  exponential is approximated by exponentiating its first Magnus term.  That
-  keeps every block exactly unitary (|alpha|^2 + |beta|^2 = 1) while agreeing
-  with the plain first-order expansion to leading order in the drive rate.
-  Over a grid, each quadrature refinement level evaluates the field once for
-  both blocks and all their running integrals; the running phase at the Gauss
-  nodes comes from the integration matrix applied to the splittings there.
+* ``full_propagator_paths`` is the block route: the unperturbed propagator
+  of each 2x2 block is a pair of accumulated dynamical phases, the gauge
+  coupling becomes an interaction-picture perturbation with a running phase,
+  and the time-ordered exponential is approximated by exponentiating its
+  first Magnus term.  That keeps every block exactly unitary (|alpha|^2 +
+  |beta|^2 = 1) while agreeing with the plain first-order expansion to
+  leading order in the drive rate.  Its running integrals are taken over the
+  grid cells cut at the profile's knots, so the kinks of a tabulated drive's
+  rate sit on cell edges; each quadrature refinement level evaluates the field
+  once for both blocks, and the running phase at the Gauss nodes comes from
+  the integration matrix applied to the splittings there.
 """
 
 from __future__ import annotations
@@ -29,36 +31,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 
 import numpy as np
 
-from .errors import (
-    ComputeError,
-    DegenerateGap,
-    MissingBlock,
-    NonNormalizedInput,
-    ToleranceNotMet,
-    UnsupportedBlock,
-)
+from .errors import DegenerateGap, NonNormalizedInput, ToleranceNotMet
 from .frames import (
     BLOCK_CENTRAL,
     BLOCK_CORNER,
     angles_arrays,
-    block_angle_rate,
     block_coupling,
     block_diagonal_offset,
     block_splitting_and_rate,
     effective_h_batch,
     frame_matrices,
-    level_splitting,
 )
 from .hamiltonian import SystemParams, hamiltonian_batch
-from .linalg import SIGMA_X, SIGMA_Y, STATE_NORM_TOL, dagger, expm_unitary
+from .linalg import STATE_NORM_TOL, dagger, expm_unitary
 from .quadrature import cumulative_integral, running_integral
 
 _CHUNK_SUBSTEPS = 1 << 17
-_PHASE_PER_CELL = 1.0
 # Gauss nodes of a step sit this many step widths either side of its midpoint
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 # a level change up to this much per step is round-off (measured: about
@@ -105,30 +96,6 @@ class Frame(Enum):
     ADIABATIC = "adiabatic"
 
 
-class BlockId(Enum):
-    BLOCK23 = "23"
-    BLOCK14 = "14"
-
-
-@dataclass(frozen=True)
-class BlockSolution:
-    """One 2x2 block of the frame propagator at the end of a grid.
-
-    ``u2`` is the determinant-one part ``[[alpha, beta], [-conj(beta),
-    conj(alpha)]]``; ``phase_factor`` is the overall ``exp(-i d (t - t0))``
-    from the block's common diagonal offset.  The physical block is their
-    product; keeping them separate preserves the relative phases between
-    blocks when the full 4x4 operator is assembled.
-    """
-
-    block: BlockId
-    grid: TimeGrid
-    alpha: complex
-    beta: complex
-    u2: np.ndarray
-    phase_factor: complex
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """States and node propagators produced by the reference integrator.
@@ -152,74 +119,6 @@ class Trajectory:
         return self.grid.times()
 
 
-def _block_key(block: BlockId) -> str:
-    return BLOCK_CENTRAL if block is BlockId.BLOCK23 else BLOCK_CORNER
-
-
-def _require_block(params: SystemParams, block: BlockId) -> None:
-    params.require_special_orientation()
-    if block is BlockId.BLOCK14 and params.is_parallel:
-        raise UnsupportedBlock(
-            "with the field along the axis the corner states evolve by pure "
-            "phases; only the central block carries dynamics"
-        )
-
-
-def _splitting_integral(params: SystemParams, key: str, t0: float, t: float) -> float:
-    """Accumulated level splitting from ``t0`` to ``t``, on even cells of about
-    ``_PHASE_PER_CELL`` rad cut at the profile's knots, so the engine's absolute
-    per-cell tolerance holds on long spans and across the kinks of a table."""
-    splitting = partial(level_splitting, params, key)
-    mean_splitting = np.mean(np.abs(splitting(np.linspace(t0, t, 65))))
-    cells = max(1, math.ceil(abs(t - t0) * mean_splitting / _PHASE_PER_CELL))
-    knots = params.profile.knots
-    edges = np.concatenate([np.linspace(t0, t, cells + 1),
-                            knots[(knots - t0) * (knots - t) < 0]])
-    edges = edges[np.argsort(abs(edges - t0))]  # from t0 towards t, either way
-    return float(cumulative_integral(splitting, edges)[-1])
-
-
-def _unperturbed_2x2(params: SystemParams, key: str, t: float, t0: float) -> np.ndarray:
-    d = block_diagonal_offset(params, key)
-    phi = _splitting_integral(params, key, t0, t)
-    phase = np.exp(-1j * d * (t - t0))
-    u = np.zeros((2, 2), dtype=complex)
-    u[0, 0] = phase * np.exp(-0.5j * phi)
-    u[1, 1] = phase * np.exp(0.5j * phi)
-    return u
-
-
-def unperturbed_block_u(params: SystemParams, block: BlockId, t: float,
-                        t0: float = 0.0) -> np.ndarray:
-    """2x2 block evolution with the gauge coupling dropped: pure accumulated
-    phases ``exp(-i d (t - t0)) exp(-i/2 int g dt' sigma_z)``."""
-    _require_block(params, block)
-    return _unperturbed_2x2(params, _block_key(block), t, t0)
-
-
-def interaction_picture_v(params: SystemParams, block: BlockId, t: float,
-                          t0: float = 0.0) -> np.ndarray:
-    """Gauge perturbation rotated by the unperturbed block propagator.
-
-    Evaluated in closed form, ``-theta_dot (sigma_y cos Phi + sigma_x sin Phi)``
-    with the running phase ``Phi = int g``, and by direct conjugation; the two
-    must agree to 1e-10 or the call fails.
-    """
-    _require_block(params, block)
-    key = _block_key(block)
-    rate = float(np.asarray(block_angle_rate(params, key, t)))
-    phi = _splitting_integral(params, key, t0, t)
-    closed = -rate * (np.cos(phi) * SIGMA_Y + np.sin(phi) * SIGMA_X)
-    u0 = _unperturbed_2x2(params, key, t, t0)
-    direct = dagger(u0) @ (-rate * SIGMA_Y) @ u0
-    mismatch = float(np.max(np.abs(closed - direct)))
-    if mismatch > 1e-10:
-        raise ComputeError(
-            f"interaction-picture routes disagree by {mismatch:.2e} at t={t}"
-        )
-    return closed
-
-
 def _scatter_blocks(central: np.ndarray, corner: np.ndarray) -> np.ndarray:
     """Stacked 4x4 matrices holding stacked central and corner 2x2 blocks in
     their product-basis slots, with exact zeros elsewhere."""
@@ -237,14 +136,19 @@ class _BlockPath:
     su2_first: np.ndarray
 
 
-def _block_paths(params: SystemParams, grid: TimeGrid,
-                 keys=(BLOCK_CENTRAL, BLOCK_CORNER)):
-    """Node times and one ``_BlockPath`` per block key over the grid.
+def _block_paths(params: SystemParams, grid: TimeGrid):
+    """Node times and the central and corner ``_BlockPath`` over the grid.
 
     The integrand rows are each block's splitting ``g`` and, for a coupled
     block, ``-rate sin(Phi)`` and ``-rate cos(Phi)`` with ``Phi = int g``.
+    They are integrated over the grid cells cut at the profile's interior
+    knots: a C1 table's rate kinks there, and a kink inside a cell at a
+    non-dyadic position stalls the quadrature's refinement.
     """
-    edges = grid.times()
+    times = grid.times()
+    knots = params.profile.knots
+    edges = np.union1d(times, knots[(knots > times[0]) & (knots < times[-1])])
+    keys = (BLOCK_CENTRAL, BLOCK_CORNER)
     coupled = [block_coupling(params, key) != 0.0 for key in keys]
 
     def integrand(nodes):
@@ -258,85 +162,26 @@ def _block_paths(params: SystemParams, grid: TimeGrid,
                 rows += [-rate * np.sin(phi), -rate * np.cos(phi)]
         return np.stack(rows)
 
-    rows = iter(cumulative_integral(integrand, edges))
+    cumulative = cumulative_integral(integrand, edges)
+    rows = iter(cumulative[:, np.searchsorted(edges, times)])
     paths = []
     for key, has_rate in zip(keys, coupled):
         half = np.exp(-0.5j * next(rows))
-        su2_zero = np.zeros((edges.size, 2, 2), dtype=complex)
+        su2_zero = np.zeros((times.size, 2, 2), dtype=complex)
         su2_zero[:, 0, 0] = half
         su2_zero[:, 1, 1] = np.conj(half)
         # no coupling, no gauge rate: the first order is the zeroth order
         su2_first = su2_zero
         if has_rate:
             ix, iy = next(rows), next(rows)
-            magnus = np.zeros((edges.size, 2, 2), dtype=complex)
+            magnus = np.zeros((times.size, 2, 2), dtype=complex)
             magnus[:, 0, 1] = ix - 1j * iy
             magnus[:, 1, 0] = ix + 1j * iy
             su2_first = su2_zero @ expm_unitary(magnus, 1.0)
         d = block_diagonal_offset(params, key)
-        paths.append(_BlockPath(phase=np.exp(-1j * d * (edges - edges[0])),
+        paths.append(_BlockPath(phase=np.exp(-1j * d * (times - times[0])),
                                 su2_zero=su2_zero, su2_first=su2_first))
-    return edges, paths
-
-
-def first_order_block_solution(params: SystemParams, block: BlockId,
-                               grid: TimeGrid) -> BlockSolution:
-    """Block propagator over the grid with the time-ordered exponential
-    replaced by the exponential of its first Magnus term."""
-    _require_block(params, block)
-    _, (path,) = _block_paths(params, grid, (_block_key(block),))
-    u2 = path.su2_first[-1]
-    return BlockSolution(block=block, grid=grid, alpha=complex(u2[0, 0]),
-                         beta=complex(u2[0, 1]), u2=u2.copy(),
-                         phase_factor=complex(path.phase[-1]))
-
-
-def _check_solution_time(solution: BlockSolution, t: float) -> None:
-    t_end = solution.grid.t_end
-    if abs(t - t_end) > 1e-12 * max(1.0, abs(t_end)):
-        raise ValueError(
-            f"block solution ends at t={t_end}, cannot assemble at t={t}"
-        )
-
-
-def assemble_full_propagator(params: SystemParams, solutions, t: float) -> np.ndarray:
-    """Full 4x4 frame propagator from its block solutions.
-
-    With the field along the axis only the central block solution is needed;
-    the corner states receive their exact accumulated phases.  Across the axis
-    both block solutions are required.
-    """
-    params.require_special_orientation()
-    if isinstance(solutions, BlockSolution):
-        solutions = [solutions]
-    by_block = {s.block: s for s in solutions}
-
-    central = by_block.get(BlockId.BLOCK23)
-    if central is None:
-        raise MissingBlock("central (23) block solution is required")
-    _check_solution_time(central, t)
-    t0 = central.grid.t_start
-
-    u = np.zeros((4, 4), dtype=complex)
-    b23 = central.phase_factor * central.u2
-    u[1, 1], u[1, 2] = b23[0, 0], b23[0, 1]
-    u[2, 1], u[2, 2] = b23[1, 0], b23[1, 1]
-
-    if params.is_parallel:
-        corner = _unperturbed_2x2(params, BLOCK_CORNER, t, t0)
-        u[0, 0] = corner[0, 0]
-        u[3, 3] = corner[1, 1]
-    else:
-        corner_sol = by_block.get(BlockId.BLOCK14)
-        if corner_sol is None:
-            raise MissingBlock(
-                "corner (14) block solution is required across the axis"
-            )
-        _check_solution_time(corner_sol, t)
-        b14 = corner_sol.phase_factor * corner_sol.u2
-        u[0, 0], u[0, 3] = b14[0, 0], b14[0, 1]
-        u[3, 0], u[3, 3] = b14[1, 0], b14[1, 1]
-    return u
+    return times, paths
 
 
 def full_propagator_paths(params: SystemParams, grid: TimeGrid):

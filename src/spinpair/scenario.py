@@ -342,22 +342,9 @@ def run_scenario(config: ScenarioConfig, out_dir, fmt: str = "csv",
         raise ConfigError(f"format must be 'csv' or 'json', got {fmt!r}")
     out_dir = Path(out_dir)
 
-    params, grid = config.params, config.grid
-    trajectory = reference_propagate(
-        params, grid, config.initial_state, config.initial_frame,
-        tol_per_time=config.tol_per_time, max_halvings=config.max_halvings,
-    )
+    trajectory, eta, comparison, summary = _run_point(
+        config, "comparison" in config.outputs)
     times = trajectory.times()
-    eta = adiabaticity_profile(params.profile, times)
-
-    comparison = None
-    if "comparison" in config.outputs:
-        comparison = compare_solutions(
-            params, grid, int(config.initial_label[-1]) - 1,
-            reference=trajectory,
-        )
-
-    summary = _summarize(config, trajectory, eta, comparison)
     report = {
         "version": __version__,
         "config": config.raw,
@@ -398,7 +385,7 @@ def run_scenario(config: ScenarioConfig, out_dir, fmt: str = "csv",
     if "propagator" in config.outputs:
         lab_props = trajectory.propagators
         if trajectory.frame is Frame.ADIABATIC:
-            rot = frame_rotations(params, times)
+            rot = frame_rotations(config.params, times)
             rot0 = rot[0]
             lab_props = np.einsum("nij,njk,lk->nil", rot, trajectory.propagators,
                                   np.conj(rot0))
@@ -424,6 +411,23 @@ def run_scenario(config: ScenarioConfig, out_dir, fmt: str = "csv",
         for key, value in summary.items():
             print(f"{key}: {value}")
     return report
+
+
+def _run_point(config: ScenarioConfig, compare: bool):
+    """Certified reference, rate metric, block-route comparison (when
+    ``compare``) and summary of one scenario point."""
+    trajectory = reference_propagate(
+        config.params, config.grid, config.initial_state, config.initial_frame,
+        tol_per_time=config.tol_per_time, max_halvings=config.max_halvings,
+    )
+    eta = adiabaticity_profile(config.params.profile, trajectory.times())
+    comparison = None
+    if compare:
+        comparison = compare_solutions(
+            config.params, config.grid, int(config.initial_label[-1]) - 1,
+            reference=trajectory,
+        )
+    return trajectory, eta, comparison, _summarize(config, trajectory, eta, comparison)
 
 
 def _summarize(config: ScenarioConfig, trajectory, eta, comparison) -> dict:
@@ -527,18 +531,7 @@ def run_sweep(config: ScenarioConfig, out_dir, fmt: str = "csv",
     rows = []
     for value in values:
         point = _scaled_scenario(config, parameter, value)
-        trajectory = reference_propagate(
-            point.params, point.grid, point.initial_state, point.initial_frame,
-            tol_per_time=point.tol_per_time, max_halvings=point.max_halvings,
-        )
-        eta = adiabaticity_profile(point.params.profile, trajectory.times())
-        comparison = None
-        if point.initial_label.startswith("phi"):
-            comparison = compare_solutions(
-                point.params, point.grid, int(point.initial_label[-1]) - 1,
-                reference=trajectory,
-            )
-        summary = _summarize(point, trajectory, eta, comparison)
+        *_, summary = _run_point(point, point.initial_label.startswith("phi"))
         row = {"value": value,
                "survival_probability": summary["survival_probability"],
                "max_eta": summary["max_eta"]}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinpair.errors import NonHermitianInput, NonNormalizedState, NonUnitaryInput
+from spinpair.errors import NonHermitianInput, NonNormalizedInput, NonUnitaryInput
 from spinpair.linalg import (
     IDENTITY_2,
     IDENTITY_4,
@@ -162,6 +162,6 @@ class TestFidelity:
         assert fidelity(plus, e2) == pytest.approx(0.5, abs=1e-14)
 
     def test_rejects_unnormalized(self):
-        with pytest.raises(NonNormalizedState):
+        with pytest.raises(NonNormalizedInput):
             fidelity(np.array([1, 1, 0, 0], dtype=complex),
                      np.array([1, 0, 0, 0], dtype=complex))

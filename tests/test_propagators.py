@@ -2,44 +2,37 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from split_quad import splitting_phases, zeroth_order_block
 
-from spinpair.errors import (
-    MissingBlock,
-    NonNormalizedInput,
-    ToleranceNotMet,
-    UnsupportedBlock,
-)
+from spinpair.errors import NonNormalizedInput, ToleranceNotMet
 from spinpair.fields import Constant, Harmonic, LinearRamp, TanhRamp, Tabulated
 from spinpair.frames import (
+    block_angle_rate,
     block_diagonal_offset,
     effective_h_batch,
     initial_adiabatic_states,
-    level_splitting,
 )
 from spinpair.hamiltonian import THETA_PERPENDICULAR, SystemParams, hamiltonian_batch
-from spinpair.linalg import dagger, expm_unitary, unitarity_defect
+from spinpair.linalg import SIGMA_X, SIGMA_Y, dagger, expm_unitary, unitarity_defect
 from spinpair.propagators import (
-    BlockId,
     Frame,
     TimeGrid,
     _mul2,
     _prefix_product,
-    assemble_full_propagator,
-    first_order_block_solution,
     fixed_step_propagators,
     frame_rotations,
     full_propagator_paths,
-    interaction_picture_v,
     reference_propagate,
     to_lab_frame,
-    unperturbed_block_u,
 )
 
 HALF_GAP = 0.5 * math.sqrt(7.24)
 
 E2 = np.array([0, 1, 0, 0], dtype=complex)
 E1 = np.array([1, 0, 0, 0], dtype=complex)
+BLOCK_SLOTS = {"23": [1, 2], "14": [0, 3]}
 
 
 def params(theta, profile, a_par=1.0, a_perp=0.5, zeta=0.1):
@@ -127,153 +120,148 @@ class TestReferencePropagate:
                 assert np.max(np.abs(u[~mask])) <= 1e-10
 
 
-class TestUnperturbedBlock:
+def block(u, key):
+    """The central ("23") or corner ("14") 2x2 block of stacked 4x4 matrices."""
+    slots = np.array(BLOCK_SLOTS[key])
+    return u[..., slots[:, None], slots]
+
+
+class TestZerothOrderPaths:
     def test_constant_field_matches_closed_form(self):
         p = params(0.0, Constant(2.0))
-        u0 = unperturbed_block_u(p, BlockId.BLOCK23, 1.0)
+        _, zeroth, _ = full_propagator_paths(p, TimeGrid(0.0, 1.0, 20))
         # block diagonal offset is -a_par: overall phase exp(+i a_par t)
         expected_upper = np.exp(1j * 1.0) * np.exp(-1j * HALF_GAP)
-        assert u0[0, 0] == pytest.approx(expected_upper, abs=1e-12)
-        assert u0[0, 1] == 0.0
+        assert zeroth[-1, 1, 1] == pytest.approx(expected_upper, abs=1e-12)
+        assert zeroth[-1, 1, 2] == 0.0
 
     def test_identity_at_start(self):
         p = params(THETA_PERPENDICULAR, TanhRamp(3.0, 2.0, 4.0))
-        np.testing.assert_allclose(
-            unperturbed_block_u(p, BlockId.BLOCK14, 0.0), np.eye(2), atol=1e-14
-        )
+        _, zeroth, first = full_propagator_paths(p, TimeGrid(-8.0, 16.0, 30))
+        np.testing.assert_allclose(zeroth[0], np.eye(4), atol=1e-14)
+        np.testing.assert_allclose(first[0], np.eye(4), atol=1e-14)
 
     def test_isotropic_corner_splitting_is_bare_detuning(self):
         p = params(THETA_PERPENDICULAR, Constant(2.0), a_par=0.8, a_perp=0.8)
-        u0 = unperturbed_block_u(p, BlockId.BLOCK14, 1.0)
+        _, zeroth, _ = full_propagator_paths(p, TimeGrid(0.0, 1.0, 10))
         # splitting = omega (1 + zeta) = 2.2; diagonal offset a_perp = 0.8
-        assert np.angle(u0[0, 0]) == pytest.approx(
-            -(0.8 + 1.1), abs=1e-12
-        )
-
-    def test_corner_block_rejected_along_axis(self):
-        p = params(0.0, Constant(2.0))
-        with pytest.raises(UnsupportedBlock):
-            unperturbed_block_u(p, BlockId.BLOCK14, 1.0)
-
-    @staticmethod
-    def quad_block(p, key, t0, t, cuts):
-        """``unperturbed_block_u`` from ``quad`` run piece by piece over ``cuts``."""
-        phi = sum(quad(lambda s: float(level_splitting(p, key, s)), a, b,
-                       epsabs=1e-13, epsrel=1e-13, limit=200)[0]
-                  for a, b in zip(cuts[:-1], cuts[1:]))
-        d = np.exp(-1j * block_diagonal_offset(p, key) * (t - t0))
-        return d * np.diag([np.exp(-0.5j * phi), np.exp(0.5j * phi)])
+        assert np.angle(zeroth[-1, 0, 0]) == pytest.approx(-(0.8 + 1.1), abs=1e-12)
 
     def test_long_span_matches_quad(self):
-        # about 1.6e4 rad of accumulated splitting
+        # about 1.6e4 rad of accumulated splitting, about 1 rad per cell
         p = params(0.0, TanhRamp(30.0, 20.0, 2.0))
-        u0 = unperturbed_block_u(p, BlockId.BLOCK23, 300.0, t0=-300.0)
-        expected = self.quad_block(p, "23", -300.0, 300.0,
-                                   np.linspace(-300.0, 300.0, 601))
-        np.testing.assert_allclose(u0, expected, rtol=0, atol=1e-8)
+        _, zeroth, _ = full_propagator_paths(p, TimeGrid(-300.0, 300.0, 16000))
+        expected = zeroth_order_block(p, "23", np.linspace(-300.0, 300.0, 601))
+        np.testing.assert_allclose(block(zeroth[-1], "23"), expected,
+                                   rtol=0, atol=1e-8)
 
     def test_tabulated_knots_off_dyadic_points_match_quad(self):
         knots = np.array([0.0, 0.37, 1.1, 1.93, 2.6, 3.31, 4.0])
         profile = Tabulated(knots, 3.0 + np.sin(1.7 * knots))
         p = params(THETA_PERPENDICULAR, profile)
+        # three cells of 1.283: every interior knot falls inside a cell
+        _, zeroth, _ = full_propagator_paths(p, TimeGrid(0.05, 3.9, 3))
         cuts = np.concatenate([[0.05], knots[1:-1], [3.9]])
-        for block, key in ((BlockId.BLOCK23, "23"), (BlockId.BLOCK14, "14")):
-            u0 = unperturbed_block_u(p, block, 3.9, t0=0.05)
-            np.testing.assert_allclose(u0, self.quad_block(p, key, 0.05, 3.9, cuts),
+        for key in ("23", "14"):
+            np.testing.assert_allclose(block(zeroth[-1], key),
+                                       zeroth_order_block(p, key, cuts),
                                        rtol=0, atol=1e-12)
-        # a backward span accumulates the opposite phase
-        back = unperturbed_block_u(p, BlockId.BLOCK23, 0.05, t0=3.9)
-        forward = unperturbed_block_u(p, BlockId.BLOCK23, 3.9, t0=0.05)
-        np.testing.assert_allclose(back, np.conj(forward), rtol=0, atol=1e-12)
+
+
+def interaction_picture_v(p, key, grid):
+    """Gauge perturbation ``-rate sigma_y`` rotated into the interaction
+    picture at the grid nodes, in closed form ``-rate (cos Phi sigma_y +
+    sin Phi sigma_x)`` with ``Phi`` from ``quad`` and by conjugation with the
+    route's zeroth-order nodes ``U0^dagger (-rate sigma_y) U0``."""
+    times, zeroth, _ = full_propagator_paths(p, grid)
+    phi = splitting_phases(p, key, times)[:, None, None]
+    rate = np.asarray(block_angle_rate(p, key, times))[:, None, None]
+    closed = -rate * (np.cos(phi) * SIGMA_Y + np.sin(phi) * SIGMA_X)
+    u0 = block(zeroth, key)
+    return closed, dagger(u0) @ (-rate * SIGMA_Y) @ u0
 
 
 class TestInteractionPicture:
+    @pytest.mark.parametrize("theta, key", [(0.0, "23"),
+                                            (THETA_PERPENDICULAR, "23"),
+                                            (THETA_PERPENDICULAR, "14")])
+    @pytest.mark.parametrize("profile", [TanhRamp(3.0, 2.0, 4.0),
+                                         Harmonic(2.0, 1.0, 0.7, 0.3)])
+    def test_closed_form_matches_conjugation(self, theta, key, profile):
+        closed, direct = interaction_picture_v(params(theta, profile), key,
+                                               TimeGrid(-8.0, 16.0, 60))
+        assert np.max(np.abs(closed - direct)) <= 1e-10
+        np.testing.assert_allclose(closed, dagger(closed), atol=1e-14)
+
     def test_constant_field_vanishes(self):
-        p = params(0.0, Constant(2.0))
-        v = interaction_picture_v(p, BlockId.BLOCK23, 3.0)
-        np.testing.assert_allclose(v, np.zeros((2, 2)), atol=1e-15)
+        closed, direct = interaction_picture_v(params(0.0, Constant(2.0)), "23",
+                                               TimeGrid(0.0, 3.0, 6))
+        assert np.all(closed == 0.0)
+        np.testing.assert_allclose(direct, 0.0, atol=1e-15)
 
     def test_zero_crossing_magnitude(self):
         p = params(0.0, LinearRamp(0.0, 1.0), zeta=0.0)
-        v = interaction_picture_v(p, BlockId.BLOCK23, 0.0)
-        assert abs(v[0, 1]) == pytest.approx(0.25, abs=1e-12)
+        closed, _ = interaction_picture_v(p, "23", TimeGrid(-1.0, 1.0, 2))
+        assert abs(closed[1, 0, 1]) == pytest.approx(0.25, abs=1e-12)
 
     def test_magnitude_bounded_by_rate_over_gap(self):
         p = params(0.0, TanhRamp(0.0, 3.0, 2.0), zeta=0.0)
         bound = 3.0 / 2.0 / (8.0 * 0.5)  # max omega_dot / (8 a_perp), zeta = 0
-        for t in np.linspace(-4.0, 4.0, 21):
-            v = interaction_picture_v(p, BlockId.BLOCK23, float(t), t0=-4.0)
-            assert np.max(np.abs(v)) <= bound + 1e-12
-
-    def test_hermitian(self):
-        p = params(THETA_PERPENDICULAR, TanhRamp(3.0, 2.0, 4.0))
-        v = interaction_picture_v(p, BlockId.BLOCK14, 1.3, t0=-8.0)
-        np.testing.assert_allclose(v, dagger(v), atol=1e-14)
+        closed, _ = interaction_picture_v(p, "23", TimeGrid(-4.0, 4.0, 20))
+        assert np.max(np.abs(closed)) <= bound + 1e-12
 
 
-class TestFirstOrderSolution:
+class TestFirstOrderPaths:
     def test_constant_field_reduces_to_phases(self):
         p = params(0.0, Constant(2.0))
-        sol = first_order_block_solution(p, BlockId.BLOCK23, TimeGrid(0.0, 1.0, 20))
-        assert sol.beta == pytest.approx(0.0, abs=1e-14)
-        assert sol.alpha == pytest.approx(np.exp(-1j * HALF_GAP), abs=1e-12)
-        assert sol.phase_factor == pytest.approx(np.exp(1j * 1.0), abs=1e-12)
+        _, zeroth, first = full_propagator_paths(p, TimeGrid(0.0, 1.0, 20))
+        assert first[-1, 1, 2] == pytest.approx(0.0, abs=1e-14)
+        assert first[-1, 1, 1] == pytest.approx(
+            np.exp(1j * 1.0) * np.exp(-1j * HALF_GAP), abs=1e-12)
+        np.testing.assert_array_equal(first, zeroth)
 
-    def test_block_unitarity(self):
+    def test_unitarity(self):
         for theta in (0.0, THETA_PERPENDICULAR):
             p = params(theta, TanhRamp(3.0, 2.0, 2.0))
-            grid = TimeGrid(-4.0, 8.0, 300)
-            sol = first_order_block_solution(p, BlockId.BLOCK23, grid)
-            assert abs(sol.alpha) ** 2 + abs(sol.beta) ** 2 == pytest.approx(
-                1.0, abs=1e-9
-            )
-            assert unitarity_defect(sol.u2) <= 1e-9
+            _, zeroth, first = full_propagator_paths(p, TimeGrid(-4.0, 8.0, 300))
+            central = block(first[-1], "23")
+            assert abs(central[0, 0]) ** 2 + abs(central[0, 1]) ** 2 == pytest.approx(
+                1.0, abs=1e-9)
+            assert unitarity_defect(first) <= 1e-9
+            assert unitarity_defect(zeroth) <= 1e-10
 
     def test_slow_ramp_beta_matches_reference(self):
         # peak |omega_dot / omega^2| ~ 9e-4: adiabatic regime
         p = params(0.0, TanhRamp(3.0, 2.0, 25.0), zeta=0.0)
         grid = TimeGrid(-50.0, 100.0, 900)
-        sol = first_order_block_solution(p, BlockId.BLOCK23, grid)
+        _, _, first = full_propagator_paths(p, grid)
         phi0 = np.array([0, 1, 0, 0], dtype=complex)
         ref = reference_propagate(p, grid, phi0, Frame.ADIABATIC)
         ref_jump = abs(ref.adiabatic_states[-1][2]) ** 2
-        beta_sq = abs(sol.beta) ** 2
+        beta_sq = abs(first[-1, 1, 2]) ** 2
         assert beta_sq == pytest.approx(ref_jump, rel=0.10, abs=1e-6)
 
-
-class TestAssemble:
     def test_identity_at_start_time(self):
         p = params(0.0, Constant(2.0))
-        grid = TimeGrid(0.0, 1e-12, 1)
-        sol = first_order_block_solution(p, BlockId.BLOCK23, grid)
-        u = assemble_full_propagator(p, sol, 1e-12)
-        np.testing.assert_allclose(u, np.eye(4), atol=1e-10)
+        _, _, first = full_propagator_paths(p, TimeGrid(0.0, 1e-12, 1))
+        np.testing.assert_allclose(first[-1], np.eye(4), atol=1e-10)
 
-    def test_constant_field_matches_reference(self):
-        p = params(0.0, Constant(2.0))
+    @pytest.mark.parametrize("theta", [0.0, THETA_PERPENDICULAR])
+    def test_constant_field_matches_reference(self, theta):
+        p = params(theta, Constant(2.0))
         grid = TimeGrid(0.0, 1.0, 50)
-        sol = first_order_block_solution(p, BlockId.BLOCK23, grid)
-        u = assemble_full_propagator(p, sol, 1.0)
+        _, _, first = full_propagator_paths(p, grid)
         ref = reference_propagate(p, grid, E1, Frame.ADIABATIC)
-        np.testing.assert_allclose(u, ref.propagators[-1], atol=1e-9)
-
-    def test_perpendicular_needs_both_blocks(self):
-        p = params(THETA_PERPENDICULAR, Constant(2.0))
-        grid = TimeGrid(0.0, 1.0, 20)
-        sol23 = first_order_block_solution(p, BlockId.BLOCK23, grid)
-        with pytest.raises(MissingBlock):
-            assemble_full_propagator(p, sol23, 1.0)
-        sol14 = first_order_block_solution(p, BlockId.BLOCK14, grid)
-        u = assemble_full_propagator(p, [sol23, sol14], 1.0)
-        assert unitarity_defect(u) <= 1e-9
+        np.testing.assert_allclose(first[-1], ref.propagators[-1], atol=1e-9)
 
     def test_isotropic_corner_is_pure_phase(self):
         p = params(THETA_PERPENDICULAR, TanhRamp(3.0, 2.0, 4.0), a_par=0.8, a_perp=0.8)
-        grid = TimeGrid(-8.0, 16.0, 300)
-        sol14 = first_order_block_solution(p, BlockId.BLOCK14, grid)
-        assert sol14.beta == 0.0
-        assert abs(sol14.alpha) == pytest.approx(1.0, abs=1e-12)
+        _, _, first = full_propagator_paths(p, TimeGrid(-8.0, 16.0, 300))
+        assert first[-1, 0, 3] == 0.0
+        assert abs(first[-1, 0, 0]) == pytest.approx(1.0, abs=1e-12)
 
+
+class TestFrameConversion:
     def test_lab_frame_conversion_round_trip(self):
         p = params(THETA_PERPENDICULAR, TanhRamp(3.0, 2.0, 4.0))
         grid = TimeGrid(-8.0, 16.0, 200)
@@ -313,15 +301,33 @@ class TestFrameConsistency:
             assert 3.0 <= a / b <= 5.0
 
 
-def test_full_paths_match_block_solutions():
-    p = params(THETA_PERPENDICULAR, TanhRamp(3.0, 2.0, 4.0))
-    grid = TimeGrid(-8.0, 16.0, 150)
-    times, zeroth, first = full_propagator_paths(p, grid)
-    sol23 = first_order_block_solution(p, BlockId.BLOCK23, grid)
-    sol14 = first_order_block_solution(p, BlockId.BLOCK14, grid)
-    assembled = assemble_full_propagator(p, [sol23, sol14], grid.t_end)
-    np.testing.assert_allclose(first[-1], assembled, atol=1e-12)
-    assert unitarity_defect(zeroth[-1]) <= 1e-10
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(theta=st.sampled_from([0.0, THETA_PERPENDICULAR]),
+       n_steps=st.integers(1, 8),
+       knots=st.lists(st.floats(0.05, 3.95), min_size=1, max_size=5, unique=True))
+def test_tabulated_paths_property(theta, n_steps, knots):
+    """Tabulated drives with knots off the grid nodes: the block route
+    converges, keeps the first order unitary, and its zeroth-order phases
+    match ``quad`` split at the knots."""
+    grid = TimeGrid(0.0, 4.0, n_steps)
+    times = grid.times()
+    knots = np.sort(knots)
+    assume(np.min(np.diff(np.concatenate([[0.0], knots, [4.0]]))) > 0.02)
+    assume(np.min(np.abs(knots[:, None] - times[None, :])) > 1e-3)
+    samples = np.concatenate([[0.0], knots, [4.0]])
+    p = params(theta, Tabulated(samples, 3.0 + 0.8 * np.sin(1.3 * samples)))
+    got_times, zeroth, first = full_propagator_paths(p, grid)
+    np.testing.assert_array_equal(got_times, times)
+    assert unitarity_defect(first) <= 1e-12
+    cuts = np.union1d(times, knots)
+    nodes = np.searchsorted(cuts, times)
+    for key in ("23", "14"):
+        phi = splitting_phases(p, key, cuts)[nodes]
+        d = np.exp(-1j * block_diagonal_offset(p, key) * times)
+        expected = np.zeros((times.size, 2, 2), dtype=complex)
+        expected[:, 0, 0] = d * np.exp(-0.5j * phi)
+        expected[:, 1, 1] = d * np.exp(0.5j * phi)
+        np.testing.assert_allclose(block(zeroth, key), expected, rtol=0, atol=1e-10)
 
 
 def midpoint_nodes_4x4(p, grid, frame, substeps):

@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
-from scipy.integrate import quad
-from scipy.linalg import expm
+from split_quad import first_order_block
 
 from spinpair.errors import QuadratureFailure
 from spinpair.fields import Tabulated
-from spinpair.frames import block_angle_rate, level_splitting
 from spinpair.hamiltonian import THETA_PERPENDICULAR, SystemParams
-from spinpair.propagators import BlockId, TimeGrid, first_order_block_solution
+from spinpair.propagators import TimeGrid, full_propagator_paths
 from spinpair.quadrature import (
     DEFAULT_ORDER,
     REFINE_LIMIT,
@@ -83,32 +81,6 @@ def test_kink_off_dyadic_points_fails_after_refine_limit():
     assert levels == [2 ** k for k in range(REFINE_LIMIT + 1)]
 
 
-def _split_quad_block(p, key, knots):
-    """Final first-order 2x2 block from ``scipy.integrate.quad`` split at the
-    profile knots, with the running phase integrated piece by piece."""
-    def g(t):
-        return float(level_splitting(p, key, t))
-
-    def rate(t):
-        return float(block_angle_rate(p, key, t))
-
-    def integral(f, a, b):
-        return quad(f, a, b, epsabs=1e-13, epsrel=1e-13)[0]
-
-    pieces = list(zip(knots[:-1], knots[1:]))
-    phi_knots = np.concatenate([[0.0], np.cumsum([integral(g, a, b) for a, b in pieces])])
-    ix = iy = 0.0
-    for phi_a, (a, b) in zip(phi_knots, pieces):
-        def phi(t, phi_a=phi_a, a=a):
-            return phi_a + integral(g, a, t)
-
-        ix += integral(lambda t: -rate(t) * np.sin(phi(t)), a, b)
-        iy += integral(lambda t: -rate(t) * np.cos(phi(t)), a, b)
-    half = np.exp(-0.5j * phi_knots[-1])
-    magnus = np.array([[0.0, ix - 1j * iy], [ix + 1j * iy, 0.0]])
-    return np.diag([half, np.conj(half)]) @ expm(-1j * magnus)
-
-
 @pytest.mark.parametrize("n_steps", [2, 4])
 def test_tabulated_first_order_block_matches_split_quad(n_steps):
     # knots every 1.0 over [0, 8]: at the quarter points of 2 cells and the
@@ -117,8 +89,8 @@ def test_tabulated_first_order_block_matches_split_quad(n_steps):
     knots = np.arange(0.0, 9.0, 1.0)
     omegas = 3.0 + 0.6 * np.sin(0.9 * knots) + 0.2 * np.cos(2.3 * knots)
     p = SystemParams(1.0, 0.5, 0.1, THETA_PERPENDICULAR, Tabulated(knots, omegas))
-    grid = TimeGrid(0.0, 8.0, n_steps)
-    for block, key in ((BlockId.BLOCK23, "23"), (BlockId.BLOCK14, "14")):
-        sol = first_order_block_solution(p, block, grid)
-        np.testing.assert_allclose(sol.u2, _split_quad_block(p, key, knots),
+    _, _, first = full_propagator_paths(p, TimeGrid(0.0, 8.0, n_steps))
+    for key, slots in (("23", [1, 2]), ("14", [0, 3])):
+        np.testing.assert_allclose(first[-1][np.ix_(slots, slots)],
+                                   first_order_block(p, key, knots),
                                    rtol=0, atol=1e-11)

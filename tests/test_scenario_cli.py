@@ -6,9 +6,11 @@ import spinpair.scenario
 
 import numpy as np
 import pytest
+from split_quad import first_order_block
 
 from spinpair.cli import main
 from spinpair.errors import ConfigError
+from spinpair.propagators import full_propagator_paths
 from spinpair.scenario import (
     _write_table,
     load_config,
@@ -273,10 +275,10 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "out" / "validation.json").exists()
 
-    @pytest.mark.parametrize("n_steps, expected", [(2, 3), (9, 0)])
-    def test_tabulated_compare_exit_codes(self, tmp_path, n_steps, expected):
-        # knots at integer times: inside the 2 cells at non-dyadic positions
-        # (the block quadrature cannot converge), on the edges of the 9 cells
+    @pytest.mark.parametrize("n_steps", [2, 9])
+    def test_tabulated_compare_knots_inside_and_on_cells(self, tmp_path, n_steps):
+        # knots at integer times: inside the 2 cells at non-dyadic positions,
+        # on the edges of the 9 cells; the block route cuts its cells there
         knots = np.arange(10.0)
         config = base_config(outputs=["trajectory", "comparison"])
         config["system"]["orientation"] = "perpendicular"
@@ -287,8 +289,14 @@ class TestCli:
         path = self.write(tmp_path, config)
         out = tmp_path / "out"
         code = main(["compare", "--config", str(path), "--out", str(out), "--quiet"])
-        assert code == expected
-        assert (out / "comparison.csv").exists() == (expected == 0)
+        assert code == 0
+        assert (out / "comparison.csv").exists()
+        cfg = load_config(path)
+        _, _, first = full_propagator_paths(cfg.params, cfg.grid)
+        for key, slots in (("23", [1, 2]), ("14", [0, 3])):
+            np.testing.assert_allclose(first[-1][np.ix_(slots, slots)],
+                                       first_order_block(cfg.params, key, knots),
+                                       rtol=0, atol=1e-11)
 
     def test_sweep_subcommand_ordering(self, tmp_path):
         config = base_config(outputs=["comparison"])
