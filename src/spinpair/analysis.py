@@ -19,7 +19,7 @@ from .errors import (
     ZeroRate,
 )
 from .fields import LinearRamp, adiabaticity_profile
-from .frames import BLOCK_CENTRAL, BLOCK_CORNER, angles_arrays, level_splitting
+from .frames import BLOCK_CENTRAL, BLOCK_CORNER, block_splitting_and_rate
 from .hamiltonian import SystemParams
 from .linalg import unitarity_defect
 from .propagators import (
@@ -163,14 +163,14 @@ def compare_solutions(params: SystemParams, grid: TimeGrid, initial_index: int,
 
     eta = adiabaticity_profile(params.profile, times)
     max_eta = float(np.max(np.abs(eta)))
-    _, _, rate1, rate2 = angles_arrays(params, times)
-    max_gauge_rate = float(max(np.max(np.abs(rate1)), np.max(np.abs(rate2))))
-    max_rate_over_gap = 0.0
-    for rate, key in ((rate1, BLOCK_CENTRAL), (rate2, BLOCK_CORNER)):
+    w, wdot = params.profile.evaluate(times)
+    max_gauge_rate = max_rate_over_gap = 0.0
+    for key in (BLOCK_CENTRAL, BLOCK_CORNER):
+        gap, rate = block_splitting_and_rate(params, key, w, wdot)
+        max_gauge_rate = max(max_gauge_rate, float(np.max(np.abs(rate))))
         if np.any(rate != 0.0):
-            gap = np.abs(np.asarray(level_splitting(params, key, times)))
             max_rate_over_gap = max(max_rate_over_gap,
-                                    float(np.max(np.abs(rate) / gap)))
+                                    float(np.max(np.abs(rate) / np.abs(gap))))
 
     final_beta_sq = {BLOCK_CENTRAL: float(abs(first_nodes[-1, 1, 2]) ** 2)}
     if params.is_perpendicular:

@@ -6,7 +6,10 @@ instantaneous eigenvectors, so ``T^dagger H T`` is diagonal and a state obeys
 ``|chi(t)> = T(t) |phi(t)>`` with ``phi`` the frame amplitudes.  Moving the
 time dependence into the basis costs the gauge term ``T^dagger dT/dt``, a real
 antisymmetric matrix carried by the angle rates; the frame generator is
-``T^dagger H T - i T^dagger dT/dt``.
+``T^dagger H T - i T^dagger dT/dt``.  Like T itself it never couples the two
+blocks, so ``effective_h_batch`` builds it directly as a stack of central and
+corner 2x2 blocks, from the splitting and angle rate of each block
+(``block_splitting_and_rate``).
 
 Branch convention: each doubled angle is ``atan2(2c, w)`` folded into
 ``[0, pi)``, where ``c`` is the block coupling and ``w`` the block detuning,
@@ -91,8 +94,15 @@ def _half_angle(coupling: float, detuning: np.ndarray) -> np.ndarray:
 
 
 def block_splitting_and_rate(params: SystemParams, block: str, w, wdot):
-    """The block's level splitting (see ``level_splitting``) and the exact
-    rate of its mixing angle, from the field ``w`` and its rate ``wdot``."""
+    """The block's signed level splitting and the exact rate of its mixing
+    angle, from the field ``w`` and its rate ``wdot``.
+
+    The splitting is the gap between the block's upper and lower frame levels:
+    ``sign(c) * sqrt(4 c^2 + w^2 zfac^2)`` for a coupled block and the bare
+    detuning ``w * zfac`` when the coupling vanishes (corner pair with the
+    field along the axis), so the sign convention always matches the branch
+    of the mixing angles.
+    """
     c = block_coupling(params, block)
     zfac = block_zeta_factor(params, block)
     detuning = np.asarray(w, dtype=float) * zfac
@@ -101,11 +111,6 @@ def block_splitting_and_rate(params: SystemParams, block: str, w, wdot):
     gap_sq = 4.0 * c * c + detuning * detuning
     return (math.copysign(1.0, c) * np.sqrt(gap_sq),
             -(c * zfac) * np.asarray(wdot, dtype=float) / gap_sq)
-
-
-def block_angle_rate(params: SystemParams, block: str, times):
-    """Exact rate of the block's mixing angle at the given time(s)."""
-    return block_splitting_and_rate(params, block, *params.profile.evaluate(times))[1]
 
 
 def angles_arrays(params: SystemParams, times: np.ndarray):
@@ -169,30 +174,21 @@ def gauge_term(angles: AdiabaticAngles) -> np.ndarray:
     return g
 
 
-def level_splitting(params: SystemParams, block: str, times):
-    """Signed gap between the block's upper and lower frame levels.
-
-    Equals ``sign(c) * sqrt(4 c^2 + w^2 zfac^2)`` for a coupled block and the
-    bare detuning ``w * zfac`` when the coupling vanishes (corner pair with
-    the field along the axis), so the sign convention always matches the
-    branch of the mixing angles.
-    """
-    return block_splitting_and_rate(params, block, *params.profile.evaluate(times))[0]
-
-
 def effective_h_batch(params: SystemParams, times: np.ndarray) -> np.ndarray:
-    """Stacked frame generators ``T^dagger H T - i T^dagger dT/dt`` (closed
-    form), with both blocks built from one evaluation of the field."""
+    """Central and corner frame generators ``T^dagger H T - i T^dagger dT/dt``
+    (closed form) at ``times``, one ``(2, n, 2, 2)`` stack with both blocks
+    built from one evaluation of the field; index 0 of a block is its upper
+    level."""
     w, wdot = params.profile.evaluate(np.asarray(times, dtype=float))
-    h = np.zeros((np.size(w), 4, 4), dtype=complex)
-    for key, upper, lower in ((BLOCK_CORNER, 0, 3), (BLOCK_CENTRAL, 1, 2)):
+    h = np.empty((2, np.size(w), 2, 2), dtype=complex)
+    for block, key in zip(h, (BLOCK_CENTRAL, BLOCK_CORNER)):
         g, rate = block_splitting_and_rate(params, key, w, wdot)
         d = block_diagonal_offset(params, key)
-        h[:, upper, upper] = d + 0.5 * g
-        h[:, lower, lower] = d - 0.5 * g
-        # -i * gauge: Hermitian, imaginary off-diagonal within each block
-        h[:, upper, lower] = 1j * rate
-        h[:, lower, upper] = -1j * rate
+        block[:, 0, 0] = d + 0.5 * g
+        block[:, 1, 1] = d - 0.5 * g
+        # -i * gauge: Hermitian, imaginary off-diagonal
+        block[:, 0, 1] = 1j * rate
+        block[:, 1, 0] = -1j * rate
     return h
 
 
@@ -232,22 +228,12 @@ def diagonalization_residual(params: SystemParams, t: float) -> float:
     return float(np.max(np.abs(off)))
 
 
-def frame_eigenvalue_order_matches(params: SystemParams) -> bool:
-    """True when the frame's slot labels follow the closed-form spectrum.
-
-    The only exception is a negative corner coupling (a_par < a_perp across
-    the axis), where the fold of the corner angle swaps slots 1 and 4.
-    """
-    return block_coupling(params, BLOCK_CORNER) >= 0.0
-
-
 __all__ = [
     "AdiabaticAngles",
     "FrameSnapshot",
     "BLOCK_CENTRAL",
     "BLOCK_CORNER",
     "angles_arrays",
-    "block_angle_rate",
     "block_coupling",
     "block_diagonal_offset",
     "block_splitting_and_rate",
@@ -255,11 +241,9 @@ __all__ = [
     "diagonalization_residual",
     "effective_h_batch",
     "effective_hamiltonian",
-    "frame_eigenvalue_order_matches",
     "frame_matrices",
     "frame_unitary",
     "gauge_term",
     "initial_adiabatic_states",
-    "level_splitting",
     "mixing_angles",
 ]

@@ -125,7 +125,7 @@ def fidelity(psi: np.ndarray, phi: np.ndarray) -> float:
     phi = np.asarray(phi, dtype=complex)
     for name, vec in (("psi", psi), ("phi", phi)):
         deviation = abs(np.linalg.norm(vec) - 1.0)
-        if deviation > STATE_NORM_TOL:
+        if not deviation <= STATE_NORM_TOL:
             raise NonNormalizedInput(
                 f"{name} deviates from unit norm by {deviation:.3e}"
             )

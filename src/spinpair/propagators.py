@@ -6,10 +6,12 @@ Two independent routes to the same dynamics live here.
   exactly unitary exponential steps, and a Richardson step-halving loop
   certifies the accuracy instead of assuming it.  It runs in the lab frame
   (any orientation) or the rotating eigenbasis frame.  At the two special
-  orientations the generator is block diagonal in both frames, so the central
-  and corner 2x2 blocks are propagated on their own (closed-form Pauli
-  exponentials, entrywise 2x2 products, a log-depth prefix product over the
-  cells); any other orientation propagates the full 4x4 generator.  The step
+  orientations the generator is block diagonal in both frames, so it is built
+  directly as a stack of central and corner 2x2 blocks (``effective_h_batch``
+  in the frame, the constant blocks of ``H = omega P + K`` in the lab) and the
+  blocks are propagated on their own (closed-form Pauli exponentials,
+  entrywise 2x2 products, a log-depth prefix product over the cells); any
+  other orientation propagates the full 4x4 generator.  The step
   is the fourth-order Gauss Magnus step at the special orientations with a
   smooth drive (no knots), else the second-order exponential midpoint rule.
 
@@ -45,8 +47,14 @@ from .frames import (
     effective_h_batch,
     frame_matrices,
 )
-from .hamiltonian import SystemParams, hamiltonian_batch
-from .linalg import STATE_NORM_TOL, dagger, expm_unitary
+from .hamiltonian import (
+    _BLOCK_SLOTS,
+    SystemParams,
+    field_coupling_matrix,
+    hamiltonian_batch,
+    static_matrix,
+)
+from .linalg import STATE_NORM_TOL, expm_unitary
 from .quadrature import cumulative_integral, running_integral
 
 _CHUNK_SUBSTEPS = 1 << 17
@@ -58,7 +66,6 @@ _ROUNDOFF_PER_STEP = 4.0 * np.finfo(float).eps
 # successive changes of a fourth-order scheme shrink 16-fold in its regime
 _REGIME_RATIO = 8.0
 # product-basis slots of the central and corner 2x2 blocks, as fancy indices
-_BLOCK_SLOTS = np.array([[1, 2], [0, 3]])
 _BLOCK_ROWS = _BLOCK_SLOTS[:, :, None]
 _BLOCK_COLS = _BLOCK_SLOTS[:, None, :]
 
@@ -209,13 +216,6 @@ def frame_rotations(params: SystemParams, times: np.ndarray) -> np.ndarray:
     return frame_matrices(th1, th2)
 
 
-def to_lab_frame(params: SystemParams, u_frame: np.ndarray, t: float,
-                 t0: float) -> np.ndarray:
-    """Convert a frame propagator to the lab frame: ``T(t) U T(t0)^dagger``."""
-    rot = frame_rotations(params, np.asarray([t0, t], dtype=float))
-    return rot[1] @ u_frame @ dagger(rot[0])
-
-
 def _ordered_product(steps: np.ndarray, mul=np.matmul) -> np.ndarray:
     """Time-ordered product over axis 1 (later factors multiply from the left).
 
@@ -258,12 +258,6 @@ def _prefix_product(units: np.ndarray) -> np.ndarray:
     return out
 
 
-def _generator_batch(params: SystemParams, frame: Frame, times: np.ndarray) -> np.ndarray:
-    if frame is Frame.LAB:
-        return hamiltonian_batch(params, times)
-    return effective_h_batch(params, times)
-
-
 def _midpoint_chunks(grid: TimeGrid, m: int, nodes: int = 1):
     """``(c0, c1, midpoints)`` for consecutive runs of grid cells, holding
     about ``_CHUNK_SUBSTEPS`` generator points (``nodes`` per substep) each."""
@@ -275,14 +269,13 @@ def _midpoint_chunks(grid: TimeGrid, m: int, nodes: int = 1):
         yield c0, c1, (edges[c0:c1, None] + offsets[None, :]).reshape(-1)
 
 
-def _full_nodes(params: SystemParams, grid: TimeGrid, frame: Frame,
-                m: int) -> np.ndarray:
+def _full_nodes(params: SystemParams, grid: TimeGrid, m: int) -> np.ndarray:
     h = grid.dt / m
     u_nodes = np.empty((grid.n_steps + 1, 4, 4), dtype=complex)
     u_nodes[0] = np.eye(4)
     acc = np.eye(4, dtype=complex)
     for c0, c1, midpoints in _midpoint_chunks(grid, m):
-        generators = _generator_batch(params, frame, midpoints)
+        generators = hamiltonian_batch(params, midpoints)
         steps = expm_unitary(generators, h).reshape(c1 - c0, m, 4, 4)
         cell_units = _ordered_product(steps)
         for j in range(c1 - c0):
@@ -292,9 +285,17 @@ def _full_nodes(params: SystemParams, grid: TimeGrid, frame: Frame,
 
 
 def _block_generators(params: SystemParams, frame: Frame, times: np.ndarray) -> np.ndarray:
-    """Central and corner 2x2 generator stacks at ``times``, shape ``(2, n, 2, 2)``."""
-    generators = _generator_batch(params, frame, times)
-    return np.moveaxis(generators[:, _BLOCK_ROWS, _BLOCK_COLS], 1, 0)
+    """Central and corner 2x2 generator stacks at ``times``, shape ``(2, n, 2, 2)``.
+
+    In the lab frame these are the blocks of ``omega P + K``, picked out of the
+    constant matrices once; the values equal the slots of ``hamiltonian_batch``.
+    """
+    if frame is Frame.ADIABATIC:
+        return effective_h_batch(params, times)
+    w, _ = params.profile.evaluate(times)
+    p = field_coupling_matrix(params)[_BLOCK_ROWS, _BLOCK_COLS]
+    k = static_matrix(params)[_BLOCK_ROWS, _BLOCK_COLS]
+    return w[None, :, None, None] * p[:, None] + k[:, None]
 
 
 def _block_nodes(params: SystemParams, grid: TimeGrid, frame: Frame,
@@ -342,7 +343,7 @@ def fixed_step_propagators(params: SystemParams, grid: TimeGrid, frame: Frame,
         return _block_nodes(params, grid, frame, substeps, order)
     if order == 4:
         raise ValueError("the fourth-order step needs a special orientation")
-    return _full_nodes(params, grid, frame, substeps)
+    return _full_nodes(params, grid, substeps)
 
 
 def reference_propagate(params: SystemParams, grid: TimeGrid, psi0: np.ndarray,
@@ -364,7 +365,7 @@ def reference_propagate(params: SystemParams, grid: TimeGrid, psi0: np.ndarray,
     """
     psi0 = np.asarray(psi0, dtype=complex).reshape(4)
     deviation = abs(np.linalg.norm(psi0) - 1.0)
-    if deviation > STATE_NORM_TOL:
+    if not deviation <= STATE_NORM_TOL:
         raise NonNormalizedInput(f"initial state off unit norm by {deviation:.3e}")
     if frame is Frame.ADIABATIC:
         params.require_special_orientation()

@@ -60,7 +60,7 @@ _SYSTEM_KEYS = {"a_par", "a_perp", "zeta", "orientation"}
 _GRID_KEYS = {"t_start", "t_end", "n_steps"}
 _INTEGRATOR_KEYS = {"tol_per_time", "max_halvings"}
 _SWEEP_KEYS = {"parameter", "values"}
-_OUTPUT_KINDS = {"trajectory", "comparison", "propagator"}
+_OUTPUT_KINDS = ("trajectory", "comparison", "propagator")
 _CSV_BLOCK_ROWS = 256
 
 _PROFILE_SCHEMAS = {
@@ -87,15 +87,21 @@ class ScenarioConfig:
     raw: dict
 
 
+def _is_finite(value) -> bool:
+    """A JSON number, not a bool, that converts to a finite float."""
+    try:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _require_number(mapping, key, context):
     if key not in mapping:
         raise ConfigError(f"{context}: missing required key {key!r}")
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{context}: {key} must be a number")
-    if not math.isfinite(float(value)):
-        raise ConfigError(f"{context}: {key} must be finite")
-    return float(value)
+    if not _is_finite(mapping[key]):
+        raise ConfigError(f"{context}: {key} must be a finite number")
+    return float(mapping[key])
 
 
 def _reject_unknown(mapping, allowed, context):
@@ -109,7 +115,7 @@ def _reject_unknown(mapping, allowed, context):
 def _parse_profile(spec, base_dir: Path) -> FieldProfile:
     _reject_unknown(spec, {"kind"} | set().union(*_PROFILE_SCHEMAS.values()), "profile")
     kind = spec.get("kind")
-    if kind not in _PROFILE_SCHEMAS:
+    if not isinstance(kind, str) or kind not in _PROFILE_SCHEMAS:
         raise ConfigError(
             f"profile: kind must be one of {sorted(_PROFILE_SCHEMAS)}, got {kind!r}"
         )
@@ -150,7 +156,7 @@ def _parse_profile(spec, base_dir: Path) -> FieldProfile:
             raise ConfigError("profile(tabulated): needs csv or times+omegas")
         return Tabulated(np.asarray(spec["times"], dtype=float),
                          np.asarray(spec["omegas"], dtype=float))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"profile: {exc}") from exc
 
 
@@ -171,12 +177,12 @@ def _parse_initial(value, orientation_is_literal: bool):
         raise ConfigError(f"initial_state: unknown label {value!r}")
     if isinstance(value, list):
         if len(value) != 4 or not all(
-            isinstance(p, list) and len(p) == 2 for p in value
+            isinstance(p, list) and len(p) == 2 and all(map(_is_finite, p)) for p in value
         ):
-            raise ConfigError("initial_state: custom state needs four [re, im] pairs")
+            raise ConfigError("initial_state: custom state needs four [re, im] number pairs")
         amps = np.array([complex(p[0], p[1]) for p in value])
         deviation = abs(np.linalg.norm(amps) - 1.0)
-        if deviation > 1e-8:
+        if not deviation <= 1e-8:
             raise ConfigError(
                 f"initial_state: custom amplitudes off unit norm by {deviation:.3e}"
             )
@@ -205,7 +211,7 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ScenarioConfig:
         theta = 0.0
     elif orientation == "perpendicular":
         theta = THETA_PERPENDICULAR
-    elif isinstance(orientation, (int, float)) and not isinstance(orientation, bool):
+    elif _is_finite(orientation):
         theta = float(orientation)
     else:
         raise ConfigError(
@@ -239,7 +245,7 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ScenarioConfig:
 
     outputs = raw["outputs"]
     if (not isinstance(outputs, list) or not outputs
-            or not set(outputs) <= _OUTPUT_KINDS):
+            or not all(kind in _OUTPUT_KINDS for kind in outputs)):
         raise ConfigError(f"outputs: expected a non-empty list from {sorted(_OUTPUT_KINDS)}")
     if "comparison" in outputs:
         if not label.startswith("phi"):
@@ -264,12 +270,11 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ScenarioConfig:
     sweep = raw.get("sweep")
     if sweep is not None:
         _reject_unknown(sweep, _SWEEP_KEYS, "sweep")
-        if sweep.get("parameter") not in {"rate", "omega0"}:
+        if sweep.get("parameter") not in ("rate", "omega0"):
             raise ConfigError("sweep: parameter must be 'rate' or 'omega0'")
         values = sweep.get("values")
         if (not isinstance(values, list) or not values
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                           and float(v) > 0.0 for v in values)):
+                or not all(_is_finite(v) and float(v) > 0.0 for v in values)):
             raise ConfigError("sweep: values must be a non-empty list of positive numbers")
 
     return ScenarioConfig(

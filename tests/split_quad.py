@@ -5,7 +5,11 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from spinpair.frames import block_angle_rate, block_diagonal_offset, level_splitting
+from spinpair.frames import block_diagonal_offset, block_splitting_and_rate
+
+
+def splitting_and_rate(p, key, t):
+    return block_splitting_and_rate(p, key, *p.profile.evaluate(t))
 
 
 def integral(f, a, b):
@@ -14,7 +18,7 @@ def integral(f, a, b):
 
 def splitting_phases(p, key, cuts):
     """Accumulated level splitting from ``cuts[0]`` to every cut."""
-    pieces = [integral(lambda s: float(level_splitting(p, key, s)), a, b)
+    pieces = [integral(lambda s: float(splitting_and_rate(p, key, s)[0]), a, b)
               for a, b in zip(cuts[:-1], cuts[1:])]
     return np.concatenate([[0.0], np.cumsum(pieces)])
 
@@ -32,10 +36,10 @@ def first_order_block(p, key, cuts):
     exponential replaced by the exponential of its first Magnus term, with the
     running phase integrated piece by piece."""
     def g(t):
-        return float(level_splitting(p, key, t))
+        return float(splitting_and_rate(p, key, t)[0])
 
     def rate(t):
-        return float(block_angle_rate(p, key, t))
+        return float(splitting_and_rate(p, key, t)[1])
 
     phi_cuts = splitting_phases(p, key, cuts)
     ix = iy = 0.0

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from split_quad import splitting_and_rate
 
 from spinpair.errors import DegenerateGap, UnsupportedOrientation
 from spinpair.fields import Constant, Harmonic, LinearRamp, TanhRamp
@@ -9,18 +10,17 @@ from spinpair.frames import (
     AdiabaticAngles,
     BLOCK_CENTRAL,
     BLOCK_CORNER,
-    block_angle_rate,
+    block_coupling,
     diagonalization_residual,
     effective_h_batch,
     effective_hamiltonian,
-    frame_eigenvalue_order_matches,
     frame_unitary,
     gauge_term,
     initial_adiabatic_states,
-    level_splitting,
     mixing_angles,
 )
 from spinpair.hamiltonian import (
+    _BLOCK_SLOTS,
     THETA_PERPENDICULAR,
     SystemParams,
     build_hamiltonian,
@@ -172,7 +172,7 @@ class TestDiagonalization:
             transformed = dagger(tmat) @ build_hamiltonian(p, 0.0) @ tmat
             diag = np.real(np.diag(transformed))
             closed = np.array(closed_eigenvalues(p, 0.0))
-            if not frame_eigenvalue_order_matches(p):
+            if not block_coupling(p, BLOCK_CORNER) >= 0.0:
                 closed[[0, 3]] = closed[[3, 0]]  # corner fold for a_par < a_perp
             np.testing.assert_allclose(diag, closed, atol=1e-12)
 
@@ -209,9 +209,12 @@ class TestEffectiveHamiltonian:
             p = params(theta, Harmonic(2.0, 0.5, 0.7, 0.1))
             ts = np.linspace(-3.0, 3.0, 9)
             batch = effective_h_batch(p, ts)
+            assert batch.shape == (2, ts.size, 2, 2)
             for k, t in enumerate(ts):
                 snap = effective_hamiltonian(p, float(t))
-                assert np.max(np.abs(batch[k] - snap.effective_h)) <= 1e-12
+                for block, slots in zip(batch, _BLOCK_SLOTS):
+                    expected = snap.effective_h[np.ix_(slots, slots)]
+                    assert np.max(np.abs(block[k] - expected)) <= 1e-12
 
 
 class TestInitialStates:
@@ -254,16 +257,16 @@ class TestInitialStates:
 def test_level_splitting_signs():
     p = params(0.0, Constant(-2.0))
     # corner pair has no coupling along the axis: splitting is the signed detuning
-    assert level_splitting(p, BLOCK_CORNER, 0.0) == pytest.approx(-2.2, abs=1e-15)
-    assert level_splitting(p, BLOCK_CENTRAL, 0.0) > 0.0
+    assert splitting_and_rate(p, BLOCK_CORNER, 0.0)[0] == pytest.approx(-2.2, abs=1e-15)
+    assert splitting_and_rate(p, BLOCK_CENTRAL, 0.0)[0] > 0.0
     swapped = params(THETA_PERPENDICULAR, Constant(2.0), a_par=0.3, a_perp=0.9)
-    assert level_splitting(swapped, BLOCK_CORNER, 0.0) < 0.0
-    assert not frame_eigenvalue_order_matches(swapped)
+    assert splitting_and_rate(swapped, BLOCK_CORNER, 0.0)[0] < 0.0
+    assert block_coupling(swapped, BLOCK_CORNER) < 0.0
 
 
 def test_block_angle_rate_consistency():
     p = params(THETA_PERPENDICULAR, TanhRamp(3.0, 2.0, 5.0))
     ts = np.linspace(-5.0, 5.0, 11)
-    rates = block_angle_rate(p, BLOCK_CENTRAL, ts)
+    _, rates = splitting_and_rate(p, BLOCK_CENTRAL, ts)
     for k, t in enumerate(ts):
         assert rates[k] == pytest.approx(mixing_angles(p, float(t)).theta1_rate, abs=1e-15)

@@ -165,3 +165,8 @@ class TestFidelity:
         with pytest.raises(NonNormalizedInput):
             fidelity(np.array([1, 1, 0, 0], dtype=complex),
                      np.array([1, 0, 0, 0], dtype=complex))
+
+    def test_rejects_nan(self):
+        with pytest.raises(NonNormalizedInput):
+            fidelity(np.array([np.nan, 1, 0, 0], dtype=complex),
+                     np.array([1, 0, 0, 0], dtype=complex))

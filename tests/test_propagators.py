@@ -4,35 +4,41 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from split_quad import splitting_phases, zeroth_order_block
+from split_quad import splitting_and_rate, splitting_phases, zeroth_order_block
 
 from spinpair.errors import NonNormalizedInput, ToleranceNotMet
 from spinpair.fields import Constant, Harmonic, LinearRamp, TanhRamp, Tabulated
 from spinpair.frames import (
-    block_angle_rate,
     block_diagonal_offset,
     effective_h_batch,
+    effective_hamiltonian,
     initial_adiabatic_states,
 )
-from spinpair.hamiltonian import THETA_PERPENDICULAR, SystemParams, hamiltonian_batch
+from spinpair.hamiltonian import (
+    _BLOCK_SLOTS,
+    THETA_PERPENDICULAR,
+    SystemParams,
+    closed_eigenvalues,
+    hamiltonian_batch,
+)
 from spinpair.linalg import SIGMA_X, SIGMA_Y, dagger, expm_unitary, unitarity_defect
 from spinpair.propagators import (
     Frame,
     TimeGrid,
+    _block_generators,
     _mul2,
     _prefix_product,
     fixed_step_propagators,
     frame_rotations,
     full_propagator_paths,
     reference_propagate,
-    to_lab_frame,
 )
 
 HALF_GAP = 0.5 * math.sqrt(7.24)
 
 E2 = np.array([0, 1, 0, 0], dtype=complex)
 E1 = np.array([1, 0, 0, 0], dtype=complex)
-BLOCK_SLOTS = {"23": [1, 2], "14": [0, 3]}
+BLOCK_SLOTS = dict(zip(("23", "14"), _BLOCK_SLOTS))
 
 
 def params(theta, profile, a_par=1.0, a_perp=0.5, zeta=0.1):
@@ -83,6 +89,9 @@ class TestReferencePropagate:
         p = params(0.0, Constant(1.0))
         with pytest.raises(NonNormalizedInput):
             reference_propagate(p, TimeGrid(0.0, 1.0, 5), np.array([1, 1, 0, 0], complex))
+        with pytest.raises(NonNormalizedInput):
+            reference_propagate(p, TimeGrid(0.0, 1.0, 5),
+                                np.array([np.nan, 1, 0, 0], complex))
 
     def test_tolerance_not_met(self):
         p = params(0.0, Harmonic(2.0, 0.5, 0.7))
@@ -122,7 +131,7 @@ class TestReferencePropagate:
 
 def block(u, key):
     """The central ("23") or corner ("14") 2x2 block of stacked 4x4 matrices."""
-    slots = np.array(BLOCK_SLOTS[key])
+    slots = BLOCK_SLOTS[key]
     return u[..., slots[:, None], slots]
 
 
@@ -175,7 +184,7 @@ def interaction_picture_v(p, key, grid):
     route's zeroth-order nodes ``U0^dagger (-rate sigma_y) U0``."""
     times, zeroth, _ = full_propagator_paths(p, grid)
     phi = splitting_phases(p, key, times)[:, None, None]
-    rate = np.asarray(block_angle_rate(p, key, times))[:, None, None]
+    rate = splitting_and_rate(p, key, times)[1][:, None, None]
     closed = -rate * (np.cos(phi) * SIGMA_Y + np.sin(phi) * SIGMA_X)
     u0 = block(zeroth, key)
     return closed, dagger(u0) @ (-rate * SIGMA_Y) @ u0
@@ -266,7 +275,8 @@ class TestFrameConversion:
         p = params(THETA_PERPENDICULAR, TanhRamp(3.0, 2.0, 4.0))
         grid = TimeGrid(-8.0, 16.0, 200)
         traj = reference_propagate(p, grid, E1, Frame.ADIABATIC)
-        u_lab = to_lab_frame(p, traj.propagators[-1], grid.t_end, grid.t_start)
+        rot = frame_rotations(p, np.array([grid.t_start, grid.t_end]))
+        u_lab = rot[1] @ traj.propagators[-1] @ dagger(rot[0])
         lab = reference_propagate(p, grid, E1, Frame.LAB)
         # same evolution expressed in the two frames
         phi0 = initial_adiabatic_states(p, grid.t_start)
@@ -330,10 +340,57 @@ def test_tabulated_paths_property(theta, n_steps, knots):
         np.testing.assert_allclose(block(zeroth, key), expected, rtol=0, atol=1e-10)
 
 
+_ANALYTIC_PROFILES = st.one_of(
+    st.builds(Constant, st.floats(-5.0, 5.0)),
+    st.builds(LinearRamp, st.floats(-5.0, 5.0), st.floats(-1.0, 1.0)),
+    st.builds(TanhRamp, st.floats(-5.0, 5.0), st.floats(-3.0, 3.0), st.floats(0.2, 5.0)),
+    st.builds(Harmonic, st.floats(-5.0, 5.0), st.floats(-3.0, 3.0),
+              st.floats(0.1, 2.0), st.floats(0.0, 6.3)),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(theta=st.sampled_from([0.0, THETA_PERPENDICULAR]),
+       a_par=st.floats(-1.0, 2.0), a_perp=st.floats(-1.0, 2.0),
+       zeta=st.floats(-0.5, 0.5), profile=_ANALYTIC_PROFILES,
+       times=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8))
+def test_block_generators_property(theta, a_par, a_perp, zeta, profile, times):
+    """The 2x2 generator stacks: lab blocks equal the slots of the 4x4
+    Hamiltonian exactly and carry the closed-form spectrum, frame blocks
+    match the conjugated frame generator."""
+    p = params(theta, profile, a_par, a_perp, zeta)
+    times = np.array(times)
+    lab = _block_generators(p, Frame.LAB, times)
+    full = hamiltonian_batch(p, times)
+    for blocks, slots in zip(lab, _BLOCK_SLOTS):
+        assert np.array_equal(blocks, full[:, slots[:, None], slots])
+    for k, t in enumerate(times):
+        eps = closed_eigenvalues(p, float(t))
+        for blocks, pair in zip(lab, ((eps[1], eps[2]), (eps[0], eps[3]))):
+            np.testing.assert_allclose(np.linalg.eigvalsh(blocks[k]), np.sort(pair),
+                                       rtol=0, atol=1e-11)
+    if p.is_parallel and a_perp == 0.0:
+        return  # gapless at zero field: the frame is not defined
+    frame = _block_generators(p, Frame.ADIABATIC, times)
+    for k, t in enumerate(times):
+        snap = effective_hamiltonian(p, float(t))
+        for blocks, slots in zip(frame, _BLOCK_SLOTS):
+            expected = snap.effective_h[np.ix_(slots, slots)]
+            assert np.max(np.abs(blocks[k] - expected)) <= 1e-12
+
+
+def frame_generators_4x4(p, times):
+    """The frame's central and corner generator blocks scattered into 4x4."""
+    out = np.zeros((times.size, 4, 4), dtype=complex)
+    for blocks, slots in zip(effective_h_batch(p, times), _BLOCK_SLOTS):
+        out[:, slots[:, None], slots] = blocks
+    return out
+
+
 def midpoint_nodes_4x4(p, grid, frame, substeps):
     """Node propagators of the midpoint rule from full 4x4 generators, with
     ``eigh`` exponentials and a sequential product."""
-    generators = hamiltonian_batch if frame is Frame.LAB else effective_h_batch
+    generators = hamiltonian_batch if frame is Frame.LAB else frame_generators_4x4
     h = grid.dt / substeps
     mids = grid.times()[:-1, None] + ((np.arange(substeps) + 0.5) * h)[None, :]
     w, v = np.linalg.eigh(generators(p, mids.reshape(-1)))

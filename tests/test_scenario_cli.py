@@ -1,4 +1,6 @@
+import copy
 import json
+import math
 from pathlib import Path
 
 import spinpair.analysis
@@ -6,10 +8,12 @@ import spinpair.scenario
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from split_quad import first_order_block
 
 from spinpair.cli import main
-from spinpair.errors import ConfigError
+from spinpair.errors import ConfigError, IoError
 from spinpair.propagators import full_propagator_paths
 from spinpair.scenario import (
     _write_table,
@@ -90,6 +94,14 @@ class TestConfigValidation:
 
     def test_custom_state_must_be_normalized(self):
         bad = base_config(initial_state=[[1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                          outputs=["trajectory"])
+        with pytest.raises(ConfigError):
+            parse_config(bad)
+
+    @pytest.mark.parametrize("pair", [["a", 0], [None, 0], [True, 0], [10**400, 0],
+                                      [math.nan, 0]])
+    def test_custom_state_needs_finite_numbers(self, pair):
+        bad = base_config(initial_state=[pair, [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
                           outputs=["trajectory"])
         with pytest.raises(ConfigError):
             parse_config(bad)
@@ -268,6 +280,22 @@ class TestCli:
                      "--out", str(tmp_path / "out"), "--quiet"])
         assert code == 2
 
+    @pytest.mark.parametrize("change", [
+        {"outputs": [["trajectory"]]},
+        {"outputs": [{"kind": "trajectory"}]},
+        {"initial_state": [["a", 0], [1, 0], [0, 0], [0, 0]]},
+        {"initial_state": [[None, 0], [1, 0], [0, 0], [0, 0]]},
+        {"initial_state": [[math.nan, 0], [1, 0], [0, 0], [0, 0]]},
+    ])
+    def test_malformed_values_are_config_errors(self, tmp_path, change):
+        config = base_config(outputs=["trajectory"])
+        config.update(change)
+        path = self.write(tmp_path, config)
+        out = tmp_path / "out"
+        code = main(["propagate", "--config", str(path), "--out", str(out), "--quiet"])
+        assert code == 2
+        assert not out.exists()
+
     def test_validate_subcommand(self, tmp_path):
         path = self.write(tmp_path, base_config(outputs=["trajectory"]))
         code = main(["validate", "--config", str(path), "--quiet",
@@ -319,3 +347,51 @@ def test_shipped_scenarios_parse():
                  "tanh_compare.json", "rate_sweep.json"):
         cfg = load_config(SCENARIOS / name)
         assert cfg.grid.n_steps >= 1
+
+
+SHIPPED = {path.name: json.loads(path.read_text())
+           for path in sorted(SCENARIOS.glob("*.json"))}
+
+
+def _value_paths(doc, prefix=()):
+    """Key paths to every value and section of a JSON document."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _value_paths(value, prefix + (key,))
+
+
+# numbers that JSON parses but no finite float holds
+_NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -10**400])
+_SCALARS = (st.none() | st.booleans() | st.text(max_size=6) | st.integers()
+            | st.floats(allow_nan=True, allow_infinity=True) | _NONFINITE)
+_KEYS = st.sampled_from(["kind", "omega0", "rate", "values", "parameter", "csv",
+                         "times", "omegas", "a_par", "n_steps"]) | st.text(max_size=6)
+_JSON = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4)
+                     | st.dictionaries(_KEYS, inner, max_size=4), max_leaves=8)
+# four [re, im] pairs: the shape of a custom initial state
+_PAIRS = st.lists(st.lists(_SCALARS, min_size=2, max_size=2), min_size=4, max_size=4)
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(data=st.data(), value=_JSON | _PAIRS | _NONFINITE)
+def test_parse_config_fuzz(name, data, value):
+    """A shipped scenario with one value or section replaced by drawn JSON
+    parses to a finite, normalized config or raises ConfigError/IoError."""
+    doc = copy.deepcopy(SHIPPED[name])
+    path = data.draw(st.sampled_from(list(_value_paths(doc))))
+    if path:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        doc = value
+    try:
+        cfg = parse_config(doc, SCENARIOS)
+    except (ConfigError, IoError):
+        return
+    assert abs(np.linalg.norm(cfg.initial_state) - 1.0) <= 1e-8
+    assert all(math.isfinite(v) for v in (cfg.sweep or {}).get("values", []))
