@@ -124,6 +124,8 @@ class Tabulated(FieldProfile):
             raise ValueError("tabulated profile needs matching 1-d time/omega arrays")
         if times.size < 2:
             raise ValueError("tabulated profile needs at least two samples")
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(omegas))):
+            raise ValueError("tabulated samples must be finite")
         if not np.all(np.diff(times) > 0.0):
             raise ValueError("tabulated sample times must be strictly increasing")
         object.__setattr__(self, "times", times)

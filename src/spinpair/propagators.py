@@ -6,12 +6,12 @@ Two independent routes to the same dynamics live here.
   exactly unitary exponential steps, and a Richardson step-halving loop
   certifies the accuracy instead of assuming it.  It runs in the lab frame
   (any orientation) or the rotating eigenbasis frame.  At the two special
-  orientations the generator is block diagonal in both frames, so it is built
-  directly as a stack of central and corner 2x2 blocks (``effective_h_batch``
-  in the frame, the constant blocks of ``H = omega P + K`` in the lab) and the
-  blocks are propagated on their own (closed-form Pauli exponentials,
-  entrywise 2x2 products, a log-depth prefix product over the cells); any
-  other orientation propagates the full 4x4 generator.  The step
+  orientations the generator is block diagonal in both frames and enters the
+  kernel as a stack of central and corner 2x2 blocks (built directly by
+  ``effective_h_batch`` in the frame, sliced out of ``hamiltonian_batch`` in
+  the lab), and the blocks are propagated on their own (closed-form Pauli
+  exponentials, entrywise 2x2 products, a log-depth prefix product over the
+  cells); any other orientation propagates the full 4x4 generator.  The step
   is the fourth-order Gauss Magnus step at the special orientations with a
   smooth drive (no knots), else the second-order exponential midpoint rule.
 
@@ -47,13 +47,7 @@ from .frames import (
     effective_h_batch,
     frame_matrices,
 )
-from .hamiltonian import (
-    _BLOCK_SLOTS,
-    SystemParams,
-    field_coupling_matrix,
-    hamiltonian_batch,
-    static_matrix,
-)
+from .hamiltonian import _BLOCK_SLOTS, SystemParams, hamiltonian_batch
 from .linalg import STATE_NORM_TOL, expm_unitary
 from .quadrature import cumulative_integral, running_integral
 
@@ -285,17 +279,10 @@ def _full_nodes(params: SystemParams, grid: TimeGrid, m: int) -> np.ndarray:
 
 
 def _block_generators(params: SystemParams, frame: Frame, times: np.ndarray) -> np.ndarray:
-    """Central and corner 2x2 generator stacks at ``times``, shape ``(2, n, 2, 2)``.
-
-    In the lab frame these are the blocks of ``omega P + K``, picked out of the
-    constant matrices once; the values equal the slots of ``hamiltonian_batch``.
-    """
+    """Central and corner 2x2 generator stacks at ``times``, shape ``(2, n, 2, 2)``."""
     if frame is Frame.ADIABATIC:
         return effective_h_batch(params, times)
-    w, _ = params.profile.evaluate(times)
-    p = field_coupling_matrix(params)[_BLOCK_ROWS, _BLOCK_COLS]
-    k = static_matrix(params)[_BLOCK_ROWS, _BLOCK_COLS]
-    return w[None, :, None, None] * p[:, None] + k[:, None]
+    return np.moveaxis(hamiltonian_batch(params, times)[:, _BLOCK_ROWS, _BLOCK_COLS], 1, 0)
 
 
 def _block_nodes(params: SystemParams, grid: TimeGrid, frame: Frame,

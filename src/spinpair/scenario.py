@@ -231,7 +231,7 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ScenarioConfig:
     t_start = _require_number(grid_spec, "t_start", "grid")
     t_end = _require_number(grid_spec, "t_end", "grid")
     n_steps = grid_spec.get("n_steps")
-    if isinstance(n_steps, bool) or not isinstance(n_steps, int):
+    if not isinstance(n_steps, int) or not _is_finite(n_steps):
         raise ConfigError("grid: n_steps must be an integer")
     try:
         grid = TimeGrid(t_start=t_start, t_end=t_end, n_steps=n_steps)

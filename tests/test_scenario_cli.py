@@ -14,6 +14,7 @@ from split_quad import first_order_block
 
 from spinpair.cli import main
 from spinpair.errors import ConfigError, IoError
+from spinpair.fields import Tabulated
 from spinpair.propagators import full_propagator_paths
 from spinpair.scenario import (
     _write_table,
@@ -66,6 +67,25 @@ class TestConfigValidation:
     def test_negative_steps(self):
         bad = base_config()
         bad["grid"]["n_steps"] = -5
+        with pytest.raises(ConfigError):
+            parse_config(bad)
+
+    def test_steps_beyond_float_range(self):
+        bad = base_config()
+        bad["grid"]["n_steps"] = 10**400
+        with pytest.raises(ConfigError):
+            parse_config(bad)
+
+    @pytest.mark.parametrize("sample", [math.nan, math.inf, -math.inf])
+    def test_tabulated_samples_must_be_finite(self, sample):
+        bad = base_config(profile={"kind": "tabulated", "times": [0.0, 2.5, 5.0],
+                                   "omegas": [1.0, sample, 2.0]})
+        with pytest.raises(ConfigError):
+            parse_config(bad)
+
+    def test_tabulated_times_must_be_finite(self):
+        bad = base_config(profile={"kind": "tabulated", "times": [0.0, 5.0, math.inf],
+                                   "omegas": [1.0, 1.5, 2.0]})
         with pytest.raises(ConfigError):
             parse_config(bad)
 
@@ -351,6 +371,10 @@ def test_shipped_scenarios_parse():
 
 SHIPPED = {path.name: json.loads(path.read_text())
            for path in sorted(SCENARIOS.glob("*.json"))}
+# no shipped scenario has a tabulated drive; this one lets the fuzz reach its samples
+FUZZ_BASES = dict(SHIPPED, tabulated=dict(
+    SHIPPED["lz_sweep.json"],
+    profile={"kind": "tabulated", "times": [0.0, 100.0, 200.0], "omegas": [-4.0, 0.0, 4.0]}))
 
 
 def _value_paths(doc, prefix=()):
@@ -374,13 +398,13 @@ _JSON = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4)
 _PAIRS = st.lists(st.lists(_SCALARS, min_size=2, max_size=2), min_size=4, max_size=4)
 
 
-@pytest.mark.parametrize("name", sorted(SHIPPED))
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@pytest.mark.parametrize("name", sorted(FUZZ_BASES))
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(data=st.data(), value=_JSON | _PAIRS | _NONFINITE)
 def test_parse_config_fuzz(name, data, value):
     """A shipped scenario with one value or section replaced by drawn JSON
     parses to a finite, normalized config or raises ConfigError/IoError."""
-    doc = copy.deepcopy(SHIPPED[name])
+    doc = copy.deepcopy(FUZZ_BASES[name])
     path = data.draw(st.sampled_from(list(_value_paths(doc))))
     if path:
         parent = doc
@@ -395,3 +419,7 @@ def test_parse_config_fuzz(name, data, value):
         return
     assert abs(np.linalg.norm(cfg.initial_state) - 1.0) <= 1e-8
     assert all(math.isfinite(v) for v in (cfg.sweep or {}).get("values", []))
+    assert math.isfinite(cfg.grid.dt)
+    if isinstance(cfg.params.profile, Tabulated):
+        assert np.all(np.isfinite(cfg.params.profile.times))
+        assert np.all(np.isfinite(cfg.params.profile.omegas))
