@@ -10,12 +10,17 @@ Exit codes: 0 success, 2 config error, 3 compute error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .errors import ConfigError, IoError, SpinPairError
-from .scenario import load_config, run_scenario, run_sweep, run_validation
+from .scenario import (
+    load_config,
+    run_scenario,
+    run_sweep,
+    run_validation,
+    write_outputs,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -59,11 +64,8 @@ def main(argv=None) -> int:
                     print(f"{state}  {name}: {entry['value']:.3e} "
                           f"(threshold {entry['threshold']:.1e})")
             if args.out:
-                out = Path(args.out)
-                out.mkdir(parents=True, exist_ok=True)
-                with open(out / "validation.json", "w", newline="\n") as fh:
-                    json.dump(report, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
+                write_outputs(Path(args.out), args.format, report,
+                              name="validation.json")
             return EXIT_OK if report["all_pass"] else EXIT_COMPUTE
         if args.command == "sweep":
             run_sweep(config, Path(args.out), fmt=args.format, quiet=args.quiet)
@@ -75,10 +77,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except IoError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (IoError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except SpinPairError as exc:

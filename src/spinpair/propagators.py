@@ -102,15 +102,18 @@ class Trajectory:
     """States and node propagators produced by the reference integrator.
 
     ``states`` are lab-frame amplitudes at the grid nodes; for the two special
-    orientations the frame amplitudes are carried alongside (they are related
-    by the frame rotation at every node).  ``propagators`` are in the frame
-    the run was integrated in.
+    orientations the frame amplitudes are carried alongside, with the node
+    frame rotations ``T(t_k)`` that relate the two (``states[k] = rotations[k]
+    @ adiabatic_states[k]``); both are ``None`` at any other orientation and
+    for a gapless frame.  ``propagators`` are in the frame the run was
+    integrated in.
     """
 
     grid: TimeGrid
     frame: Frame
     states: np.ndarray
     adiabatic_states: np.ndarray | None
+    rotations: np.ndarray | None
     propagators: np.ndarray
     halvings: int
     error_estimate: float
@@ -391,7 +394,7 @@ def reference_propagate(params: SystemParams, grid: TimeGrid, psi0: np.ndarray,
     times = grid.times()
     native_states = np.einsum("nij,j->ni", current, psi0)
     lab_states = native_states
-    adiabatic_states = None
+    adiabatic_states = rotations = None
     if params.is_special_orientation:
         try:
             rotations = frame_rotations(params, times)
@@ -413,6 +416,7 @@ def reference_propagate(params: SystemParams, grid: TimeGrid, psi0: np.ndarray,
         frame=frame,
         states=lab_states,
         adiabatic_states=adiabatic_states,
+        rotations=rotations,
         propagators=current,
         halvings=halvings,
         error_estimate=estimate,

@@ -16,12 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    ADIABATIC_WARNING_THRESHOLD,
-    compare_solutions,
-    lz_asymptotic,
-    populations,
-)
+from .analysis import compare_solutions, lz_asymptotic, populations
 from .errors import ConfigError, IoError
 from .fields import (
     Constant,
@@ -50,7 +45,6 @@ from .propagators import (
     Frame,
     TimeGrid,
     fixed_step_propagators,
-    frame_rotations,
     reference_propagate,
 )
 
@@ -62,6 +56,7 @@ _INTEGRATOR_KEYS = {"tol_per_time", "max_halvings"}
 _SWEEP_KEYS = {"parameter", "values"}
 _OUTPUT_KINDS = ("trajectory", "comparison", "propagator")
 _CSV_BLOCK_ROWS = 256
+ADIABATIC_WARNING_THRESHOLD = 0.1  # max |eta| above which a run is flagged
 
 _PROFILE_SCHEMAS = {
     "constant": {"omega0"},
@@ -343,10 +338,6 @@ def run_scenario(config: ScenarioConfig, out_dir, fmt: str = "csv",
     Everything is computed before anything is written, so a failed run leaves
     no partial outputs.  Returns the run report (also written as report.json).
     """
-    if fmt not in {"csv", "json"}:
-        raise ConfigError(f"format must be 'csv' or 'json', got {fmt!r}")
-    out_dir = Path(out_dir)
-
     trajectory, eta, comparison, summary = _run_point(
         config, "comparison" in config.outputs)
     times = trajectory.times()
@@ -357,8 +348,7 @@ def run_scenario(config: ScenarioConfig, out_dir, fmt: str = "csv",
         "summary": summary,
     }
 
-    ext = "csv" if fmt == "csv" else "json"
-    writes = []
+    tables = {}
     if "trajectory" in config.outputs:
         header = ["t"]
         columns = [times]
@@ -377,41 +367,29 @@ def run_scenario(config: ScenarioConfig, out_dir, fmt: str = "csv",
         if comparison is not None:
             header += ["infidelity_zeroth", "infidelity_first"]
             columns += [comparison.infidelity_zeroth, comparison.infidelity_first]
-        writes.append((f"trajectory.{ext}", header, columns))
-        report["outputs"]["trajectory"] = f"trajectory.{ext}"
+        tables["trajectory"] = header, columns
 
     if comparison is not None:
         header = ["t", "infidelity_zeroth", "infidelity_first", "eta"]
-        columns = [comparison.times, comparison.infidelity_zeroth,
+        columns = [times, comparison.infidelity_zeroth,
                    comparison.infidelity_first, eta]
-        writes.append((f"comparison.{ext}", header, columns))
-        report["outputs"]["comparison"] = f"comparison.{ext}"
+        tables["comparison"] = header, columns
 
     if "propagator" in config.outputs:
         lab_props = trajectory.propagators
         if trajectory.frame is Frame.ADIABATIC:
-            rot = frame_rotations(config.params, times)
-            rot0 = rot[0]
+            rot = trajectory.rotations
             lab_props = np.einsum("nij,njk,lk->nil", rot, trajectory.propagators,
-                                  np.conj(rot0))
+                                  np.conj(rot[0]))
         header = ["t"]
         columns = [times]
         for i in range(4):
             for j in range(4):
                 header += [f"re_u{i + 1}{j + 1}", f"im_u{i + 1}{j + 1}"]
                 columns += [lab_props[:, i, j].real, lab_props[:, i, j].imag]
-        writes.append((f"propagator.{ext}", header, columns))
-        report["outputs"]["propagator"] = f"propagator.{ext}"
+        tables["propagator"] = header, columns
 
-    report["outputs"]["report"] = "report.json"
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"cannot create {out_dir}: {exc}") from exc
-    for name, header, columns in writes:
-        _write_table(out_dir / name, header, columns, fmt)
-    _write_report(out_dir / "report.json", report)
-
+    write_outputs(out_dir, fmt, report, tables)
     if not quiet:
         for key, value in summary.items():
             print(f"{key}: {value}")
@@ -477,7 +455,28 @@ def _summarize(config: ScenarioConfig, trajectory, eta, comparison) -> dict:
     return summary
 
 
-def _write_report(path: Path, report: dict) -> None:
+def write_outputs(out_dir, fmt: str, report: dict, tables: dict | None = None,
+                  name: str = "report.json") -> None:
+    """Write a run's tables and its JSON report into ``out_dir``.
+
+    ``tables`` maps an output kind to its ``(header, columns)``; each is
+    written as ``<kind>.<fmt>`` and listed, with the report itself, in
+    ``report["outputs"]``.  ``fmt`` is checked before the directory is
+    created, so a rejected format writes nothing.
+    """
+    if fmt not in {"csv", "json"}:
+        raise ConfigError(f"format must be 'csv' or 'json', got {fmt!r}")
+    out_dir = Path(out_dir)
+    if tables is not None:
+        report["outputs"] = {**{kind: f"{kind}.{fmt}" for kind in tables},
+                             "report": name}
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create {out_dir}: {exc}") from exc
+    for kind, (header, columns) in (tables or {}).items():
+        _write_table(out_dir / f"{kind}.{fmt}", header, columns, fmt)
+    path = out_dir / name
     try:
         with open(path, "w", newline="\n") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
@@ -562,16 +561,7 @@ def run_sweep(config: ScenarioConfig, out_dir, fmt: str = "csv",
         "summary": {"parameter": parameter, "scheme": summary["scheme"],
                     "points": rows},
     }
-    ext = "csv" if fmt == "csv" else "json"
-    report["outputs"]["sweep"] = f"sweep.{ext}"
-    report["outputs"]["report"] = "report.json"
-    try:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"cannot create {out_dir}: {exc}") from exc
-    _write_table(out_dir / f"sweep.{ext}", header, columns, fmt)
-    _write_report(out_dir / "report.json", report)
+    write_outputs(out_dir, fmt, report, {"sweep": (header, columns)})
     if not quiet:
         for row in rows:
             print(row)

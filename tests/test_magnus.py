@@ -209,3 +209,41 @@ def test_magnus_reference_within_midpoint_certificate(theta, zeta, a_par, a_perp
     assert np.max(np.abs(magnus.propagators - midpoint)) <= tol_per_time * grid.duration
     assert unitarity_defect(magnus.propagators) <= 1e-12
     assert np.all(magnus.propagators[:, ~BLOCK_MASK] == 0.0)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(theta=st.sampled_from([0.0, THETA_PERPENDICULAR]),
+       zeta=st.floats(-0.5, 0.5),
+       a_par=st.floats(0.2, 2.0),
+       a_perp=st.floats(0.2, 2.0),
+       profile=smooth_profiles(),
+       t_start=st.floats(-5.0, 0.0),
+       duration=st.floats(1.0, 10.0),
+       n_steps=st.integers(4, 80),
+       index=st.integers(0, 3))
+def test_lab_frame_round_trip_and_rerun(theta, zeta, a_par, a_perp, profile,
+                                        t_start, duration, n_steps, index):
+    # the same physical start, frame basis state ``index``, in both frames
+    p = SystemParams(a_par, a_perp, zeta, theta, profile)
+    grid = TimeGrid(t_start, t_start + duration, n_steps)
+    tol_per_time = 1e-8
+
+    def runs():
+        frame = reference_propagate(p, grid, np.eye(4)[index], Frame.ADIABATIC,
+                                    tol_per_time=tol_per_time)
+        lab = reference_propagate(p, grid, frame.states[0], Frame.LAB,
+                                  tol_per_time=tol_per_time)
+        return frame, lab
+
+    frame, lab = runs()
+    for traj in (frame, lab):
+        lab_states = np.einsum("nij,nj->ni", traj.rotations, traj.adiabatic_states)
+        assert np.max(np.abs(lab_states - traj.states)) <= 1e-14
+    # each run is certified to tol_per_time * duration
+    assert (np.max(np.abs(lab.states - frame.states))
+            <= 2.0 * tol_per_time * grid.duration)
+    for first, again in zip((frame, lab), runs()):
+        for name in ("states", "adiabatic_states", "rotations", "propagators"):
+            assert getattr(first, name).tobytes() == getattr(again, name).tobytes()
+        assert (first.halvings, first.error_estimate) == (again.halvings,
+                                                          again.error_estimate)

@@ -4,6 +4,8 @@ import math
 from pathlib import Path
 
 import spinpair.analysis
+import spinpair.fields
+import spinpair.propagators
 import spinpair.scenario
 
 import numpy as np
@@ -14,9 +16,11 @@ from split_quad import first_order_block
 
 from spinpair.cli import main
 from spinpair.errors import ConfigError, IoError
-from spinpair.fields import Tabulated
+from spinpair.fields import FieldProfile, Tabulated
+from spinpair.linalg import unitarity_defect
 from spinpair.propagators import full_propagator_paths
 from spinpair.scenario import (
+    ADIABATIC_WARNING_THRESHOLD,
     _write_table,
     load_config,
     parse_config,
@@ -228,6 +232,88 @@ class TestRunScenario:
         assert len(report["summary"]["points"]) == 3
         assert len(set(calls[1:])) == 3
 
+    def test_compared_point_reads_node_data_once(self, tmp_path, monkeypatch):
+        # the comparison reuses the reference's node rotations and the run's
+        # eta profile; the field is evaluated on the nodes by the rotations,
+        # the eta profile and the gauge diagnostics only
+        cfg = load_config(SCENARIOS / "tanh_compare.json")
+        nodes = cfg.grid.times()
+        counts = {"evaluate": 0, "frame_rotations": 0, "adiabaticity_profile": 0}
+        evaluate = FieldProfile.evaluate
+
+        def counting_evaluate(self, t):
+            if np.shape(t) == nodes.shape and np.array_equal(t, nodes):
+                counts["evaluate"] += 1
+            return evaluate(self, t)
+
+        monkeypatch.setattr(FieldProfile, "evaluate", counting_evaluate)
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        wrappers = {
+            "frame_rotations": counted("frame_rotations",
+                                       spinpair.propagators.frame_rotations),
+            "adiabaticity_profile": counted("adiabaticity_profile",
+                                            spinpair.fields.adiabaticity_profile),
+        }
+        # wrapped under every module name it is looked up by
+        for module in (spinpair.fields, spinpair.propagators,
+                       spinpair.analysis, spinpair.scenario):
+            for name, wrapper in wrappers.items():
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
+        run_scenario(cfg, tmp_path)
+        assert counts["evaluate"] <= 3
+        assert counts["frame_rotations"] == 1
+        assert counts["adiabaticity_profile"] == 1
+
+    @pytest.mark.parametrize("orientation", ["parallel", "perpendicular"])
+    def test_propagator_dump_from_frame_start(self, tmp_path, orientation):
+        # a phi* start integrates in the frame and converts R(t) U R(t0)^dagger;
+        # a chi* start integrates the lab propagator directly
+        config = base_config(outputs=["propagator"])
+        config["system"]["orientation"] = orientation
+        config["profile"] = {"kind": "tanh", "omega_mid": 3.0,
+                             "amplitude": 2.0, "tau": 2.0}
+        config["grid"] = {"t_start": -4.0, "t_end": 8.0, "n_steps": 120}
+        config["integrator"] = {"tol_per_time": 1e-9}
+        dumps = {}
+        for start in ("phi2", "chi2"):
+            cfg = parse_config(dict(config, initial_state=start))
+            run_scenario(cfg, tmp_path / start)
+            table = np.loadtxt(tmp_path / start / "propagator.csv", delimiter=",",
+                               skiprows=1)
+            dumps[start] = (table[:, 1::2] + 1j * table[:, 2::2]).reshape(-1, 4, 4)
+        target = 2.0 * cfg.tol_per_time * cfg.grid.duration
+        assert np.max(np.abs(dumps["phi2"] - dumps["chi2"])) <= target
+        assert unitarity_defect(dumps["phi2"]) <= 1e-12
+
+    def test_summary_flags_fast_ramp(self, tmp_path):
+        config = base_config(outputs=["comparison"])
+        config["profile"] = {"kind": "tanh", "omega_mid": 0.5,
+                             "amplitude": 2.0, "tau": 0.5}
+        config["grid"] = {"t_start": -1.0, "t_end": 2.0, "n_steps": 200}
+        summary = run_scenario(parse_config(config), tmp_path)["summary"]
+        eta = np.loadtxt(tmp_path / "comparison.csv", delimiter=",",
+                         skiprows=1)[:, 3]
+        assert summary["max_eta"] == np.max(np.abs(eta))
+        assert summary["max_eta"] > ADIABATIC_WARNING_THRESHOLD
+        assert summary["adiabatic_warning"]
+
+    def test_unknown_format_writes_nothing(self, tmp_path):
+        config = base_config(outputs=["comparison"])
+        config["sweep"] = {"parameter": "rate", "values": [1.0, 0.5]}
+        config["profile"] = {"kind": "linear", "omega_start": 1.0, "rate": 0.1}
+        cfg = parse_config(config)
+        for run in (run_scenario, run_sweep):
+            with pytest.raises(ConfigError):
+                run(cfg, tmp_path / "out", fmt="xml")
+            assert not (tmp_path / "out").exists()
+
     def test_custom_initial_state(self, tmp_path):
         amp = 1.0 / np.sqrt(2.0)
         cfg = parse_config(base_config(
@@ -322,6 +408,24 @@ class TestCli:
                      "--out", str(tmp_path / "out")])
         assert code == 0
         assert (tmp_path / "out" / "validation.json").exists()
+
+    def test_validate_report_bytes(self, tmp_path):
+        config = base_config(outputs=["trajectory"])
+        path = self.write(tmp_path, config)
+        code = main(["validate", "--config", str(path), "--quiet",
+                     "--out", str(tmp_path / "out")])
+        assert code == 0
+        expected = json.dumps(run_validation(parse_config(config)), indent=2,
+                              sort_keys=True) + "\n"
+        assert (tmp_path / "out" / "validation.json").read_bytes() == expected.encode()
+
+    def test_validate_unwritable_out_is_io_error(self, tmp_path):
+        path = self.write(tmp_path, base_config(outputs=["trajectory"]))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["validate", "--config", str(path), "--quiet",
+                     "--out", str(blocker / "out")])
+        assert code == 4
 
     @pytest.mark.parametrize("n_steps", [2, 9])
     def test_tabulated_compare_knots_inside_and_on_cells(self, tmp_path, n_steps):
