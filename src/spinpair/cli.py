@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Usage: ``spinpair <subcommand> --config <path> --out <dir> [--format csv|json]
-[--quiet]``.  Physics lives in the config file; flags only select paths and
-formats.  No environment variables are consulted.
+[--quiet]``; ``validate`` writes JSON only.  Physics lives in the config file;
+flags only select paths and formats.  No environment variables are consulted.
 
 Exit codes: 0 success, 2 config error, 3 compute error, 4 I/O error.
 """
@@ -44,7 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="scenario JSON file")
         cmd.add_argument("--out", required=(name != "validate"),
                          help="output directory")
-        cmd.add_argument("--format", choices=("csv", "json"), default="csv")
+        if name != "validate":
+            cmd.add_argument("--format", choices=("csv", "json"), default="csv")
         cmd.add_argument("--quiet", action="store_true")
     return parser
 
@@ -64,7 +65,7 @@ def main(argv=None) -> int:
                     print(f"{state}  {name}: {entry['value']:.3e} "
                           f"(threshold {entry['threshold']:.1e})")
             if args.out:
-                write_outputs(Path(args.out), args.format, report,
+                write_outputs(Path(args.out), "json", report,
                               name="validation.json")
             return EXIT_OK if report["all_pass"] else EXIT_COMPUTE
         if args.command == "sweep":

@@ -10,16 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonHermitianInput, NonNormalizedInput, NonUnitaryInput
+from .errors import NonHermitianInput, NonNormalizedInput
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
-IDENTITY_4 = np.eye(4, dtype=complex)
 
-HERMITIAN_TAG_TOL = 1e-12
-UNITARY_TAG_TOL = 1e-10
 STATE_NORM_TOL = 1e-8
 EXPM_HERMITIAN_TOL = 1e-9
 
@@ -40,18 +36,6 @@ def unitarity_defect(u: np.ndarray) -> float:
     u = np.asarray(u)
     eye = np.eye(u.shape[-1], dtype=complex)
     return float(np.max(np.abs(dagger(u) @ u - eye)))
-
-
-def assert_hermitian(m: np.ndarray, tol: float = HERMITIAN_TAG_TOL) -> None:
-    defect = hermiticity_defect(m)
-    if not defect <= tol:
-        raise NonHermitianInput(f"hermiticity defect {defect:.3e} exceeds {tol:.1e}")
-
-
-def assert_unitary(u: np.ndarray, tol: float = UNITARY_TAG_TOL) -> None:
-    defect = unitarity_defect(u)
-    if not defect <= tol:
-        raise NonUnitaryInput(f"unitarity defect {defect:.3e} exceeds {tol:.1e}")
 
 
 def kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -12,8 +12,8 @@ Two independent routes to the same dynamics live here.
   the lab), and the blocks are propagated on their own (closed-form Pauli
   exponentials, entrywise 2x2 products, a log-depth prefix product over the
   cells); any other orientation propagates the full 4x4 generator.  The step
-  is the fourth-order Gauss Magnus step at the special orientations with a
-  smooth drive (no knots), else the second-order exponential midpoint rule.
+  is the fourth-order Gauss Magnus step at the special orientations when the
+  budget allows two halvings, else the second-order exponential midpoint rule.
 
 * ``full_propagator_paths`` is the block route: the unperturbed propagator
   of each 2x2 block is a pair of accumulated dynamical phases, the gauge
@@ -21,11 +21,12 @@ Two independent routes to the same dynamics live here.
   and the time-ordered exponential is approximated by exponentiating its
   first Magnus term.  That keeps every block exactly unitary (|alpha|^2 +
   |beta|^2 = 1) while agreeing with the plain first-order expansion to
-  leading order in the drive rate.  Its running integrals are taken over the
-  grid cells cut at the profile's knots, so the kinks of a tabulated drive's
-  rate sit on cell edges; each quadrature refinement level evaluates the field
-  once for both blocks, and the running phase at the Gauss nodes comes from
-  the integration matrix applied to the splittings there.
+  leading order in the drive rate.  Each quadrature refinement level
+  evaluates the field once for both blocks, and the running phase at the
+  Gauss nodes comes from the integration matrix applied to the splittings.
+
+Both routes step over the grid cells cut at the profile's knots (``_cells``),
+so a tabulated drive's rate kinks only on cell edges, never inside a step.
 """
 
 from __future__ import annotations
@@ -123,6 +124,21 @@ class Trajectory:
         return self.grid.times()
 
 
+def _cells(params: SystemParams, grid: TimeGrid):
+    """``(edges, widths, on_grid)``: the grid nodes merged with the profile's
+    interior knots, each cell's width (``grid.dt`` itself for a cell no knot
+    cuts) and a mask of the edges that are grid nodes."""
+    times = grid.times()
+    knots = params.profile.knots
+    knots = knots[(knots > times[0]) & (knots < times[-1])]
+    if knots.size == 0:
+        return times, np.full(grid.n_steps, grid.dt), np.ones(times.size, dtype=bool)
+    edges = np.union1d(times, knots)
+    on_grid = np.isin(edges, times)
+    widths = np.where(on_grid[:-1] & on_grid[1:], grid.dt, np.diff(edges))
+    return edges, widths, on_grid
+
+
 def _scatter_blocks(central: np.ndarray, corner: np.ndarray) -> np.ndarray:
     """Stacked 4x4 matrices holding stacked central and corner 2x2 blocks in
     their product-basis slots, with exact zeros elsewhere."""
@@ -145,13 +161,11 @@ def _block_paths(params: SystemParams, grid: TimeGrid):
 
     The integrand rows are each block's splitting ``g`` and, for a coupled
     block, ``-rate sin(Phi)`` and ``-rate cos(Phi)`` with ``Phi = int g``.
-    They are integrated over the grid cells cut at the profile's interior
-    knots: a C1 table's rate kinks there, and a kink inside a cell at a
-    non-dyadic position stalls the quadrature's refinement.
+    They are integrated over the knot-cut cells: a kink inside a cell at a
+    non-dyadic position would stall the quadrature's refinement.
     """
-    times = grid.times()
-    knots = params.profile.knots
-    edges = np.union1d(times, knots[(knots > times[0]) & (knots < times[-1])])
+    edges, _, on_grid = _cells(params, grid)
+    times = edges[on_grid]
     keys = (BLOCK_CENTRAL, BLOCK_CORNER)
     coupled = [block_coupling(params, key) != 0.0 for key in keys]
 
@@ -167,7 +181,7 @@ def _block_paths(params: SystemParams, grid: TimeGrid):
         return np.stack(rows)
 
     cumulative = cumulative_integral(integrand, edges)
-    rows = iter(cumulative[:, np.searchsorted(edges, times)])
+    rows = iter(cumulative[:, on_grid])
     paths = []
     for key, has_rate in zip(keys, coupled):
         half = np.exp(-0.5j * next(rows))
@@ -255,23 +269,23 @@ def _prefix_product(units: np.ndarray) -> np.ndarray:
     return out
 
 
-def _midpoint_chunks(grid: TimeGrid, m: int, nodes: int = 1):
-    """``(c0, c1, midpoints)`` for consecutive runs of grid cells, holding
-    about ``_CHUNK_SUBSTEPS`` generator points (``nodes`` per substep) each."""
-    edges = grid.times()
-    offsets = (np.arange(m) + 0.5) * (grid.dt / m)
+def _midpoint_chunks(edges: np.ndarray, widths: np.ndarray, m: int, nodes: int = 1):
+    """``(c0, c1, midpoints, h)`` for consecutive runs of cells, holding about
+    ``_CHUNK_SUBSTEPS`` points (``nodes`` per substep) each; ``h`` the substep widths."""
+    fractions = np.arange(m) + 0.5
     cells_per_chunk = max(1, _CHUNK_SUBSTEPS // (m * nodes))
-    for c0 in range(0, grid.n_steps, cells_per_chunk):
-        c1 = min(grid.n_steps, c0 + cells_per_chunk)
-        yield c0, c1, (edges[c0:c1, None] + offsets[None, :]).reshape(-1)
+    for c0 in range(0, widths.size, cells_per_chunk):
+        c1 = min(widths.size, c0 + cells_per_chunk)
+        h = np.repeat(widths[c0:c1, None] / m, m, axis=1)
+        yield c0, c1, (edges[c0:c1, None] + fractions * h).reshape(-1), h.reshape(-1)
 
 
-def _full_nodes(params: SystemParams, grid: TimeGrid, m: int) -> np.ndarray:
-    h = grid.dt / m
-    u_nodes = np.empty((grid.n_steps + 1, 4, 4), dtype=complex)
+def _full_nodes(params: SystemParams, edges: np.ndarray, widths: np.ndarray,
+                m: int) -> np.ndarray:
+    u_nodes = np.empty((widths.size + 1, 4, 4), dtype=complex)
     u_nodes[0] = np.eye(4)
     acc = np.eye(4, dtype=complex)
-    for c0, c1, midpoints in _midpoint_chunks(grid, m):
+    for c0, c1, midpoints, h in _midpoint_chunks(edges, widths, m):
         generators = hamiltonian_batch(params, midpoints)
         steps = expm_unitary(generators, h).reshape(c1 - c0, m, 4, 4)
         cell_units = _ordered_product(steps)
@@ -288,12 +302,11 @@ def _block_generators(params: SystemParams, frame: Frame, times: np.ndarray) -> 
     return np.moveaxis(hamiltonian_batch(params, times)[:, _BLOCK_ROWS, _BLOCK_COLS], 1, 0)
 
 
-def _block_nodes(params: SystemParams, grid: TimeGrid, frame: Frame,
-                 m: int, order: int) -> np.ndarray:
-    h = grid.dt / m
-    blocks = np.empty((2, grid.n_steps + 1, 2, 2), dtype=complex)
+def _block_nodes(params: SystemParams, edges: np.ndarray, widths: np.ndarray,
+                 frame: Frame, m: int, order: int) -> np.ndarray:
+    blocks = np.empty((2, widths.size + 1, 2, 2), dtype=complex)
     blocks[:, 0] = np.eye(2)
-    for c0, c1, midpoints in _midpoint_chunks(grid, m, order // 2):
+    for c0, c1, midpoints, h in _midpoint_chunks(edges, widths, m, order // 2):
         if order == 2:
             generators = _block_generators(params, frame, midpoints)
         else:
@@ -302,7 +315,8 @@ def _block_nodes(params: SystemParams, grid: TimeGrid, frame: Frame,
             nodes = np.concatenate([midpoints - offset, midpoints + offset])
             early, late = np.split(_block_generators(params, frame, nodes), 2, axis=1)
             commutator = _mul2(late, early) - _mul2(early, late)
-            generators = 0.5 * (early + late) - (1j * _GAUSS_OFFSET / 2.0 * h) * commutator
+            generators = (0.5 * (early + late)
+                          - (1j * _GAUSS_OFFSET / 2.0 * h)[:, None, None] * commutator)
         steps = expm_unitary(generators, h).reshape(2 * (c1 - c0), m, 2, 2)
         cell_units = _ordered_product(steps, _mul2).reshape(2, c1 - c0, 2, 2)
         blocks[:, c0 + 1:c1 + 1] = _mul2(_prefix_product(cell_units),
@@ -312,16 +326,17 @@ def _block_nodes(params: SystemParams, grid: TimeGrid, frame: Frame,
 
 def fixed_step_propagators(params: SystemParams, grid: TimeGrid, frame: Frame,
                            substeps: int = 1, order: int = 2) -> np.ndarray:
-    """Node propagators from ``substeps`` steps per grid cell.
+    """Node propagators from ``substeps`` steps per knot-cut cell.
 
     ``order=2`` is the exponential midpoint rule ``exp(-i h H(t_mid))``;
     ``order=4`` (special orientations only) the two-point Gauss Magnus step
     ``exp(-i h Hbar)``, ``Hbar = (H1 + H2)/2 - i (sqrt(3)/12) h [H2, H1]`` with
     ``H1,2`` the generator at ``t_mid -+ (sqrt(3)/6) h``.  ``substeps`` must be
-    a power of two.  Returns shape ``(n_steps + 1, 4, 4)`` with the identity at
-    the first node.  At the two special orientations the central and corner
-    2x2 blocks are propagated on their own and the entries off the blocks are
-    exact zeros; any other ``theta`` propagates the full 4x4 generator.
+    a power of two.  Returns the rows at the grid nodes, shape ``(n_steps + 1,
+    4, 4)``, with the identity at the first node.  At the two special
+    orientations the central and corner 2x2 blocks are propagated on their own
+    and the entries off the blocks are exact zeros; any other ``theta``
+    propagates the full 4x4 generator.
     """
     if substeps < 1 or substeps & (substeps - 1):
         raise ValueError("substeps must be a positive power of two")
@@ -329,11 +344,12 @@ def fixed_step_propagators(params: SystemParams, grid: TimeGrid, frame: Frame,
         raise ValueError("order must be 2 (midpoint) or 4 (Gauss Magnus)")
     if frame is Frame.ADIABATIC:
         params.require_special_orientation()
+    edges, widths, on_grid = _cells(params, grid)
     if params.is_special_orientation:
-        return _block_nodes(params, grid, frame, substeps, order)
+        return _block_nodes(params, edges, widths, frame, substeps, order)[on_grid]
     if order == 4:
         raise ValueError("the fourth-order step needs a special orientation")
-    return _full_nodes(params, grid, substeps)
+    return _full_nodes(params, edges, widths, substeps)[on_grid]
 
 
 def reference_propagate(params: SystemParams, grid: TimeGrid, psi0: np.ndarray,
@@ -342,16 +358,16 @@ def reference_propagate(params: SystemParams, grid: TimeGrid, psi0: np.ndarray,
                         max_halvings: int = 12) -> Trajectory:
     """Brute-force trajectory with certified accuracy.
 
-    The substep count per grid cell doubles until the Richardson estimate of
-    the remaining error, the largest node-propagator change between
+    The substep count per knot-cut cell doubles until the Richardson estimate
+    of the remaining error, the largest node-propagator change between
     consecutive levels over ``2**order - 1``, drops below
     ``tol_per_time * duration``.  The fourth-order Magnus step serves at the
-    special orientations when the drive has no knots and the budget allows two
-    halvings; it certifies from the second halving on, once the previous change
-    is ``_REGIME_RATIO`` times the current one or at the round-off floor.
-    Tabulated drives (C1, kinked rate) and general ``theta`` use the midpoint
-    rule.  A change at the round-off floor with the estimate above target
-    raises ``ToleranceNotMet`` at once.  ``psi0`` is interpreted in ``frame``.
+    special orientations when the budget allows two halvings; it certifies
+    from the second halving on, once the previous change is ``_REGIME_RATIO``
+    times the current one or at the round-off floor.  General ``theta`` uses
+    the midpoint rule.  A change at the round-off floor with the estimate
+    above target raises ``ToleranceNotMet`` at once.  ``psi0`` is interpreted
+    in ``frame``.
     """
     psi0 = np.asarray(psi0, dtype=complex).reshape(4)
     deviation = abs(np.linalg.norm(psi0) - 1.0)
@@ -360,8 +376,8 @@ def reference_propagate(params: SystemParams, grid: TimeGrid, psi0: np.ndarray,
     if frame is Frame.ADIABATIC:
         params.require_special_orientation()
 
-    order = 4 if (params.is_special_orientation and params.profile.knots.size == 0
-                  and max_halvings >= 2) else 2
+    order = 4 if params.is_special_orientation and max_halvings >= 2 else 2
+    cells = _cells(params, grid)[1].size
     target = tol_per_time * grid.duration
     substeps = 1
     previous = fixed_step_propagators(params, grid, frame, substeps, order=order)
@@ -372,7 +388,7 @@ def reference_propagate(params: SystemParams, grid: TimeGrid, psi0: np.ndarray,
         current = fixed_step_propagators(params, grid, frame, substeps, order=order)
         change = float(np.max(np.abs(current - previous)))
         estimate = change / (2 ** order - 1)
-        floor = _ROUNDOFF_PER_STEP * grid.n_steps * substeps
+        floor = _ROUNDOFF_PER_STEP * cells * substeps
         halvings += 1
         in_regime = order == 2 or (halvings >= 2 and (
             last_change >= _REGIME_RATIO * change or last_change <= last_floor))

@@ -556,8 +556,7 @@ def run_sweep(config: ScenarioConfig, out_dir, fmt: str = "csv",
         "version": __version__,
         "config": config.raw,
         "outputs": {},
-        # every point shares the orientation, drive kind and budget that
-        # choose the scheme
+        # every point shares the orientation and budget that choose the scheme
         "summary": {"parameter": parameter, "scheme": summary["scheme"],
                     "points": rows},
     }

@@ -67,7 +67,7 @@ def test_magnus_step_needs_a_special_orientation():
 
 
 @pytest.mark.parametrize("name", ["constant_parallel", "lz_sweep", "rate_sweep",
-                                  "tanh_compare"])
+                                  "tabulated_compare", "tanh_compare"])
 def test_schemes_agree_on_shipped_scenarios(name):
     config = load_config(SCENARIOS / f"{name}.json")
     target = config.tol_per_time * config.grid.duration
@@ -151,12 +151,20 @@ def assert_midpoint_fallback(p, grid, frame, tol_per_time, max_halvings):
 
 
 @pytest.mark.parametrize("theta", [0.0, THETA_PERPENDICULAR])
-def test_tabulated_drive_keeps_the_midpoint_rule(theta):
+@pytest.mark.parametrize("order, ratio, slack", [(2, 4.0, 0.1), (4, 16.0, 0.5)])
+def test_knots_inside_cells_keep_the_step_order(theta, order, ratio, slack):
+    # every cell holding a knot is cut there, so each step sees a smooth
+    # generator and successive level changes shrink at the step's order
     profile = Tabulated(np.linspace(-4.0, 8.0, 7),
                         np.array([2.0, 2.4, 3.1, 3.5, 3.2, 3.9, 4.0]))
-    assert profile.knots.size == 5
+    grid = TimeGrid(-4.0, 8.0, 25)
+    assert np.min(np.abs(profile.knots[:, None] - grid.times()[None, :])) > 0.05
     p = SystemParams(1.0, 0.5, 0.1, theta, profile)
-    assert_midpoint_fallback(p, TimeGrid(-4.0, 8.0, 60), Frame.ADIABATIC, 1e-8, 12)
+    levels = [fixed_step_propagators(p, grid, Frame.ADIABATIC, 2 ** k, order)
+              for k in range(7)]
+    changes = [np.max(np.abs(b - a)) for a, b in zip(levels, levels[1:])]
+    ratios = np.array(changes[1:-1]) / np.array(changes[2:])
+    assert np.all(np.abs(ratios - ratio) <= slack), ratios
 
 
 def test_one_halving_budget_keeps_the_midpoint_rule(tmp_path):
@@ -180,6 +188,23 @@ def test_one_halving_budget_keeps_the_midpoint_rule(tmp_path):
         "scheme"] == "magnus4"
 
 
+@st.composite
+def tabulated_profiles(draw, grid):
+    """C1 tables over ``grid`` with knots inside 1-5 of its cells, each at
+    least 5% of a cell away from the nodes."""
+    cells = draw(st.lists(st.integers(0, grid.n_steps - 1), min_size=1, max_size=5,
+                          unique=True))
+    fractions = draw(st.lists(st.floats(0.05, 0.95), min_size=len(cells),
+                              max_size=len(cells)))
+    knots = np.sort(grid.t_start + grid.dt * (np.array(cells) + fractions))
+    times = np.concatenate([[grid.t_start], knots, [grid.t_end]])
+    base, amplitude = draw(st.floats(-3.0, 3.0)), draw(st.floats(0.0, 1.0))
+    return Tabulated(times, base + amplitude * np.sin(1.3 * times))
+
+
+CERTIFICATE_GRID = TimeGrid(-5.0, 5.0, 60)
+
+
 def smooth_profiles():
     positive = st.floats(0.2, 2.0)
     return st.one_of(
@@ -196,12 +221,13 @@ def smooth_profiles():
        zeta=st.floats(-0.5, 0.5),
        a_par=st.floats(0.2, 2.0),
        a_perp=st.floats(0.2, 2.0),
-       profile=smooth_profiles(),
+       profile=tabulated_profiles(CERTIFICATE_GRID) | smooth_profiles(),
        frame=st.sampled_from([Frame.LAB, Frame.ADIABATIC]))
 def test_magnus_reference_within_midpoint_certificate(theta, zeta, a_par, a_perp,
                                                       profile, frame):
+    # tabulated drives put knots inside cells; both schemes step over the cut cells
     p = SystemParams(a_par, a_perp, zeta, theta, profile)
-    grid = TimeGrid(-5.0, 5.0, 60)
+    grid = CERTIFICATE_GRID
     tol_per_time = 1e-8
     magnus = reference_propagate(p, grid, E2, frame, tol_per_time=tol_per_time)
     assert magnus.scheme == "magnus4"

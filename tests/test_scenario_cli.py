@@ -419,6 +419,15 @@ class TestCli:
                               sort_keys=True) + "\n"
         assert (tmp_path / "out" / "validation.json").read_bytes() == expected.encode()
 
+    def test_validate_rejects_format(self, tmp_path):
+        # validate always writes JSON, so a format flag would be ignored
+        path = self.write(tmp_path, base_config(outputs=["trajectory"]))
+        with pytest.raises(SystemExit) as info:
+            main(["validate", "--config", str(path), "--format", "csv", "--quiet",
+                  "--out", str(tmp_path / "out")])
+        assert info.value.code == 2
+        assert not (tmp_path / "out").exists()
+
     def test_validate_unwritable_out_is_io_error(self, tmp_path):
         path = self.write(tmp_path, base_config(outputs=["trajectory"]))
         blocker = tmp_path / "file"
@@ -467,15 +476,15 @@ class TestCli:
 
 
 def test_shipped_scenarios_parse():
-    for name in ("lz_sweep.json", "constant_parallel.json",
-                 "tanh_compare.json", "rate_sweep.json"):
+    for name in ("lz_sweep.json", "constant_parallel.json", "tanh_compare.json",
+                 "tabulated_compare.json", "rate_sweep.json"):
         cfg = load_config(SCENARIOS / name)
         assert cfg.grid.n_steps >= 1
 
 
 SHIPPED = {path.name: json.loads(path.read_text())
            for path in sorted(SCENARIOS.glob("*.json"))}
-# no shipped scenario has a tabulated drive; this one lets the fuzz reach its samples
+# a second tabulated base: three samples spanning the long lz_sweep grid
 FUZZ_BASES = dict(SHIPPED, tabulated=dict(
     SHIPPED["lz_sweep.json"],
     profile={"kind": "tabulated", "times": [0.0, 100.0, 200.0], "omegas": [-4.0, 0.0, 4.0]}))
