@@ -134,7 +134,7 @@ def compare_solutions(params: SystemParams, grid: TimeGrid, initial_index: int,
         raise ValueError(
             f"reference does not start in frame basis state {initial_index}"
         )
-    times, zeroth_nodes, first_nodes = full_propagator_paths(params, grid)
+    _, zeroth_nodes, first_nodes = full_propagator_paths(params, grid)
     zeroth_states = np.einsum("nij,j->ni", zeroth_nodes, phi0)
     first_states = np.einsum("nij,j->ni", first_nodes, phi0)
 
@@ -154,7 +154,7 @@ def compare_solutions(params: SystemParams, grid: TimeGrid, initial_index: int,
             f"lab and frame infidelities disagree by {agreement:.3e}"
         )
 
-    w, wdot = params.profile.evaluate(times)
+    w, wdot = reference.omega, reference.omega_rate
     max_gauge_rate = max_rate_over_gap = 0.0
     for key in (BLOCK_CENTRAL, BLOCK_CORNER):
         gap, rate = block_splitting_and_rate(params, key, w, wdot)

@@ -113,25 +113,19 @@ def block_splitting_and_rate(params: SystemParams, block: str, w, wdot):
             -(c * zfac) * np.asarray(wdot, dtype=float) / gap_sq)
 
 
-def angles_arrays(params: SystemParams, times: np.ndarray):
-    """Vectorized (theta1, theta2, theta1_rate, theta2_rate) over ``times``."""
-    c23 = block_coupling(params, BLOCK_CENTRAL)
-    c14 = block_coupling(params, BLOCK_CORNER)
-    zm = block_zeta_factor(params, BLOCK_CENTRAL)
-    zp = block_zeta_factor(params, BLOCK_CORNER)
-    w, wdot = params.profile.evaluate(np.asarray(times, dtype=float))
+def mixing_angle_arrays(params: SystemParams, w):
+    """Central and corner mixing angles ``(theta1, theta2)`` at field values ``w``."""
     w = np.atleast_1d(np.asarray(w, dtype=float))
-    wdot = np.atleast_1d(np.asarray(wdot, dtype=float))
-    theta1 = _half_angle(c23, w * zm)
-    theta2 = _half_angle(c14, w * zp)
-    _, rate1 = block_splitting_and_rate(params, BLOCK_CENTRAL, w, wdot)
-    _, rate2 = block_splitting_and_rate(params, BLOCK_CORNER, w, wdot)
-    return theta1, theta2, rate1, rate2
+    return tuple(_half_angle(block_coupling(params, key), w * block_zeta_factor(params, key))
+                 for key in (BLOCK_CENTRAL, BLOCK_CORNER))
 
 
 def mixing_angles(params: SystemParams, t: float) -> AdiabaticAngles:
     """Frame angles and their closed-form rates at time ``t``."""
-    theta1, theta2, rate1, rate2 = angles_arrays(params, np.asarray([t], dtype=float))
+    w, wdot = params.profile.evaluate(np.asarray([t], dtype=float))
+    theta1, theta2 = mixing_angle_arrays(params, w)
+    _, rate1 = block_splitting_and_rate(params, BLOCK_CENTRAL, w, wdot)
+    _, rate2 = block_splitting_and_rate(params, BLOCK_CORNER, w, wdot)
     return AdiabaticAngles(
         theta1=float(theta1[0]),
         theta2=float(theta2[0]),
@@ -233,7 +227,6 @@ __all__ = [
     "FrameSnapshot",
     "BLOCK_CENTRAL",
     "BLOCK_CORNER",
-    "angles_arrays",
     "block_coupling",
     "block_diagonal_offset",
     "block_splitting_and_rate",
@@ -245,5 +238,6 @@ __all__ = [
     "frame_unitary",
     "gauge_term",
     "initial_adiabatic_states",
+    "mixing_angle_arrays",
     "mixing_angles",
 ]

@@ -41,12 +41,12 @@ from .errors import DegenerateGap, NonNormalizedInput, ToleranceNotMet
 from .frames import (
     BLOCK_CENTRAL,
     BLOCK_CORNER,
-    angles_arrays,
     block_coupling,
     block_diagonal_offset,
     block_splitting_and_rate,
     effective_h_batch,
     frame_matrices,
+    mixing_angle_arrays,
 )
 from .hamiltonian import _BLOCK_SLOTS, SystemParams, hamiltonian_batch
 from .linalg import STATE_NORM_TOL, expm_unitary
@@ -102,7 +102,8 @@ class Frame(Enum):
 class Trajectory:
     """States and node propagators produced by the reference integrator.
 
-    ``states`` are lab-frame amplitudes at the grid nodes; for the two special
+    ``states`` are lab-frame amplitudes at the grid nodes, where ``omega`` and
+    ``omega_rate`` hold the field and its rate; for the two special
     orientations the frame amplitudes are carried alongside, with the node
     frame rotations ``T(t_k)`` that relate the two (``states[k] = rotations[k]
     @ adiabatic_states[k]``); both are ``None`` at any other orientation and
@@ -115,6 +116,8 @@ class Trajectory:
     states: np.ndarray
     adiabatic_states: np.ndarray | None
     rotations: np.ndarray | None
+    omega: np.ndarray
+    omega_rate: np.ndarray
     propagators: np.ndarray
     halvings: int
     error_estimate: float
@@ -221,10 +224,13 @@ def full_propagator_paths(params: SystemParams, grid: TimeGrid):
             nodes(central.su2_first, corner.su2_first))
 
 
-def frame_rotations(params: SystemParams, times: np.ndarray) -> np.ndarray:
-    """Stacked frame unitaries T(t_k) over an array of times."""
-    th1, th2, _, _ = angles_arrays(params, times)
-    return frame_matrices(th1, th2)
+def frame_rotations(params: SystemParams, times: np.ndarray,
+                    omega: np.ndarray | None = None) -> np.ndarray:
+    """Stacked frame unitaries T(t_k) over an array of times; ``omega``, the
+    field at ``times`` when the caller already has it, is used as given."""
+    if omega is None:
+        omega, _ = params.profile.evaluate(np.asarray(times, dtype=float))
+    return frame_matrices(*mixing_angle_arrays(params, omega))
 
 
 def _ordered_product(steps: np.ndarray, mul=np.matmul) -> np.ndarray:
@@ -408,12 +414,13 @@ def reference_propagate(params: SystemParams, grid: TimeGrid, psi0: np.ndarray,
         previous, last_change, last_floor = current, change, floor
 
     times = grid.times()
+    omega, omega_rate = params.profile.evaluate(times)
     native_states = np.einsum("nij,j->ni", current, psi0)
     lab_states = native_states
     adiabatic_states = rotations = None
     if params.is_special_orientation:
         try:
-            rotations = frame_rotations(params, times)
+            rotations = frame_rotations(params, times, omega)
         except DegenerateGap:
             # gapless frame (a_perp = 0 along the axis): a lab-frame oracle
             # run is still meaningful, it just has no frame companion
@@ -433,6 +440,8 @@ def reference_propagate(params: SystemParams, grid: TimeGrid, psi0: np.ndarray,
         states=lab_states,
         adiabatic_states=adiabatic_states,
         rotations=rotations,
+        omega=omega,
+        omega_rate=omega_rate,
         propagators=current,
         halvings=halvings,
         error_estimate=estimate,

@@ -403,7 +403,7 @@ def _run_point(config: ScenarioConfig, compare: bool):
         config.params, config.grid, config.initial_state, config.initial_frame,
         tol_per_time=config.tol_per_time, max_halvings=config.max_halvings,
     )
-    eta = adiabaticity_profile(config.params.profile, trajectory.times())
+    eta = adiabaticity_profile(trajectory.omega, trajectory.omega_rate)
     comparison = None
     if compare:
         comparison = compare_solutions(

@@ -31,7 +31,7 @@ def params(theta, profile, a_par=1.0, a_perp=0.5, zeta=0.1):
 def max_eta(p, report):
     """Peak field metric over the nodes of the report's reference, as the run
     summary takes it."""
-    eta = adiabaticity_profile(p.profile, report.reference.times())
+    eta = adiabaticity_profile(*p.profile.evaluate(report.reference.times()))
     return float(np.max(np.abs(eta)))
 
 

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from spinpair.errors import OutOfRange
 from spinpair.fields import (
@@ -117,6 +120,73 @@ class TestTabulated:
             Tabulated.from_csv(bad)
 
 
+    def test_two_samples_are_a_straight_line(self):
+        profile = Tabulated(np.array([1.0, 3.0]), np.array([2.0, -1.0]))
+        w, wdot = profile.evaluate(np.array([1.0, 2.5, 3.0]))
+        np.testing.assert_allclose(w, [2.0, -0.25, -1.0], rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(wdot, -1.5, rtol=0.0, atol=1e-15)
+
+
+@st.composite
+def pchip_tables(draw):
+    """2-12 strictly increasing sample times and their values.  Small
+    integers give flat runs and local extrema; sorting gives monotone runs."""
+    n = draw(st.integers(2, 12))
+    gaps = draw(st.lists(st.floats(0.05, 2.0), min_size=n - 1, max_size=n - 1))
+    times = draw(st.floats(-10.0, 10.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    level = st.one_of(st.integers(-3, 3).map(float), st.floats(-5.0, 5.0))
+    omegas = np.array(draw(st.lists(level, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        omegas = np.sort(omegas)
+    return times, omegas
+
+
+def between_samples(times, per_cell):
+    """``per_cell`` evenly spaced points strictly inside each sample interval."""
+    s = np.linspace(0.0, 1.0, per_cell + 2)[1:-1]
+    return (times[:-1, None] + s * np.diff(times)[:, None]).ravel()
+
+
+PCHIP_SETTINGS = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+
+
+@PCHIP_SETTINGS
+@given(table=pchip_tables())
+def test_pchip_matches_scipy(table):
+    times, omegas = table
+    reference = PchipInterpolator(times, omegas)
+    t = np.concatenate([times, between_samples(times, 7)])
+    w, wdot = Tabulated(times, omegas).evaluate(t)
+    scale = np.max(np.abs(omegas))
+    assert np.max(np.abs(w - reference(t))) <= 1e-13 * scale
+    assert np.max(np.abs(wdot - reference.derivative()(t))) <= 1e-11 * scale
+
+
+@PCHIP_SETTINGS
+@given(table=pchip_tables())
+def test_pchip_stays_between_bounding_samples(table):
+    times, omegas = table
+    per_cell = 50
+    w, _ = Tabulated(times, omegas).evaluate(between_samples(times, per_cell))
+    cell = np.repeat(np.arange(times.size - 1), per_cell)
+    slack = 4.0 * np.finfo(float).eps * np.max(np.abs(omegas))
+    assert np.all(w >= np.minimum(omegas[:-1], omegas[1:])[cell] - slack)
+    assert np.all(w <= np.maximum(omegas[:-1], omegas[1:])[cell] + slack)
+
+
+@PCHIP_SETTINGS
+@given(table=pchip_tables())
+def test_pchip_rate_is_continuous_at_knots(table):
+    # a knot belongs to the interval on its right; its left neighbour float
+    # is evaluated on the interval to its left
+    times, omegas = table
+    profile = Tabulated(times, omegas)
+    _, right = profile.evaluate(profile.knots)
+    _, left = profile.evaluate(np.nextafter(profile.knots, -np.inf))
+    jump = np.max(np.abs(left - right), initial=0.0)
+    assert jump <= 1e-9 * max(1.0, np.max(np.abs(omegas)))
+
+
 def test_profile_invariants():
     with pytest.raises(ValueError):
         TanhRamp(0.0, 1.0, 0.0)
@@ -128,14 +198,16 @@ class TestAdiabaticity:
     def test_direct_value(self):
         # omega = 2, omega_dot = 0.1 at t = 0
         profile = LinearRamp(2.0, 0.1)
-        eta = adiabaticity_profile(profile, 0.0)
+        eta = adiabaticity_profile(*profile.evaluate(0.0))
         assert eta.shape == (1,)
         assert eta[0] == pytest.approx(0.025, abs=1e-15)
 
     def test_constant_field_is_zero(self):
-        assert np.all(adiabaticity_profile(Constant(3.0), np.array([0.0, 12.0])) == 0.0)
+        field = Constant(3.0).evaluate(np.array([0.0, 12.0]))
+        assert np.all(adiabaticity_profile(*field) == 0.0)
 
     def test_profile_variant_masks_instead(self):
-        eta = adiabaticity_profile(LinearRamp(-1.0, 0.5), np.array([0.0, 2.0, 4.0]))
+        field = LinearRamp(-1.0, 0.5).evaluate(np.array([0.0, 2.0, 4.0]))
+        eta = adiabaticity_profile(*field)
         assert np.isinf(eta[1])
         assert np.isfinite(eta[0]) and np.isfinite(eta[2])

@@ -85,6 +85,17 @@ class TestReferencePropagate:
         recon = np.einsum("nij,nj->ni", rot, traj.adiabatic_states)
         assert np.max(np.abs(recon - traj.states)) <= 1e-9
 
+    @pytest.mark.parametrize("theta", [0.0, 0.7])
+    def test_keeps_the_field_at_the_nodes(self, theta):
+        p = params(theta, TanhRamp(3.0, 2.0, 4.0))
+        traj = reference_propagate(p, TimeGrid(-8.0, 16.0, 40), E2)
+        w, wdot = p.profile.evaluate(traj.times())
+        np.testing.assert_array_equal(traj.omega, w)
+        np.testing.assert_array_equal(traj.omega_rate, wdot)
+        if theta == 0.0:
+            np.testing.assert_array_equal(traj.rotations,
+                                          frame_rotations(p, traj.times()))
+
     def test_rejects_unnormalized_input(self):
         p = params(0.0, Constant(1.0))
         with pytest.raises(NonNormalizedInput):
