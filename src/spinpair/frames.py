@@ -7,9 +7,9 @@ instantaneous eigenvectors, so ``T^dagger H T`` is diagonal and a state obeys
 time dependence into the basis costs the gauge term ``T^dagger dT/dt``, a real
 antisymmetric matrix carried by the angle rates; the frame generator is
 ``T^dagger H T - i T^dagger dT/dt``.  Like T itself it never couples the two
-blocks, so ``effective_h_batch`` builds it directly as a stack of central and
-corner 2x2 blocks, from the splitting and angle rate of each block
-(``block_splitting_and_rate``).
+blocks, so ``effective_h_batch`` builds the real Pauli components of its
+central and corner 2x2 blocks directly from each block's offset ``d``, splitting
+``g`` and angle rate (``block_splitting_and_rate``): ``c0 = d``, ``c = (0, -rate, g/2)``.
 
 Branch convention: each doubled angle is ``atan2(2c, w)`` folded into
 ``[0, pi)``, where ``c`` is the block coupling and ``w`` the block detuning,
@@ -168,22 +168,22 @@ def gauge_term(angles: AdiabaticAngles) -> np.ndarray:
     return g
 
 
-def effective_h_batch(params: SystemParams, times: np.ndarray) -> np.ndarray:
+def effective_h_batch(params: SystemParams, times: np.ndarray):
     """Central and corner frame generators ``T^dagger H T - i T^dagger dT/dt``
-    (closed form) at ``times``, one ``(2, n, 2, 2)`` stack with both blocks
-    built from one evaluation of the field; index 0 of a block is its upper
-    level."""
+    (closed form) at ``times`` as real Pauli components ``(c0, c)``, shapes
+    ``(2, n)`` and ``(3, 2, n)``: block ``k`` at ``times[j]`` is
+    ``c0[k, j] + c[:, k, j] . sigma``, index 0 its upper level.  Both blocks
+    come from one evaluation of the field."""
     w, wdot = params.profile.evaluate(np.asarray(times, dtype=float))
-    h = np.empty((2, np.size(w), 2, 2), dtype=complex)
-    for block, key in zip(h, (BLOCK_CENTRAL, BLOCK_CORNER)):
+    c0 = np.empty((2, np.size(w)))
+    c = np.zeros((3, 2, np.size(w)))
+    for k, key in enumerate((BLOCK_CENTRAL, BLOCK_CORNER)):
         g, rate = block_splitting_and_rate(params, key, w, wdot)
-        d = block_diagonal_offset(params, key)
-        block[:, 0, 0] = d + 0.5 * g
-        block[:, 1, 1] = d - 0.5 * g
-        # -i * gauge: Hermitian, imaginary off-diagonal
-        block[:, 0, 1] = 1j * rate
-        block[:, 1, 0] = -1j * rate
-    return h
+        c0[k] = block_diagonal_offset(params, key)
+        # -i * gauge is -rate sigma_y: Hermitian, imaginary off-diagonal
+        c[1, k] = -rate
+        c[2, k] = 0.5 * g
+    return c0, c
 
 
 def effective_hamiltonian(params: SystemParams, t: float) -> FrameSnapshot:

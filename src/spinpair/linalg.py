@@ -4,6 +4,10 @@ Everything operates on plain ``numpy`` arrays of ``complex128``.  Functions
 accept stacked inputs (leading batch dimensions) wherever the propagators
 benefit from it; scalar inputs come back as scalars.  All returned values are
 freshly allocated, so results can be shared freely between threads.
+
+A 2x2 generator is also carried as its real Pauli components ``(c0, c)`` and
+an SU(2) element as its Cayley-Klein pair ``(a, b)``, the matrix ``[[a, -b*],
+[b, a*]]``: ``su2_exp`` and ``su2_product`` serve ``_expm2`` and the propagators.
 """
 
 from __future__ import annotations
@@ -51,50 +55,64 @@ def kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
+def _require_hermitian(h: np.ndarray) -> None:
+    defect = hermiticity_defect(h)
+    if not defect <= EXPM_HERMITIAN_TOL:
+        raise NonHermitianInput(
+            f"hermiticity defect {defect:.3e} exceeds {EXPM_HERMITIAN_TOL:.1e}"
+        )
+
+
 def expm_unitary(h: np.ndarray, scale: float | np.ndarray = 1.0) -> np.ndarray:
     """Unitary ``exp(-i * scale * h)`` for Hermitian ``h``.
 
-    2x2 inputs use the closed Pauli form
-    ``exp(-i s (c0 + c.sigma)) = e^{-i s c0} (cos(s|c|) - i sin(s|c|) c.sigma/|c|)``
-    which is branch free; the ``|c| -> 0`` limit is the removable singularity
-    ``sin(s|c|)/|c| -> s``.  4x4 inputs go through a Hermitian
+    2x2 inputs use the closed Pauli form (``su2_exp`` times the scalar phase
+    ``e^{-i s c0}``), which is branch free; 4x4 inputs go through a Hermitian
     eigendecomposition.  ``h`` may carry leading batch dimensions and ``scale``
     may broadcast against them.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2] or h.shape[-1] not in (2, 4):
         raise ValueError("expm_unitary expects 2x2 or 4x4 matrices")
-    defect = hermiticity_defect(h)
-    if not defect <= EXPM_HERMITIAN_TOL:
-        raise NonHermitianInput(
-            f"hermiticity defect {defect:.3e} exceeds {EXPM_HERMITIAN_TOL:.1e}"
-        )
     s = np.asarray(scale, dtype=float)
     if h.shape[-1] == 2:
-        return _expm2(h, s)
+        return _expm2(*pauli_components(h), s)
+    _require_hermitian(h)
     return _expm4(h, s)
 
 
-def _expm2(h: np.ndarray, s: np.ndarray) -> np.ndarray:
-    c0 = 0.5 * np.real(h[..., 0, 0] + h[..., 1, 1])
-    cx = np.real(h[..., 1, 0])
-    cy = np.imag(h[..., 1, 0])
-    cz = 0.5 * np.real(h[..., 0, 0] - h[..., 1, 1])
-    cnorm = np.sqrt(cx * cx + cy * cy + cz * cz)
+def pauli_components(h: np.ndarray):
+    """Real ``(c0, c)`` with ``h = c0 + c . sigma`` for stacked Hermitian 2x2
+    ``h``, ``c`` holding ``(cx, cy, cz)`` on a new leading axis; a non-Hermitian
+    input raises ``NonHermitianInput``."""
+    _require_hermitian(h)
+    return (0.5 * np.real(h[..., 0, 0] + h[..., 1, 1]),
+            np.stack([np.real(h[..., 1, 0]), np.imag(h[..., 1, 0]),
+                      0.5 * np.real(h[..., 0, 0] - h[..., 1, 1])]))
 
-    angle = s * cnorm
-    cos = np.cos(angle)
+
+def su2_exp(c: np.ndarray, s: float | np.ndarray):
+    """Cayley-Klein pair ``(a, b)`` of ``exp(-i s c.sigma) = cos(s|c|) - i
+    sin(s|c|) c.sigma/|c|`` for real Pauli vectors ``c`` (components on the
+    leading axis); ``|c| -> 0`` is the removable ``sin(s|c|)/|c| -> s``."""
+    cx, cy, cz = c
+    angle = s * np.sqrt(cx * cx + cy * cy + cz * cz)
     # sin(s|c|)/|c| written through sinc so |c| = 0 needs no special case
     sinc = s * np.sinc(angle / np.pi)
-    phase = np.exp(-1j * s * c0)
+    return np.cos(angle) - 1j * sinc * cz, sinc * (cy - 1j * cx)
 
-    shape = np.broadcast_shapes(c0.shape, np.shape(s))
-    out = np.empty(shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = phase * (cos - 1j * sinc * cz)
-    out[..., 0, 1] = phase * (-1j * sinc * (cx - 1j * cy))
-    out[..., 1, 0] = phase * (-1j * sinc * (cx + 1j * cy))
-    out[..., 1, 1] = phase * (cos + 1j * sinc * cz)
-    return out
+
+def su2_product(later, earlier):
+    """Cayley-Klein pair of the product ``later @ earlier`` of two (stacks of)
+    SU(2) elements, each given as its pair ``(a, b)``."""
+    (a2, b2), (a1, b1) = later, earlier
+    return a2 * a1 - np.conj(b2) * b1, b2 * a1 + np.conj(a2) * b1
+
+
+def _expm2(c0: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    a, b = su2_exp(c, s)
+    return np.exp(-1j * s * c0)[..., None, None] * np.stack(
+        [np.stack([a, -np.conj(b)], axis=-1), np.stack([b, np.conj(a)], axis=-1)], axis=-2)
 
 
 def _expm4(h: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -6,14 +6,18 @@ Two independent routes to the same dynamics live here.
   exactly unitary exponential steps, and a Richardson step-halving loop
   certifies the accuracy instead of assuming it.  It runs in the lab frame
   (any orientation) or the rotating eigenbasis frame.  At the two special
-  orientations the generator is block diagonal in both frames and enters the
-  kernel as a stack of central and corner 2x2 blocks (built directly by
-  ``effective_h_batch`` in the frame, sliced out of ``hamiltonian_batch`` in
-  the lab), and the blocks are propagated on their own (closed-form Pauli
-  exponentials, entrywise 2x2 products, a log-depth prefix product over the
-  cells); any other orientation propagates the full 4x4 generator.  The step
-  is the fourth-order Gauss Magnus step at the special orientations when the
-  budget allows two halvings, else the second-order exponential midpoint rule.
+  orientations the generator is block diagonal in both frames, and the
+  central and corner 2x2 blocks are propagated on their own as SU(2)
+  Cayley-Klein pairs ``(a, b)`` with their scalar phase kept apart: each
+  block's generator enters as real Pauli components ``(c0, c)`` (built
+  directly by ``effective_h_batch`` in the frame, read from the block slots
+  of ``hamiltonian_batch`` in the lab), each step is the closed form
+  ``su2_exp``, and a tree product within each cell and a log-depth prefix
+  scan over the cells multiply the pairs (``su2_product``); the 4x4 node
+  matrices are assembled once per level.  Any other orientation propagates
+  the full 4x4 generator.  The step is the fourth-order Gauss Magnus step at
+  the special orientations when the budget allows two halvings, else the
+  second-order exponential midpoint rule.
 
 * ``full_propagator_paths`` is the block route: the unperturbed propagator
   of each 2x2 block is a pair of accumulated dynamical phases, the gauge
@@ -49,7 +53,7 @@ from .frames import (
     mixing_angle_arrays,
 )
 from .hamiltonian import _BLOCK_SLOTS, SystemParams, hamiltonian_batch
-from .linalg import STATE_NORM_TOL, expm_unitary
+from .linalg import STATE_NORM_TOL, expm_unitary, pauli_components, su2_exp, su2_product
 from .quadrature import cumulative_integral, running_integral
 
 _CHUNK_SUBSTEPS = 1 << 17
@@ -60,9 +64,6 @@ _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 _ROUNDOFF_PER_STEP = 4.0 * np.finfo(float).eps
 # successive changes of a fourth-order scheme shrink 16-fold in its regime
 _REGIME_RATIO = 8.0
-# product-basis slots of the central and corner 2x2 blocks, as fancy indices
-_BLOCK_ROWS = _BLOCK_SLOTS[:, :, None]
-_BLOCK_COLS = _BLOCK_SLOTS[:, None, :]
 
 
 @dataclass(frozen=True)
@@ -142,25 +143,23 @@ def _cells(params: SystemParams, grid: TimeGrid):
     return edges, widths, on_grid
 
 
-def _scatter_blocks(central: np.ndarray, corner: np.ndarray) -> np.ndarray:
-    """Stacked 4x4 matrices holding stacked central and corner 2x2 blocks in
-    their product-basis slots, with exact zeros elsewhere."""
-    out = np.zeros(central.shape[:-2] + (4, 4), dtype=complex)
-    out[..., _BLOCK_ROWS, _BLOCK_COLS] = np.stack([central, corner], axis=-3)
+def _scatter_blocks(phase: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked 4x4 matrices holding the central and corner blocks ``phase *
+    [[a, -b*], [b, a*]]`` (index 0 and 1 of the leading axis of each argument)
+    in their product-basis slots, with exact zeros elsewhere."""
+    out = np.zeros(a.shape[1:] + (4, 4), dtype=complex)
+    for (i, j), p, x, y in zip(_BLOCK_SLOTS, phase, a, b):
+        out[..., i, i] = p * x
+        out[..., j, i] = p * y
+        out[..., i, j] = -p * np.conj(y)
+        out[..., j, j] = p * np.conj(x)
     return out
 
 
-@dataclass(frozen=True)
-class _BlockPath:
-    """Per-node data of one block over a grid (both approximation orders)."""
-
-    phase: np.ndarray
-    su2_zero: np.ndarray
-    su2_first: np.ndarray
-
-
 def _block_paths(params: SystemParams, grid: TimeGrid):
-    """Node times and the central and corner ``_BlockPath`` over the grid.
+    """``(times, phase, zeroth, first)``: the node times, and the central and
+    corner blocks' diagonal-offset phases and Cayley-Klein pairs ``(a, b)`` at
+    both approximation orders, stacked as in ``_scatter_blocks``.
 
     The integrand rows are each block's splitting ``g`` and, for a coupled
     block, ``-rate sin(Phi)`` and ``-rate cos(Phi)`` with ``Phi = int g``.
@@ -185,24 +184,19 @@ def _block_paths(params: SystemParams, grid: TimeGrid):
 
     cumulative = cumulative_integral(integrand, edges)
     rows = iter(cumulative[:, on_grid])
-    paths = []
-    for key, has_rate in zip(keys, coupled):
-        half = np.exp(-0.5j * next(rows))
-        su2_zero = np.zeros((times.size, 2, 2), dtype=complex)
-        su2_zero[:, 0, 0] = half
-        su2_zero[:, 1, 1] = np.conj(half)
+    zeroth, first = [], []
+    for has_rate in coupled:
+        pair = (np.exp(-0.5j * next(rows)), np.zeros(times.size, dtype=complex))
+        zeroth.append(pair)
         # no coupling, no gauge rate: the first order is the zeroth order
-        su2_first = su2_zero
         if has_rate:
+            # the first Magnus term is -i (ix sigma_x + iy sigma_y)
             ix, iy = next(rows), next(rows)
-            magnus = np.zeros((times.size, 2, 2), dtype=complex)
-            magnus[:, 0, 1] = ix - 1j * iy
-            magnus[:, 1, 0] = ix + 1j * iy
-            su2_first = su2_zero @ expm_unitary(magnus, 1.0)
-        d = block_diagonal_offset(params, key)
-        paths.append(_BlockPath(phase=np.exp(-1j * d * (times - times[0])),
-                                su2_zero=su2_zero, su2_first=su2_first))
-    return times, paths
+            pair = su2_product(pair, su2_exp(np.stack([ix, iy, 0.0 * ix]), 1.0))
+        first.append(pair)
+    offsets = np.array([block_diagonal_offset(params, key) for key in keys])
+    phase = np.exp(-1j * offsets[:, None] * (times - times[0]))
+    return times, phase, np.stack(zeroth, axis=1), np.stack(first, axis=1)
 
 
 def full_propagator_paths(params: SystemParams, grid: TimeGrid):
@@ -214,14 +208,8 @@ def full_propagator_paths(params: SystemParams, grid: TimeGrid):
     exact phases automatically (zero coupling, zero rate).
     """
     params.require_special_orientation()
-    times, (central, corner) = _block_paths(params, grid)
-
-    def nodes(mid, cor):
-        return _scatter_blocks(central.phase[:, None, None] * mid,
-                               corner.phase[:, None, None] * cor)
-
-    return (times, nodes(central.su2_zero, corner.su2_zero),
-            nodes(central.su2_first, corner.su2_first))
+    times, phase, zeroth, first = _block_paths(params, grid)
+    return times, _scatter_blocks(phase, *zeroth), _scatter_blocks(phase, *first)
 
 
 def frame_rotations(params: SystemParams, times: np.ndarray,
@@ -233,46 +221,16 @@ def frame_rotations(params: SystemParams, times: np.ndarray,
     return frame_matrices(*mixing_angle_arrays(params, omega))
 
 
-def _ordered_product(steps: np.ndarray, mul=np.matmul) -> np.ndarray:
-    """Time-ordered product over axis 1 (later factors multiply from the left).
-
-    Pairwise tree reduction with the matrix product ``mul``; axis 1 length
-    must be a power of two.
-    """
-    m = steps.shape[1]
-    if m & (m - 1):
-        raise ValueError("substep count must be a power of two")
-    while steps.shape[1] > 1:
-        steps = mul(steps[:, 1::2], steps[:, 0::2])
-    return steps[:, 0]
-
-
-def _mul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Products ``a @ b`` of stacked 2x2 matrices, written out entrywise:
-    ``np.matmul`` on 2x2 stacks costs about as much as on 4x4 stacks."""
-    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
-    b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    out[..., 0, 0] = a00 * b00 + a01 * b10
-    out[..., 0, 1] = a00 * b01 + a01 * b11
-    out[..., 1, 0] = a10 * b00 + a11 * b10
-    out[..., 1, 1] = a10 * b01 + a11 * b11
-    return out
-
-
-def _prefix_product(units: np.ndarray) -> np.ndarray:
-    """Running time-ordered products ``units[j] @ ... @ units[0]`` of stacked
-    2x2 matrices along axis -3, by a log-depth (Hillis-Steele) scan."""
-    out = units
+def _pair_scan(pair):
+    """Running time-ordered products ``pair[j] ... pair[0]`` of Cayley-Klein
+    pairs ``(a, b)`` along the last axis, by a log-depth (Hillis-Steele) scan."""
+    a, b = (np.array(x) for x in pair)
     shift = 1
-    while shift < units.shape[-3]:
-        out = np.concatenate(
-            [out[..., :shift, :, :],
-             _mul2(out[..., shift:, :, :], out[..., :-shift, :, :])],
-            axis=-3,
-        )
+    while shift < a.shape[-1]:
+        a[..., shift:], b[..., shift:] = su2_product(
+            (a[..., shift:], b[..., shift:]), (a[..., :-shift], b[..., :-shift]))
         shift *= 2
-    return out
+    return a, b
 
 
 def _midpoint_chunks(edges: np.ndarray, widths: np.ndarray, m: int, nodes: int = 1):
@@ -294,44 +252,62 @@ def _full_nodes(params: SystemParams, edges: np.ndarray, widths: np.ndarray,
     for c0, c1, midpoints, h in _midpoint_chunks(edges, widths, m):
         generators = hamiltonian_batch(params, midpoints)
         steps = expm_unitary(generators, h).reshape(c1 - c0, m, 4, 4)
-        cell_units = _ordered_product(steps)
+        while steps.shape[1] > 1:  # time-ordered tree product within each cell
+            steps = steps[:, 1::2] @ steps[:, 0::2]
         for j in range(c1 - c0):
-            acc = cell_units[j] @ acc
+            acc = steps[j, 0] @ acc
             u_nodes[c0 + j + 1] = acc
     return u_nodes
 
 
-def _block_generators(params: SystemParams, frame: Frame, times: np.ndarray) -> np.ndarray:
-    """Central and corner 2x2 generator stacks at ``times``, shape ``(2, n, 2, 2)``."""
+def _block_generators(params: SystemParams, frame: Frame, times: np.ndarray):
+    """Pauli components ``(c0, c)`` of the central and corner 2x2 generators at
+    ``times``, shapes ``(2, n)`` and ``(3, 2, n)``."""
     if frame is Frame.ADIABATIC:
         return effective_h_batch(params, times)
-    return np.moveaxis(hamiltonian_batch(params, times)[:, _BLOCK_ROWS, _BLOCK_COLS], 1, 0)
+    blocks = hamiltonian_batch(params, times)[:, _BLOCK_SLOTS[:, :, None], _BLOCK_SLOTS[:, None]]
+    return pauli_components(np.moveaxis(blocks, 1, 0))
 
 
-def _block_nodes(params: SystemParams, edges: np.ndarray, widths: np.ndarray,
-                 frame: Frame, m: int, order: int) -> np.ndarray:
-    blocks = np.empty((2, widths.size + 1, 2, 2), dtype=complex)
-    blocks[:, 0] = np.eye(2)
+def _block_nodes(params: SystemParams, cells, frame: Frame, m: int, order: int):
+    """Scalar phases and Cayley-Klein pairs ``(phase, a, b)`` of the central and
+    corner block propagators ``phase * [[a, -b*], [b, a*]]`` at every cell
+    edge, each of shape ``(2, cells + 1)``."""
+    edges, widths, _ = cells
+    phase = np.ones((2, widths.size + 1), dtype=complex)
+    a = np.ones((2, widths.size + 1), dtype=complex)
+    b = np.zeros((2, widths.size + 1), dtype=complex)
     for c0, c1, midpoints, h in _midpoint_chunks(edges, widths, m, order // 2):
         if order == 2:
-            generators = _block_generators(params, frame, midpoints)
+            scalar, vector = _block_generators(params, frame, midpoints)
         else:
-            # two-point Gauss Magnus step: mean generator plus the commutator
+            # two-point Gauss Magnus step: mean generator plus the commutator,
+            # -i (sqrt(3)/12) h [c2.sigma, c1.sigma] = (sqrt(3)/6) h (c2 x c1).sigma
             offset = _GAUSS_OFFSET * h
             nodes = np.concatenate([midpoints - offset, midpoints + offset])
-            early, late = np.split(_block_generators(params, frame, nodes), 2, axis=1)
-            commutator = _mul2(late, early) - _mul2(early, late)
-            generators = (0.5 * (early + late)
-                          - (1j * _GAUSS_OFFSET / 2.0 * h)[:, None, None] * commutator)
-        steps = expm_unitary(generators, h).reshape(2 * (c1 - c0), m, 2, 2)
-        cell_units = _ordered_product(steps, _mul2).reshape(2, c1 - c0, 2, 2)
-        blocks[:, c0 + 1:c1 + 1] = _mul2(_prefix_product(cell_units),
-                                         blocks[:, c0, None])
-    return _scatter_blocks(blocks[0], blocks[1])
+            scalar, vector = _block_generators(params, frame, nodes)
+            scalar = 0.5 * (scalar[:, :h.size] + scalar[:, h.size:])
+            early, late = vector[..., :h.size], vector[..., h.size:]
+            (x1, y1, z1), (x2, y2, z2) = early, late
+            vector = 0.5 * (early + late) + offset * np.stack(
+                [y2 * z1 - z2 * y1, z2 * x1 - x2 * z1, x2 * y1 - y2 * x1])
+        angle = (h * scalar).reshape(2, c1 - c0, m)
+        steps = [x.reshape(2, c1 - c0, m) for x in su2_exp(vector, h)]
+        while angle.shape[-1] > 1:
+            # pairwise sums of the phase angles: with h = width / m, a constant
+            # c0 gives every level the same cell phases to the bit
+            angle = angle[..., 1::2] + angle[..., 0::2]
+            steps = su2_product([x[..., 1::2] for x in steps], [x[..., 0::2] for x in steps])
+        cell_phases = np.exp(-1j * angle[..., 0])
+        phase[:, c0 + 1:c1 + 1] = phase[:, c0, None] * np.cumprod(cell_phases, axis=-1)
+        a[:, c0 + 1:c1 + 1], b[:, c0 + 1:c1 + 1] = su2_product(
+            _pair_scan([x[..., 0] for x in steps]), (a[:, c0, None], b[:, c0, None]))
+    return phase, a, b
 
 
 def fixed_step_propagators(params: SystemParams, grid: TimeGrid, frame: Frame,
-                           substeps: int = 1, order: int = 2) -> np.ndarray:
+                           substeps: int = 1, order: int = 2, *,
+                           cells=None) -> np.ndarray:
     """Node propagators from ``substeps`` steps per knot-cut cell.
 
     ``order=2`` is the exponential midpoint rule ``exp(-i h H(t_mid))``;
@@ -342,7 +318,8 @@ def fixed_step_propagators(params: SystemParams, grid: TimeGrid, frame: Frame,
     4, 4)``, with the identity at the first node.  At the two special
     orientations the central and corner 2x2 blocks are propagated on their own
     and the entries off the blocks are exact zeros; any other ``theta``
-    propagates the full 4x4 generator.
+    propagates the full 4x4 generator.  ``cells``, the cell set
+    ``_cells(params, grid)`` when the caller already has it, is used as given.
     """
     if substeps < 1 or substeps & (substeps - 1):
         raise ValueError("substeps must be a positive power of two")
@@ -350,9 +327,10 @@ def fixed_step_propagators(params: SystemParams, grid: TimeGrid, frame: Frame,
         raise ValueError("order must be 2 (midpoint) or 4 (Gauss Magnus)")
     if frame is Frame.ADIABATIC:
         params.require_special_orientation()
-    edges, widths, on_grid = _cells(params, grid)
+    edges, widths, on_grid = cells = _cells(params, grid) if cells is None else cells
     if params.is_special_orientation:
-        return _block_nodes(params, edges, widths, frame, substeps, order)[on_grid]
+        return _scatter_blocks(*(x[:, on_grid] for x in
+                                 _block_nodes(params, cells, frame, substeps, order)))
     if order == 4:
         raise ValueError("the fourth-order step needs a special orientation")
     return _full_nodes(params, edges, widths, substeps)[on_grid]
@@ -383,18 +361,19 @@ def reference_propagate(params: SystemParams, grid: TimeGrid, psi0: np.ndarray,
         params.require_special_orientation()
 
     order = 4 if params.is_special_orientation and max_halvings >= 2 else 2
-    cells = _cells(params, grid)[1].size
+    cells = _cells(params, grid)
     target = tol_per_time * grid.duration
     substeps = 1
-    previous = fixed_step_propagators(params, grid, frame, substeps, order=order)
+    previous = fixed_step_propagators(params, grid, frame, substeps, order=order, cells=cells)
     halvings = 0
     last_change, last_floor = math.inf, 0.0
     while True:
         substeps *= 2
-        current = fixed_step_propagators(params, grid, frame, substeps, order=order)
+        current = fixed_step_propagators(params, grid, frame, substeps, order=order,
+                                         cells=cells)
         change = float(np.max(np.abs(current - previous)))
         estimate = change / (2 ** order - 1)
-        floor = _ROUNDOFF_PER_STEP * cells * substeps
+        floor = _ROUNDOFF_PER_STEP * cells[1].size * substeps
         halvings += 1
         in_regime = order == 2 or (halvings >= 2 and (
             last_change >= _REGIME_RATIO * change or last_change <= last_floor))

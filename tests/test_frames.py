@@ -26,7 +26,7 @@ from spinpair.hamiltonian import (
     build_hamiltonian,
     closed_eigenvalues,
 )
-from spinpair.linalg import dagger, unitarity_defect
+from spinpair.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, unitarity_defect
 
 B_PLUS = 0.9773347628787704   # corner mixing at a_par=1, a_perp=0.5, zeta=0.1, omega=2
 B_MINUS = 0.21169969595797156
@@ -208,8 +208,11 @@ class TestEffectiveHamiltonian:
         for theta in (0.0, THETA_PERPENDICULAR):
             p = params(theta, Harmonic(2.0, 0.5, 0.7, 0.1))
             ts = np.linspace(-3.0, 3.0, 9)
-            batch = effective_h_batch(p, ts)
-            assert batch.shape == (2, ts.size, 2, 2)
+            c0, c = effective_h_batch(p, ts)
+            assert c0.shape == (2, ts.size) and c.shape == (3, 2, ts.size)
+            assert np.all(c[0] == 0.0)
+            batch = (c0[..., None, None] * np.eye(2)
+                     + np.einsum("ikn,iab->knab", c, [SIGMA_X, SIGMA_Y, SIGMA_Z]))
             for k, t in enumerate(ts):
                 snap = effective_hamiltonian(p, float(t))
                 for block, slots in zip(batch, _BLOCK_SLOTS):

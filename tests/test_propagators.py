@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from split_quad import splitting_and_rate, splitting_phases, zeroth_order_block
 
-from spinpair.errors import NonNormalizedInput, ToleranceNotMet
+from spinpair import propagators
+from spinpair.errors import NonHermitianInput, NonNormalizedInput, ToleranceNotMet
 from spinpair.fields import Constant, Harmonic, LinearRamp, TanhRamp, Tabulated
 from spinpair.frames import (
     block_diagonal_offset,
@@ -21,13 +23,22 @@ from spinpair.hamiltonian import (
     closed_eigenvalues,
     hamiltonian_batch,
 )
-from spinpair.linalg import SIGMA_X, SIGMA_Y, dagger, expm_unitary, unitarity_defect
+from spinpair.linalg import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    dagger,
+    expm_unitary,
+    su2_product,
+    unitarity_defect,
+)
 from spinpair.propagators import (
     Frame,
     TimeGrid,
     _block_generators,
-    _mul2,
-    _prefix_product,
+    _block_nodes,
+    _cells,
+    _pair_scan,
     fixed_step_propagators,
     frame_rotations,
     full_propagator_paths,
@@ -43,6 +54,12 @@ BLOCK_SLOTS = dict(zip(("23", "14"), _BLOCK_SLOTS))
 
 def params(theta, profile, a_par=1.0, a_perp=0.5, zeta=0.1):
     return SystemParams(a_par, a_perp, zeta, theta, profile)
+
+
+def pauli_matrices(c0, c):
+    """Stacked 2x2 matrices ``c0 + c . sigma`` from Pauli components."""
+    return (np.asarray(c0)[..., None, None] * np.eye(2)
+            + np.einsum("i...,iab->...ab", c, [SIGMA_X, SIGMA_Y, SIGMA_Z]))
 
 
 class TestTimeGrid:
@@ -366,15 +383,19 @@ _ANALYTIC_PROFILES = st.one_of(
        zeta=st.floats(-0.5, 0.5), profile=_ANALYTIC_PROFILES,
        times=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8))
 def test_block_generators_property(theta, a_par, a_perp, zeta, profile, times):
-    """The 2x2 generator stacks: lab blocks equal the slots of the 4x4
-    Hamiltonian exactly and carry the closed-form spectrum, frame blocks
-    match the conjugated frame generator."""
+    """The 2x2 generators' Pauli components: lab blocks rebuild the slots of
+    the 4x4 Hamiltonian (the off-diagonal exactly) and carry the closed-form
+    spectrum, frame blocks match the conjugated frame generator."""
     p = params(theta, profile, a_par, a_perp, zeta)
     times = np.array(times)
-    lab = _block_generators(p, Frame.LAB, times)
+    c0, c = _block_generators(p, Frame.LAB, times)
+    lab = pauli_matrices(c0, c)
     full = hamiltonian_batch(p, times)
-    for blocks, slots in zip(lab, _BLOCK_SLOTS):
-        assert np.array_equal(blocks, full[:, slots[:, None], slots])
+    for k, slots in enumerate(_BLOCK_SLOTS):
+        expected = full[:, slots[:, None], slots]
+        # the off-diagonal is read off exactly; the diagonal is rebuilt as c0 +- cz
+        assert np.array_equal(c[0, k] + 1j * c[1, k], expected[:, 1, 0])
+        np.testing.assert_allclose(lab[k], expected, rtol=0, atol=1e-14)
     for k, t in enumerate(times):
         eps = closed_eigenvalues(p, float(t))
         for blocks, pair in zip(lab, ((eps[1], eps[2]), (eps[0], eps[3]))):
@@ -382,7 +403,7 @@ def test_block_generators_property(theta, a_par, a_perp, zeta, profile, times):
                                        rtol=0, atol=1e-11)
     if p.is_parallel and a_perp == 0.0:
         return  # gapless at zero field: the frame is not defined
-    frame = _block_generators(p, Frame.ADIABATIC, times)
+    frame = pauli_matrices(*_block_generators(p, Frame.ADIABATIC, times))
     for k, t in enumerate(times):
         snap = effective_hamiltonian(p, float(t))
         for blocks, slots in zip(frame, _BLOCK_SLOTS):
@@ -393,7 +414,7 @@ def test_block_generators_property(theta, a_par, a_perp, zeta, profile, times):
 def frame_generators_4x4(p, times):
     """The frame's central and corner generator blocks scattered into 4x4."""
     out = np.zeros((times.size, 4, 4), dtype=complex)
-    for blocks, slots in zip(effective_h_batch(p, times), _BLOCK_SLOTS):
+    for blocks, slots in zip(pauli_matrices(*effective_h_batch(p, times)), _BLOCK_SLOTS):
         out[:, slots[:, None], slots] = blocks
     return out
 
@@ -415,10 +436,12 @@ def midpoint_nodes_4x4(p, grid, frame, substeps):
     return np.array(nodes)
 
 
-def random_unitary_2x2(count, seed):
+def random_su2(count, seed):
+    """Stacked random SU(2) matrices: unitaries scaled to unit determinant."""
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((count, 2, 2)) + 1j * rng.standard_normal((count, 2, 2))
-    return expm_unitary(a + dagger(a), 1.0)
+    u = expm_unitary(a + dagger(a), 1.0)
+    return u / np.sqrt(np.linalg.det(u))[:, None, None]
 
 
 class TestBlockNativePropagation:
@@ -447,22 +470,102 @@ class TestBlockNativePropagation:
         assert np.all(nodes[:, ~self.BLOCK_MASK] == 0.0)
         assert np.all(nodes[0] == np.eye(4))
 
-    def test_entrywise_product_matches_matmul(self):
-        a = random_unitary_2x2(300, 1)
-        b = random_unitary_2x2(300, 2)
-        np.testing.assert_allclose(_mul2(a, b), a @ b, rtol=0.0, atol=1e-15)
-        np.testing.assert_allclose(_mul2(a, b[0]), a @ b[0], rtol=0.0, atol=1e-15)
+    def test_pair_product_matches_matmul(self):
+        later, earlier = random_su2(300, 1), random_su2(300, 2)
+        a, b = su2_product(ck_pair(later), ck_pair(earlier))
+        np.testing.assert_allclose(ck_matrix(a, b), later @ earlier, rtol=0.0, atol=1e-15)
+        # one factor broadcasts against a stack
+        a, b = su2_product(ck_pair(later), ck_pair(earlier[0]))
+        np.testing.assert_allclose(ck_matrix(a, b), later @ earlier[0], rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("length", [1, 2, 3, 7, 300])
-    def test_prefix_product_matches_sequential_loop(self, length):
-        units = random_unitary_2x2(length, length)
+    def test_pair_scan_matches_sequential_loop(self, length):
+        units = random_su2(length, length)
         expected = [units[0]]
         for u in units[1:]:
             expected.append(u @ expected[-1])
-        scanned = _prefix_product(units)
-        assert scanned.shape == units.shape
-        np.testing.assert_allclose(scanned, np.array(expected), rtol=0.0, atol=1e-12)
+        a, b = _pair_scan(ck_pair(units))
+        assert a.shape == b.shape == (length,)
+        np.testing.assert_allclose(ck_matrix(a, b), np.array(expected), rtol=0.0, atol=1e-12)
         # a leading stack axis (the two blocks) is scanned independently
-        pair = _prefix_product(np.stack([units, units[::-1]]))
-        np.testing.assert_array_equal(pair[0], scanned)
-        np.testing.assert_array_equal(pair[1], _prefix_product(units[::-1]))
+        both = _pair_scan(np.stack([ck_pair(units), ck_pair(units[::-1])], axis=1))
+        np.testing.assert_array_equal(both[0][0], a)
+        np.testing.assert_array_equal(both[1][1], _pair_scan(ck_pair(units[::-1]))[1])
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_lab_blocks_keep_the_hermiticity_check(self, monkeypatch, order):
+        def skewed(p, times):
+            h = hamiltonian_batch(p, times)
+            h[:, 1, 2] += 1e-6j  # the central block's upper off-diagonal slot
+            return h
+
+        monkeypatch.setattr(propagators, "hamiltonian_batch", skewed)
+        p = params(0.0, TanhRamp(3.0, 2.0, 4.0))
+        with pytest.raises(NonHermitianInput):
+            fixed_step_propagators(p, TimeGrid(-8.0, 16.0, 10), Frame.LAB, 2, order=order)
+
+
+def ck_pair(u):
+    """Cayley-Klein pair ``(a, b)`` of stacked SU(2) matrices ``[[a, -b*], [b, a*]]``."""
+    return u[..., 0, 0], u[..., 1, 0]
+
+
+def ck_matrix(a, b):
+    return np.stack([np.stack([a, -np.conj(b)], axis=-1),
+                     np.stack([b, np.conj(a)], axis=-1)], axis=-2)
+
+
+def expm_nodes(p, grid, cuts, frame, substeps, order):
+    """Grid-node propagators from per-step ``scipy.linalg.expm`` of the full
+    4x4 generator (the lab Hamiltonian, or the frame generator by conjugation)
+    over the cells between ``cuts``, multiplied in time order."""
+    def generator(t):
+        if frame is Frame.LAB:
+            return hamiltonian_batch(p, np.array([t]))[0]
+        return effective_hamiltonian(p, t).effective_h
+
+    u, nodes = np.eye(4, dtype=complex), [np.eye(4, dtype=complex)]
+    for t0, t1 in zip(cuts[:-1], cuts[1:]):
+        h = (t1 - t0) / substeps
+        for k in range(substeps):
+            mid = t0 + (k + 0.5) * h
+            if order == 2:
+                hbar = generator(mid)
+            else:
+                h1, h2 = generator(mid - h * math.sqrt(3) / 6), generator(mid + h * math.sqrt(3) / 6)
+                hbar = 0.5 * (h1 + h2) - 1j * math.sqrt(3) / 12 * h * (h2 @ h1 - h1 @ h2)
+            u = scipy.linalg.expm(-1j * h * hbar) @ u
+        nodes.append(u)
+    return np.array(nodes)[np.isin(cuts, grid.times())]
+
+
+_TABULATED_KNOTS = st.lists(st.floats(0.05, 3.95), min_size=1, max_size=4, unique=True)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(theta=st.sampled_from([0.0, THETA_PERPENDICULAR]),
+       frame=st.sampled_from([Frame.LAB, Frame.ADIABATIC]),
+       order=st.sampled_from([2, 4]), substeps=st.sampled_from([1, 2, 4]),
+       n_steps=st.integers(1, 5),
+       drive=st.one_of(_ANALYTIC_PROFILES, _TABULATED_KNOTS))
+def test_pair_kernel_matches_expm_product(theta, frame, order, substeps, n_steps, drive):
+    """The Cayley-Klein kernel against a product of per-step ``expm`` matrices
+    of the 4x4 generator, for analytic drives and tabulated drives with knots
+    inside the cells: equal node propagators, unit pairs, exact zeros off the
+    blocks."""
+    grid = TimeGrid(0.0, 4.0, n_steps)
+    cuts = grid.times()
+    if isinstance(drive, list):
+        knots = np.sort(drive)
+        assume(np.min(np.diff(np.concatenate([[0.0], knots, [4.0]]))) > 0.02)
+        assume(np.min(np.abs(knots[:, None] - cuts[None, :])) > 1e-3)
+        samples = np.concatenate([[0.0], knots, [4.0]])
+        drive = Tabulated(samples, 3.0 + 0.8 * np.sin(1.3 * samples))
+        cuts = np.union1d(cuts, knots)
+    p = params(theta, drive)
+    nodes = fixed_step_propagators(p, grid, frame, substeps, order)
+    expected = expm_nodes(p, grid, cuts, frame, substeps, order)
+    assert np.max(np.abs(nodes - expected)) <= 1e-12
+    _, a, b = _block_nodes(p, _cells(p, grid), frame, substeps, order)
+    assert np.max(np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0)) <= 1e-14
+    assert np.all(nodes[:, ~TestBlockNativePropagation.BLOCK_MASK] == 0.0)
