@@ -19,8 +19,8 @@ from .errors import (
     ZeroRate,
 )
 from .fields import LinearRamp
-from .frames import BLOCK_CENTRAL, BLOCK_CORNER, block_splitting_and_rate
-from .hamiltonian import SystemParams
+from .frames import block_splitting_and_rate
+from .hamiltonian import BLOCK_SLOTS, SystemParams
 from .linalg import unitarity_defect
 from .propagators import (
     Frame,
@@ -31,6 +31,9 @@ from .propagators import (
 )
 
 _UNITARY_INPUT_TOL = 1e-9
+# labels of the central and corner blocks in ``ComparisonReport.final_beta_sq``
+BLOCK_CENTRAL = "23"
+BLOCK_CORNER = "14"
 
 
 @dataclass(frozen=True)
@@ -154,18 +157,16 @@ def compare_solutions(params: SystemParams, grid: TimeGrid, initial_index: int,
             f"lab and frame infidelities disagree by {agreement:.3e}"
         )
 
-    w, wdot = reference.omega, reference.omega_rate
-    max_gauge_rate = max_rate_over_gap = 0.0
-    for key in (BLOCK_CENTRAL, BLOCK_CORNER):
-        gap, rate = block_splitting_and_rate(params, key, w, wdot)
-        max_gauge_rate = max(max_gauge_rate, float(np.max(np.abs(rate))))
-        if np.any(rate != 0.0):
-            max_rate_over_gap = max(max_rate_over_gap,
-                                    float(np.max(np.abs(rate) / np.abs(gap))))
+    gap, rate = block_splitting_and_rate(params, reference.omega, reference.omega_rate)
+    max_gauge_rate = float(np.max(np.abs(rate)))
+    moving = np.any(rate != 0.0, axis=1)
+    max_rate_over_gap = float(np.max(np.abs(rate[moving]) / np.abs(gap[moving]),
+                                     initial=0.0))
 
-    final_beta_sq = {BLOCK_CENTRAL: float(abs(first_nodes[-1, 1, 2]) ** 2)}
+    beta_sq = [float(abs(first_nodes[-1, i, j]) ** 2) for i, j in BLOCK_SLOTS]
+    final_beta_sq = {BLOCK_CENTRAL: beta_sq[0]}
     if params.is_perpendicular:
-        final_beta_sq[BLOCK_CORNER] = float(abs(first_nodes[-1, 0, 3]) ** 2)
+        final_beta_sq[BLOCK_CORNER] = beta_sq[1]
 
     return ComparisonReport(
         reference=reference,

@@ -11,6 +11,12 @@ blocks, so ``effective_h_batch`` builds the real Pauli components of its
 central and corner 2x2 blocks directly from each block's offset ``d``, splitting
 ``g`` and angle rate (``block_splitting_and_rate``): ``c0 = d``, ``c = (0, -rate, g/2)``.
 
+A block is addressed by its index on a leading block axis, in the order of
+``hamiltonian.BLOCK_SLOTS``: 0 the central pair, 1 the corner pair.
+``block_constants`` gives each block's coupling ``c``, detuning factor and
+diagonal offset along that axis, and every array function here returns both
+blocks stacked on it.
+
 Branch convention: each doubled angle is ``atan2(2c, w)`` folded into
 ``[0, pi)``, where ``c`` is the block coupling and ``w`` the block detuning,
 giving angles in ``[0, pi/2)`` that are continuous in omega (at omega = 0 the
@@ -28,11 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGap
-from .hamiltonian import SystemParams, build_hamiltonian
+from .hamiltonian import BLOCK_SLOTS, SystemParams, build_hamiltonian
 from .linalg import dagger
-
-BLOCK_CENTRAL = "23"
-BLOCK_CORNER = "14"
 
 
 @dataclass(frozen=True)
@@ -56,100 +59,90 @@ class FrameSnapshot:
     effective_h: np.ndarray
 
 
-def block_coupling(params: SystemParams, block: str) -> float:
-    """Off-diagonal entry of one 2x2 sub-block (constant in time)."""
+def block_constants(params: SystemParams) -> np.ndarray:
+    """Rows ``(coupling, zeta_factor, offset)`` of the central and corner
+    blocks, each an array over the block axis: shape ``(3, 2)``, constant in
+    time.
+
+    A block is ``offset + [[w zfac / 2, c], [c, -w zfac / 2]]`` at field
+    ``w``: the central pair sees ``omega (1 - zeta)`` and is offset by
+    ``-a_par`` along the axis (``-a_perp`` across it), the corner pair sees
+    ``omega (1 + zeta)`` with the opposite offset.
+    """
     params.require_special_orientation()
+    if params.is_parallel and params.a_perp == 0.0:
+        raise DegenerateGap(
+            "a_perp = 0 with the field along the axis leaves the central "
+            "pair gapless at zero field"
+        )
     da = params.delta_a()
-    if block == BLOCK_CENTRAL:
-        c = 2.0 * params.a_perp + da
-        if params.is_parallel and params.a_perp == 0.0:
-            raise DegenerateGap(
-                "a_perp = 0 with the field along the axis leaves the central "
-                "pair gapless at zero field"
-            )
-        return c
-    if block == BLOCK_CORNER:
-        return da
-    raise ValueError(f"unknown block {block!r}")
-
-
-def block_zeta_factor(params: SystemParams, block: str) -> float:
-    """Detuning factor: the block sees omega(t) * (1 -+ zeta)."""
-    return (1.0 - params.zeta) if block == BLOCK_CENTRAL else (1.0 + params.zeta)
-
-
-def block_diagonal_offset(params: SystemParams, block: str) -> float:
-    """Common diagonal shift of the block (+ for corner, - for central)."""
-    params.require_special_orientation()
     base = params.a_par if params.is_parallel else params.a_perp
-    return -base if block == BLOCK_CENTRAL else base
+    return np.array([[2.0 * params.a_perp + da, da],
+                     [1.0 - params.zeta, 1.0 + params.zeta],
+                     [-base, base]])
 
 
-def _half_angle(coupling: float, detuning: np.ndarray) -> np.ndarray:
-    if coupling == 0.0:
-        return np.zeros_like(detuning)
-    doubled = np.arctan2(2.0 * coupling, detuning)
-    doubled = np.where(doubled < 0.0, doubled + np.pi, doubled)
-    return 0.5 * doubled
-
-
-def block_splitting_and_rate(params: SystemParams, block: str, w, wdot):
-    """The block's signed level splitting and the exact rate of its mixing
-    angle, from the field ``w`` and its rate ``wdot``.
+def block_splitting_and_rate(params: SystemParams, w, wdot):
+    """Each block's signed level splitting and the exact rate of its mixing
+    angle, from the field ``w`` and its rate ``wdot``; both of shape
+    ``(2,) + shape(w)``, the block axis first.
 
     The splitting is the gap between the block's upper and lower frame levels:
     ``sign(c) * sqrt(4 c^2 + w^2 zfac^2)`` for a coupled block and the bare
-    detuning ``w * zfac`` when the coupling vanishes (corner pair with the
-    field along the axis), so the sign convention always matches the branch
-    of the mixing angles.
+    detuning ``w * zfac`` (with a zero rate) when the coupling vanishes
+    (corner pair with the field along the axis), so the sign convention
+    always matches the branch of the mixing angles.
     """
-    c = block_coupling(params, block)
-    zfac = block_zeta_factor(params, block)
-    detuning = np.asarray(w, dtype=float) * zfac
-    if c == 0.0:
-        return detuning, np.zeros_like(detuning)
-    gap_sq = 4.0 * c * c + detuning * detuning
-    return (math.copysign(1.0, c) * np.sqrt(gap_sq),
-            -(c * zfac) * np.asarray(wdot, dtype=float) / gap_sq)
+    coupling, zeta_factor, _ = block_constants(params).tolist()
+    w = np.asarray(w, dtype=float)
+    wdot = np.asarray(wdot, dtype=float)
+    splitting = np.empty((2,) + w.shape)
+    rate = np.zeros((2,) + w.shape)
+    # Python floats: numpy scalar arithmetic is slower
+    for k, (c, zfac) in enumerate(zip(coupling, zeta_factor)):
+        detuning = w * zfac
+        if c == 0.0:
+            splitting[k] = detuning
+            continue
+        gap_sq = 4.0 * c * c + detuning * detuning
+        splitting[k] = math.copysign(1.0, c) * np.sqrt(gap_sq)
+        rate[k] = -(c * zfac) * wdot / gap_sq
+    return splitting, rate
 
 
-def mixing_angle_arrays(params: SystemParams, w):
-    """Central and corner mixing angles ``(theta1, theta2)`` at field values ``w``."""
+def mixing_angle_arrays(params: SystemParams, w) -> np.ndarray:
+    """Central and corner mixing angles ``(theta1, theta2)`` at field values
+    ``w``, stacked on the block axis: shape ``(2, size(w))``."""
     w = np.atleast_1d(np.asarray(w, dtype=float))
-    return tuple(_half_angle(block_coupling(params, key), w * block_zeta_factor(params, key))
-                 for key in (BLOCK_CENTRAL, BLOCK_CORNER))
+    coupling, zeta_factor, _ = block_constants(params).tolist()
+    angles = np.zeros((2,) + w.shape)
+    for k, (c, zfac) in enumerate(zip(coupling, zeta_factor)):
+        if c != 0.0:
+            doubled = np.arctan2(2.0 * c, w * zfac)
+            angles[k] = 0.5 * np.where(doubled < 0.0, doubled + np.pi, doubled)
+    return angles
 
 
 def mixing_angles(params: SystemParams, t: float) -> AdiabaticAngles:
     """Frame angles and their closed-form rates at time ``t``."""
     w, wdot = params.profile.evaluate(np.asarray([t], dtype=float))
-    theta1, theta2 = mixing_angle_arrays(params, w)
-    _, rate1 = block_splitting_and_rate(params, BLOCK_CENTRAL, w, wdot)
-    _, rate2 = block_splitting_and_rate(params, BLOCK_CORNER, w, wdot)
-    return AdiabaticAngles(
-        theta1=float(theta1[0]),
-        theta2=float(theta2[0]),
-        theta1_rate=float(rate1[0]),
-        theta2_rate=float(rate2[0]),
-    )
+    theta1, theta2 = mixing_angle_arrays(params, w)[:, 0].tolist()
+    rate1, rate2 = block_splitting_and_rate(params, w, wdot)[1][:, 0].tolist()
+    return AdiabaticAngles(theta1=theta1, theta2=theta2,
+                           theta1_rate=rate1, theta2_rate=rate2)
 
 
 def frame_matrices(theta1: np.ndarray, theta2: np.ndarray) -> np.ndarray:
     """Stacked frame unitaries for angle arrays, shape ``(..., 4, 4)``."""
     theta1 = np.asarray(theta1, dtype=float)
     theta2 = np.asarray(theta2, dtype=float)
-    shape = np.broadcast_shapes(theta1.shape, theta2.shape)
-    c1, s1 = np.cos(theta1), np.sin(theta1)
-    c2, s2 = np.cos(theta2), np.sin(theta2)
-    out = np.zeros(shape + (4, 4), dtype=complex)
-    out[..., 0, 0] = c2
-    out[..., 0, 3] = -s2
-    out[..., 3, 0] = s2
-    out[..., 3, 3] = c2
-    out[..., 1, 1] = c1
-    out[..., 1, 2] = -s1
-    out[..., 2, 1] = s1
-    out[..., 2, 2] = c1
+    out = np.zeros(np.broadcast_shapes(theta1.shape, theta2.shape) + (4, 4), dtype=complex)
+    for (i, j), theta in zip(BLOCK_SLOTS, (theta1, theta2)):
+        cos, sin = np.cos(theta), np.sin(theta)
+        out[..., i, i] = cos
+        out[..., i, j] = -sin
+        out[..., j, i] = sin
+        out[..., j, j] = cos
     return out
 
 
@@ -161,10 +154,9 @@ def frame_unitary(angles: AdiabaticAngles) -> np.ndarray:
 def gauge_term(angles: AdiabaticAngles) -> np.ndarray:
     """T^dagger dT/dt: real, antisymmetric, purely off-diagonal in the blocks."""
     g = np.zeros((4, 4))
-    g[0, 3] = -angles.theta2_rate
-    g[3, 0] = angles.theta2_rate
-    g[1, 2] = -angles.theta1_rate
-    g[2, 1] = angles.theta1_rate
+    for (i, j), rate in zip(BLOCK_SLOTS, (angles.theta1_rate, angles.theta2_rate)):
+        g[i, j] = -rate
+        g[j, i] = rate
     return g
 
 
@@ -175,14 +167,13 @@ def effective_h_batch(params: SystemParams, times: np.ndarray):
     ``c0[k, j] + c[:, k, j] . sigma``, index 0 its upper level.  Both blocks
     come from one evaluation of the field."""
     w, wdot = params.profile.evaluate(np.asarray(times, dtype=float))
-    c0 = np.empty((2, np.size(w)))
-    c = np.zeros((3, 2, np.size(w)))
-    for k, key in enumerate((BLOCK_CENTRAL, BLOCK_CORNER)):
-        g, rate = block_splitting_and_rate(params, key, w, wdot)
-        c0[k] = block_diagonal_offset(params, key)
-        # -i * gauge is -rate sigma_y: Hermitian, imaginary off-diagonal
-        c[1, k] = -rate
-        c[2, k] = 0.5 * g
+    g, rate = block_splitting_and_rate(params, w, wdot)
+    c0 = np.empty_like(g)
+    c0[:] = block_constants(params)[2][:, None]
+    c = np.zeros((3,) + g.shape)
+    # -i * gauge is -rate sigma_y: Hermitian, imaginary off-diagonal
+    c[1] = -rate
+    c[2] = 0.5 * g
     return c0, c
 
 
@@ -225,12 +216,8 @@ def diagonalization_residual(params: SystemParams, t: float) -> float:
 __all__ = [
     "AdiabaticAngles",
     "FrameSnapshot",
-    "BLOCK_CENTRAL",
-    "BLOCK_CORNER",
-    "block_coupling",
-    "block_diagonal_offset",
+    "block_constants",
     "block_splitting_and_rate",
-    "block_zeta_factor",
     "diagonalization_residual",
     "effective_h_batch",
     "effective_hamiltonian",

@@ -25,8 +25,9 @@ from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, kron2
 
 THETA_PARALLEL = 0.0
 THETA_PERPENDICULAR = math.pi / 2
-# product-basis slots of the central and corner 2x2 blocks, upper level first
-_BLOCK_SLOTS = np.array([[1, 2], [0, 3]])
+# the block layout: product-basis slots of the central (row 0) and corner
+# (row 1) 2x2 blocks, upper level first; every block axis follows this order
+BLOCK_SLOTS = np.array([[1, 2], [0, 3]])
 
 
 @dataclass(frozen=True)

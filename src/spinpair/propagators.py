@@ -38,21 +38,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 
 import numpy as np
 
 from .errors import DegenerateGap, NonNormalizedInput, ToleranceNotMet
 from .frames import (
-    BLOCK_CENTRAL,
-    BLOCK_CORNER,
-    block_coupling,
-    block_diagonal_offset,
+    block_constants,
     block_splitting_and_rate,
     effective_h_batch,
     frame_matrices,
     mixing_angle_arrays,
 )
-from .hamiltonian import _BLOCK_SLOTS, SystemParams, hamiltonian_batch
+from .hamiltonian import BLOCK_SLOTS, SystemParams, hamiltonian_batch
 from .linalg import STATE_NORM_TOL, expm_unitary, pauli_components, su2_exp, su2_product
 from .quadrature import cumulative_integral, running_integral
 
@@ -79,7 +77,8 @@ class TimeGrid:
             raise ValueError("grid endpoints must be finite")
         if not self.t_end > self.t_start:
             raise ValueError("t_end must exceed t_start")
-        if int(self.n_steps) != self.n_steps or self.n_steps < 1:
+        if (isinstance(self.n_steps, bool) or not isinstance(self.n_steps, Integral)
+                or self.n_steps < 1):
             raise ValueError("n_steps must be a positive integer")
 
     @property
@@ -148,7 +147,7 @@ def _scatter_blocks(phase: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarr
     [[a, -b*], [b, a*]]`` (index 0 and 1 of the leading axis of each argument)
     in their product-basis slots, with exact zeros elsewhere."""
     out = np.zeros(a.shape[1:] + (4, 4), dtype=complex)
-    for (i, j), p, x, y in zip(_BLOCK_SLOTS, phase, a, b):
+    for (i, j), p, x, y in zip(BLOCK_SLOTS, phase, a, b):
         out[..., i, i] = p * x
         out[..., j, i] = p * y
         out[..., i, j] = -p * np.conj(y)
@@ -168,18 +167,17 @@ def _block_paths(params: SystemParams, grid: TimeGrid):
     """
     edges, _, on_grid = _cells(params, grid)
     times = edges[on_grid]
-    keys = (BLOCK_CENTRAL, BLOCK_CORNER)
-    coupled = [block_coupling(params, key) != 0.0 for key in keys]
+    coupling, _, offsets = block_constants(params)
+    coupled = (coupling != 0.0).tolist()
 
     def integrand(nodes):
-        w, wdot = params.profile.evaluate(nodes)
+        g, rate = block_splitting_and_rate(params, *params.profile.evaluate(nodes))
         rows = []
-        for key, has_rate in zip(keys, coupled):
-            g, rate = block_splitting_and_rate(params, key, w, wdot)
-            rows.append(g)
+        for k, has_rate in enumerate(coupled):
+            rows.append(g[k])
             if has_rate:
-                phi = running_integral(g, edges)
-                rows += [-rate * np.sin(phi), -rate * np.cos(phi)]
+                phi = running_integral(g[k], edges)
+                rows += [-rate[k] * np.sin(phi), -rate[k] * np.cos(phi)]
         return np.stack(rows)
 
     cumulative = cumulative_integral(integrand, edges)
@@ -194,7 +192,6 @@ def _block_paths(params: SystemParams, grid: TimeGrid):
             ix, iy = next(rows), next(rows)
             pair = su2_product(pair, su2_exp(np.stack([ix, iy, 0.0 * ix]), 1.0))
         first.append(pair)
-    offsets = np.array([block_diagonal_offset(params, key) for key in keys])
     phase = np.exp(-1j * offsets[:, None] * (times - times[0]))
     return times, phase, np.stack(zeroth, axis=1), np.stack(first, axis=1)
 
@@ -265,7 +262,7 @@ def _block_generators(params: SystemParams, frame: Frame, times: np.ndarray):
     ``times``, shapes ``(2, n)`` and ``(3, 2, n)``."""
     if frame is Frame.ADIABATIC:
         return effective_h_batch(params, times)
-    blocks = hamiltonian_batch(params, times)[:, _BLOCK_SLOTS[:, :, None], _BLOCK_SLOTS[:, None]]
+    blocks = hamiltonian_batch(params, times)[:, BLOCK_SLOTS[:, :, None], BLOCK_SLOTS[:, None]]
     return pauli_components(np.moveaxis(blocks, 1, 0))
 
 

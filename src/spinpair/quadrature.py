@@ -64,38 +64,38 @@ def running_integral(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return before[..., None, None] + within[..., None] + partial
 
 
-def _cell_integrals(f, edges: np.ndarray, m: int, order: int) -> np.ndarray:
+def _cell_integrals(f, edges: np.ndarray, m: int) -> np.ndarray:
     """Integral of every row of ``f`` over each grid cell split into ``m`` parts."""
-    x, w = _gauss_rule(order)
+    x, w = _gauss_rule(DEFAULT_ORDER)
     width = np.diff(edges)
     offsets = (np.arange(m)[:, None] + 0.5 * (x + 1.0)[None, :]) / m
     values = np.asarray(f(edges[:-1, None, None] + width[:, None, None] * offsets))
     return (0.5 * width / m) * np.sum(values @ w, axis=-1)
 
 
-def cumulative_integral(f, edges: np.ndarray, order: int = DEFAULT_ORDER,
-                        tol: float = DEFAULT_TOL) -> np.ndarray:
+def cumulative_integral(f, edges: np.ndarray) -> np.ndarray:
     """Cumulative integrals from ``edges[0]``, one value per edge.
 
     ``f`` is called once per refinement level on the Gauss nodes of every cell
-    split into ``m`` parts, an array of shape ``(cells, m, order)``, with
-    ``m = 1, 2, 4, ...``.  It returns one integrand row of that shape, or a
-    stack of rows ``(k, cells, m, order)``; the result is then ``(k, edges)``.
+    split into ``m`` parts, an array of shape ``(cells, m, DEFAULT_ORDER)``,
+    with ``m = 1, 2, 4, ...``.  It returns one integrand row of that shape, or a
+    stack of rows ``(k, cells, m, DEFAULT_ORDER)``; the result is ``(k, edges)``.
     Refinement stops once no cell integral of any row changes by more than
-    ``tol`` between consecutive levels; :class:`QuadratureFailure` is raised
-    if ``REFINE_LIMIT`` refinements never get there.
+    ``DEFAULT_TOL`` between consecutive levels; :class:`QuadratureFailure` is
+    raised if ``REFINE_LIMIT`` refinements never get there.
     """
     edges = np.asarray(edges, dtype=float)
     m = 1
-    coarse = _cell_integrals(f, edges, m, order)
+    coarse = _cell_integrals(f, edges, m)
     for _ in range(REFINE_LIMIT):
         m *= 2
-        fine = _cell_integrals(f, edges, m, order)
-        if np.max(np.abs(fine - coarse)) <= tol:
+        fine = _cell_integrals(f, edges, m)
+        if np.max(np.abs(fine - coarse)) <= DEFAULT_TOL:
             out = np.zeros(fine.shape[:-1] + (edges.size,))
             np.cumsum(fine, axis=-1, out=out[..., 1:])
             return out
         coarse = fine
     raise QuadratureFailure(
-        f"cell integrals did not stabilize to {tol:.1e} after {REFINE_LIMIT} refinements"
+        f"cell integrals did not stabilize to {DEFAULT_TOL:.1e} after "
+        f"{REFINE_LIMIT} refinements"
     )

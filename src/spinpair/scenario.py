@@ -16,7 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import compare_solutions, lz_asymptotic, populations
+from .analysis import (
+    BLOCK_CENTRAL,
+    BLOCK_CORNER,
+    compare_solutions,
+    lz_asymptotic,
+    populations,
+)
 from .errors import ConfigError, IoError
 from .fields import (
     Constant,
@@ -27,14 +33,9 @@ from .fields import (
     TanhRamp,
     adiabaticity_profile,
 )
-from .frames import (
-    BLOCK_CENTRAL,
-    BLOCK_CORNER,
-    diagonalization_residual,
-    effective_hamiltonian,
-    mixing_angles,
-)
+from .frames import diagonalization_residual, effective_hamiltonian, mixing_angles
 from .hamiltonian import (
+    BLOCK_SLOTS,
     THETA_PERPENDICULAR,
     SystemParams,
     build_hamiltonian,
@@ -56,6 +57,9 @@ _INTEGRATOR_KEYS = {"tol_per_time", "max_halvings"}
 _SWEEP_KEYS = {"parameter", "values"}
 _OUTPUT_KINDS = ("trajectory", "comparison", "propagator")
 _CSV_BLOCK_ROWS = 256
+# summary entries a sweep tabulates per point, those a point has
+_SWEEP_COLUMNS = ("survival_probability", "max_eta", "final_infidelity_zeroth",
+                  "final_infidelity_first", "final_beta_sq_central", "lz_prediction")
 ADIABATIC_WARNING_THRESHOLD = 0.1  # max |eta| above which a run is flagged
 
 _PROFILE_SCHEMAS = {
@@ -302,7 +306,21 @@ def load_config(path) -> ScenarioConfig:
     return parse_config(raw, base_dir=path.parent)
 
 
+def _json_safe(value):
+    """``value`` with every non-finite float, at any depth, replaced by None:
+    JSON (RFC 8259) has no token for NaN or an infinity, so they are null."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    return value
+
+
 def _write_table(path: Path, header: list, columns: list, fmt: str) -> None:
+    """One table as CSV (``%.17g``, so ``nan``/``inf`` stay as such) or as
+    JSON with every non-finite value null."""
     table = np.column_stack(columns).astype(float, copy=False)
     try:
         if fmt == "csv":
@@ -314,9 +332,10 @@ def _write_table(path: Path, header: list, columns: list, fmt: str) -> None:
                     block = table[start:start + _CSV_BLOCK_ROWS].tolist()
                     fh.writelines(line % tuple(row) for row in block)
         else:
-            payload = {"columns": header, "rows": table.tolist()}
+            rows = np.where(np.isfinite(table), table, None).tolist()
             with open(path, "w", newline="\n") as fh:
-                json.dump(payload, fh, indent=2)
+                json.dump({"columns": header, "rows": rows}, fh, indent=2,
+                          allow_nan=False)
                 fh.write("\n")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
@@ -435,18 +454,14 @@ def _summarize(config: ScenarioConfig, trajectory, eta, comparison) -> dict:
     if trajectory.frame is Frame.ADIABATIC:
         # central-block jump probability read off the frame propagator; for a
         # wide sweep through the crossing this is the diabatic survival
-        u_frame = trajectory.propagators[-1]
-        summary["block_jump_probability"] = float(abs(u_frame[1, 2]) ** 2)
+        i, j = BLOCK_SLOTS[0]
+        summary["block_jump_probability"] = float(abs(trajectory.propagators[-1, i, j]) ** 2)
     if comparison is not None:
         summary["final_infidelity_zeroth"] = float(comparison.infidelity_zeroth[-1])
         summary["final_infidelity_first"] = float(comparison.infidelity_first[-1])
-        summary["final_beta_sq_central"] = float(
-            comparison.final_beta_sq[BLOCK_CENTRAL]
-        )
+        summary["final_beta_sq_central"] = comparison.final_beta_sq[BLOCK_CENTRAL]
         if BLOCK_CORNER in comparison.final_beta_sq:
-            summary["final_beta_sq_corner"] = float(
-                comparison.final_beta_sq[BLOCK_CORNER]
-            )
+            summary["final_beta_sq_corner"] = comparison.final_beta_sq[BLOCK_CORNER]
         summary["max_gauge_rate"] = float(comparison.max_gauge_rate)
         summary["max_rate_over_gap"] = float(comparison.max_rate_over_gap)
     if (isinstance(params.profile, LinearRamp) and params.is_parallel
@@ -462,7 +477,8 @@ def write_outputs(out_dir, fmt: str, report: dict, tables: dict | None = None,
     ``tables`` maps an output kind to its ``(header, columns)``; each is
     written as ``<kind>.<fmt>`` and listed, with the report itself, in
     ``report["outputs"]``.  ``fmt`` is checked before the directory is
-    created, so a rejected format writes nothing.
+    created, so a rejected format writes nothing.  Every JSON file holds
+    each non-finite number as null, and ``report`` is updated to match.
     """
     if fmt not in {"csv", "json"}:
         raise ConfigError(f"format must be 'csv' or 'json', got {fmt!r}")
@@ -470,6 +486,7 @@ def write_outputs(out_dir, fmt: str, report: dict, tables: dict | None = None,
     if tables is not None:
         report["outputs"] = {**{kind: f"{kind}.{fmt}" for kind in tables},
                              "report": name}
+    report.update(_json_safe(report))
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -479,7 +496,7 @@ def write_outputs(out_dir, fmt: str, report: dict, tables: dict | None = None,
     path = out_dir / name
     try:
         with open(path, "w", newline="\n") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
+            json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
@@ -489,8 +506,9 @@ def _scaled_scenario(config: ScenarioConfig, parameter: str, value: float) -> Sc
     """Derive the scenario for one sweep point.
 
     ``rate`` scales the drive rate by ``value`` at fixed sweep shape (the time
-    axis stretches by 1/value); ``omega0`` re-spans a symmetric linear ramp to
-    (-value, +value) at fixed rate.
+    axis stretches by 1/value); ``omega0`` re-spans a symmetric linear ramp
+    across (-value, +value) at fixed rate, from the end the rate's sign
+    leaves from.
     """
     params, grid = config.params, config.grid
     profile = params.profile
@@ -514,7 +532,7 @@ def _scaled_scenario(config: ScenarioConfig, parameter: str, value: float) -> Sc
         if profile.rate == 0.0:
             raise ConfigError("sweep: omega0 sweeps need a nonzero rate")
         w0 = float(value)
-        new_profile = LinearRamp(-w0, profile.rate)
+        new_profile = LinearRamp(-math.copysign(w0, profile.rate), profile.rate)
         new_grid = TimeGrid(0.0, 2.0 * w0 / abs(profile.rate), grid.n_steps)
     new_params = replace(params, profile=new_profile)
     return replace(config, params=new_params, grid=new_grid)
@@ -536,20 +554,10 @@ def run_sweep(config: ScenarioConfig, out_dir, fmt: str = "csv",
     for value in values:
         point = _scaled_scenario(config, parameter, value)
         *_, summary = _run_point(point, point.initial_label.startswith("phi"))
-        row = {"value": value,
-               "survival_probability": summary["survival_probability"],
-               "max_eta": summary["max_eta"]}
-        for key in ("final_infidelity_zeroth", "final_infidelity_first",
-                    "final_beta_sq_central", "lz_prediction"):
-            if key in summary:
-                row[key] = summary[key]
-        rows.append(row)
+        rows.append({"value": value,
+                     **{key: summary[key] for key in _SWEEP_COLUMNS if key in summary}})
 
-    header = ["value", "survival_probability", "max_eta"]
-    for key in ("final_infidelity_zeroth", "final_infidelity_first",
-                "final_beta_sq_central", "lz_prediction"):
-        if any(key in row for row in rows):
-            header.append(key)
+    header = ["value"] + [key for key in _SWEEP_COLUMNS if any(key in row for row in rows)]
     columns = [np.array([row.get(key, np.nan) for row in rows]) for key in header]
 
     report = {
@@ -635,15 +643,12 @@ def run_validation(config: ScenarioConfig) -> dict:
         record("angle_rate_consistency", worst, 1e-5)
 
         worst = 0.0
+        central, corner = BLOCK_SLOTS
         for t in draws:
             snap = effective_hamiltonian(params, t)
-            coupling_outside = max(
-                abs(snap.effective_h[0, 1]), abs(snap.effective_h[0, 2]),
-                abs(snap.effective_h[1, 3]), abs(snap.effective_h[2, 3]),
-                abs(snap.effective_h[1, 0]), abs(snap.effective_h[2, 0]),
-                abs(snap.effective_h[3, 1]), abs(snap.effective_h[3, 2]),
-            )
-            worst = max(worst, float(coupling_outside))
+            coupling_outside = np.abs([snap.effective_h[np.ix_(central, corner)],
+                                       snap.effective_h[np.ix_(corner, central)]])
+            worst = max(worst, float(np.max(coupling_outside)))
             worst = max(worst, float(np.max(np.abs(snap.gauge + snap.gauge.T))))
         record("block_preservation", worst, 0.0)
 

@@ -2,25 +2,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from split_quad import splitting_and_rate
 
 from spinpair.errors import DegenerateGap, UnsupportedOrientation
 from spinpair.fields import Constant, Harmonic, LinearRamp, TanhRamp
 from spinpair.frames import (
     AdiabaticAngles,
-    BLOCK_CENTRAL,
-    BLOCK_CORNER,
-    block_coupling,
+    block_constants,
+    block_splitting_and_rate,
     diagonalization_residual,
     effective_h_batch,
     effective_hamiltonian,
     frame_unitary,
     gauge_term,
     initial_adiabatic_states,
+    mixing_angle_arrays,
     mixing_angles,
 )
 from spinpair.hamiltonian import (
-    _BLOCK_SLOTS,
+    BLOCK_SLOTS,
     THETA_PERPENDICULAR,
     SystemParams,
     build_hamiltonian,
@@ -172,7 +174,7 @@ class TestDiagonalization:
             transformed = dagger(tmat) @ build_hamiltonian(p, 0.0) @ tmat
             diag = np.real(np.diag(transformed))
             closed = np.array(closed_eigenvalues(p, 0.0))
-            if not block_coupling(p, BLOCK_CORNER) >= 0.0:
+            if not block_constants(p)[0][1] >= 0.0:
                 closed[[0, 3]] = closed[[3, 0]]  # corner fold for a_par < a_perp
             np.testing.assert_allclose(diag, closed, atol=1e-12)
 
@@ -215,7 +217,7 @@ class TestEffectiveHamiltonian:
                      + np.einsum("ikn,iab->knab", c, [SIGMA_X, SIGMA_Y, SIGMA_Z]))
             for k, t in enumerate(ts):
                 snap = effective_hamiltonian(p, float(t))
-                for block, slots in zip(batch, _BLOCK_SLOTS):
+                for block, slots in zip(batch, BLOCK_SLOTS):
                     expected = snap.effective_h[np.ix_(slots, slots)]
                     assert np.max(np.abs(block[k] - expected)) <= 1e-12
 
@@ -260,16 +262,81 @@ class TestInitialStates:
 def test_level_splitting_signs():
     p = params(0.0, Constant(-2.0))
     # corner pair has no coupling along the axis: splitting is the signed detuning
-    assert splitting_and_rate(p, BLOCK_CORNER, 0.0)[0] == pytest.approx(-2.2, abs=1e-15)
-    assert splitting_and_rate(p, BLOCK_CENTRAL, 0.0)[0] > 0.0
+    assert splitting_and_rate(p, 1, 0.0)[0] == pytest.approx(-2.2, abs=1e-15)
+    assert splitting_and_rate(p, 0, 0.0)[0] > 0.0
     swapped = params(THETA_PERPENDICULAR, Constant(2.0), a_par=0.3, a_perp=0.9)
-    assert splitting_and_rate(swapped, BLOCK_CORNER, 0.0)[0] < 0.0
-    assert block_coupling(swapped, BLOCK_CORNER) < 0.0
+    assert splitting_and_rate(swapped, 1, 0.0)[0] < 0.0
+    assert block_constants(swapped)[0][1] < 0.0
 
 
 def test_block_angle_rate_consistency():
     p = params(THETA_PERPENDICULAR, TanhRamp(3.0, 2.0, 5.0))
     ts = np.linspace(-5.0, 5.0, 11)
-    _, rates = splitting_and_rate(p, BLOCK_CENTRAL, ts)
+    _, rates = splitting_and_rate(p, 0, ts)
     for k, t in enumerate(ts):
         assert rates[k] == pytest.approx(mixing_angles(p, float(t)).theta1_rate, abs=1e-15)
+
+
+def same_bits(got, expected):
+    """Equal as float64 bit patterns, the sign of a zero included."""
+    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+    return got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+def written_out_block(params, k):
+    """Block ``k``'s coupling, detuning factor and offset, one block at a time."""
+    delta = (params.a_par - params.a_perp) * math.sin(params.theta) ** 2
+    base = params.a_par if params.is_parallel else params.a_perp
+    if k == 0:  # central pair {|+->, |-+>}
+        return 2.0 * params.a_perp + delta, 1.0 - params.zeta, -base
+    return delta, 1.0 + params.zeta, base  # corner pair {|++>, |-->}
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(theta=st.one_of(st.sampled_from([0.0, THETA_PERPENDICULAR]),
+                       st.floats(0.01, THETA_PERPENDICULAR - 0.01)),
+       a_perp=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+       anisotropy=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+       zeta=st.floats(-0.5, 0.5),
+       field=st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-5.0, 5.0)),
+                      min_size=1, max_size=6))
+def test_block_axis_matches_per_block_formulas(theta, a_perp, anisotropy, zeta, field):
+    """Both special orientations, a_par on either side of a_perp (a negative
+    corner coupling across the axis) and the uncoupled corner along it: the
+    block-axis arrays are the per-block formulas, bit for bit.  A gapless
+    pair along the axis and a general angle are rejected."""
+    p = params(theta, Constant(0.0), a_par=a_perp + anisotropy, a_perp=a_perp, zeta=zeta)
+    w, wdot = np.array(field).T
+    calls = (lambda: block_constants(p),
+             lambda: block_splitting_and_rate(p, w, wdot),
+             lambda: mixing_angle_arrays(p, w))
+    rejection = (UnsupportedOrientation if not p.is_special_orientation
+                 else DegenerateGap if p.is_parallel and a_perp == 0.0 else None)
+    if rejection is not None:
+        for call in calls:
+            with pytest.raises(rejection):
+                call()
+        return
+    constants = block_constants(p)
+    splitting, rate = block_splitting_and_rate(p, w, wdot)
+    angles = mixing_angle_arrays(p, w)
+    assert splitting.shape == rate.shape == angles.shape == (2, w.size)
+    for k in range(2):
+        c, zfac, offset = written_out_block(p, k)
+        assert all(same_bits(got[k], x) for got, x in zip(constants, (c, zfac, offset)))
+        detuning = w * zfac
+        if c == 0.0:
+            expected_splitting, expected_rate = detuning, np.zeros(w.size)
+            expected_angle = np.zeros(w.size)
+        else:
+            gap_sq = 4.0 * c * c + detuning * detuning
+            expected_splitting = math.copysign(1.0, c) * np.sqrt(gap_sq)
+            expected_rate = -(c * zfac) * wdot / gap_sq
+            doubled = np.arctan2(2.0 * c, detuning)
+            expected_angle = 0.5 * np.where(doubled < 0.0, doubled + np.pi, doubled)
+        assert same_bits(splitting[k], expected_splitting)
+        assert same_bits(rate[k], expected_rate)
+        assert same_bits(angles[k], expected_angle)
+    if p.is_parallel:
+        assert constants[0][1] == 0.0 and np.all(rate[1] == 0.0)
+

@@ -11,13 +11,13 @@ from spinpair import propagators
 from spinpair.errors import NonHermitianInput, NonNormalizedInput, ToleranceNotMet
 from spinpair.fields import Constant, Harmonic, LinearRamp, TanhRamp, Tabulated
 from spinpair.frames import (
-    block_diagonal_offset,
+    block_constants,
     effective_h_batch,
     effective_hamiltonian,
     initial_adiabatic_states,
 )
 from spinpair.hamiltonian import (
-    _BLOCK_SLOTS,
+    BLOCK_SLOTS,
     THETA_PERPENDICULAR,
     SystemParams,
     closed_eigenvalues,
@@ -49,7 +49,6 @@ HALF_GAP = 0.5 * math.sqrt(7.24)
 
 E2 = np.array([0, 1, 0, 0], dtype=complex)
 E1 = np.array([1, 0, 0, 0], dtype=complex)
-BLOCK_SLOTS = dict(zip(("23", "14"), _BLOCK_SLOTS))
 
 
 def params(theta, profile, a_par=1.0, a_perp=0.5, zeta=0.1):
@@ -73,6 +72,16 @@ class TestTimeGrid:
             TimeGrid(0.0, 0.0, 4)
         with pytest.raises(ValueError):
             TimeGrid(0.0, 1.0, 0)
+
+    @pytest.mark.parametrize("n_steps", [3.0, True, False, "3"])
+    def test_step_count_must_be_an_int(self, n_steps):
+        # a float count would fail only in times(), and True would make one step
+        with pytest.raises(ValueError):
+            TimeGrid(0.0, 1.0, n_steps)
+
+    def test_numpy_step_count_is_an_int(self):
+        np.testing.assert_array_equal(TimeGrid(0.0, 1.0, np.int64(2)).times(),
+                                      [0.0, 0.5, 1.0])
 
 
 class TestReferencePropagate:
@@ -157,9 +166,10 @@ class TestReferencePropagate:
                 assert np.max(np.abs(u[~mask])) <= 1e-10
 
 
-def block(u, key):
-    """The central ("23") or corner ("14") 2x2 block of stacked 4x4 matrices."""
-    slots = BLOCK_SLOTS[key]
+def block(u, k):
+    """The central (``k = 0``) or corner (``k = 1``) 2x2 block of stacked 4x4
+    matrices."""
+    slots = BLOCK_SLOTS[k]
     return u[..., slots[:, None], slots]
 
 
@@ -188,8 +198,8 @@ class TestZerothOrderPaths:
         # about 1.6e4 rad of accumulated splitting, about 1 rad per cell
         p = params(0.0, TanhRamp(30.0, 20.0, 2.0))
         _, zeroth, _ = full_propagator_paths(p, TimeGrid(-300.0, 300.0, 16000))
-        expected = zeroth_order_block(p, "23", np.linspace(-300.0, 300.0, 601))
-        np.testing.assert_allclose(block(zeroth[-1], "23"), expected,
+        expected = zeroth_order_block(p, 0, np.linspace(-300.0, 300.0, 601))
+        np.testing.assert_allclose(block(zeroth[-1], 0), expected,
                                    rtol=0, atol=1e-8)
 
     def test_tabulated_knots_off_dyadic_points_match_quad(self):
@@ -199,52 +209,52 @@ class TestZerothOrderPaths:
         # three cells of 1.283: every interior knot falls inside a cell
         _, zeroth, _ = full_propagator_paths(p, TimeGrid(0.05, 3.9, 3))
         cuts = np.concatenate([[0.05], knots[1:-1], [3.9]])
-        for key in ("23", "14"):
-            np.testing.assert_allclose(block(zeroth[-1], key),
-                                       zeroth_order_block(p, key, cuts),
+        for k in range(2):
+            np.testing.assert_allclose(block(zeroth[-1], k),
+                                       zeroth_order_block(p, k, cuts),
                                        rtol=0, atol=1e-12)
 
 
-def interaction_picture_v(p, key, grid):
+def interaction_picture_v(p, k, grid):
     """Gauge perturbation ``-rate sigma_y`` rotated into the interaction
     picture at the grid nodes, in closed form ``-rate (cos Phi sigma_y +
     sin Phi sigma_x)`` with ``Phi`` from ``quad`` and by conjugation with the
     route's zeroth-order nodes ``U0^dagger (-rate sigma_y) U0``."""
     times, zeroth, _ = full_propagator_paths(p, grid)
-    phi = splitting_phases(p, key, times)[:, None, None]
-    rate = splitting_and_rate(p, key, times)[1][:, None, None]
+    phi = splitting_phases(p, k, times)[:, None, None]
+    rate = splitting_and_rate(p, k, times)[1][:, None, None]
     closed = -rate * (np.cos(phi) * SIGMA_Y + np.sin(phi) * SIGMA_X)
-    u0 = block(zeroth, key)
+    u0 = block(zeroth, k)
     return closed, dagger(u0) @ (-rate * SIGMA_Y) @ u0
 
 
 class TestInteractionPicture:
-    @pytest.mark.parametrize("theta, key", [(0.0, "23"),
-                                            (THETA_PERPENDICULAR, "23"),
-                                            (THETA_PERPENDICULAR, "14")])
+    @pytest.mark.parametrize("theta, k", [(0.0, 0),
+                                          (THETA_PERPENDICULAR, 0),
+                                          (THETA_PERPENDICULAR, 1)])
     @pytest.mark.parametrize("profile", [TanhRamp(3.0, 2.0, 4.0),
                                          Harmonic(2.0, 1.0, 0.7, 0.3)])
-    def test_closed_form_matches_conjugation(self, theta, key, profile):
-        closed, direct = interaction_picture_v(params(theta, profile), key,
+    def test_closed_form_matches_conjugation(self, theta, k, profile):
+        closed, direct = interaction_picture_v(params(theta, profile), k,
                                                TimeGrid(-8.0, 16.0, 60))
         assert np.max(np.abs(closed - direct)) <= 1e-10
         np.testing.assert_allclose(closed, dagger(closed), atol=1e-14)
 
     def test_constant_field_vanishes(self):
-        closed, direct = interaction_picture_v(params(0.0, Constant(2.0)), "23",
+        closed, direct = interaction_picture_v(params(0.0, Constant(2.0)), 0,
                                                TimeGrid(0.0, 3.0, 6))
         assert np.all(closed == 0.0)
         np.testing.assert_allclose(direct, 0.0, atol=1e-15)
 
     def test_zero_crossing_magnitude(self):
         p = params(0.0, LinearRamp(0.0, 1.0), zeta=0.0)
-        closed, _ = interaction_picture_v(p, "23", TimeGrid(-1.0, 1.0, 2))
+        closed, _ = interaction_picture_v(p, 0, TimeGrid(-1.0, 1.0, 2))
         assert abs(closed[1, 0, 1]) == pytest.approx(0.25, abs=1e-12)
 
     def test_magnitude_bounded_by_rate_over_gap(self):
         p = params(0.0, TanhRamp(0.0, 3.0, 2.0), zeta=0.0)
         bound = 3.0 / 2.0 / (8.0 * 0.5)  # max omega_dot / (8 a_perp), zeta = 0
-        closed, _ = interaction_picture_v(p, "23", TimeGrid(-4.0, 4.0, 20))
+        closed, _ = interaction_picture_v(p, 0, TimeGrid(-4.0, 4.0, 20))
         assert np.max(np.abs(closed)) <= bound + 1e-12
 
 
@@ -261,7 +271,7 @@ class TestFirstOrderPaths:
         for theta in (0.0, THETA_PERPENDICULAR):
             p = params(theta, TanhRamp(3.0, 2.0, 2.0))
             _, zeroth, first = full_propagator_paths(p, TimeGrid(-4.0, 8.0, 300))
-            central = block(first[-1], "23")
+            central = block(first[-1], 0)
             assert abs(central[0, 0]) ** 2 + abs(central[0, 1]) ** 2 == pytest.approx(
                 1.0, abs=1e-9)
             assert unitarity_defect(first) <= 1e-9
@@ -359,13 +369,13 @@ def test_tabulated_paths_property(theta, n_steps, knots):
     assert unitarity_defect(first) <= 1e-12
     cuts = np.union1d(times, knots)
     nodes = np.searchsorted(cuts, times)
-    for key in ("23", "14"):
-        phi = splitting_phases(p, key, cuts)[nodes]
-        d = np.exp(-1j * block_diagonal_offset(p, key) * times)
+    for k in range(2):
+        phi = splitting_phases(p, k, cuts)[nodes]
+        d = np.exp(-1j * block_constants(p)[2][k] * times)
         expected = np.zeros((times.size, 2, 2), dtype=complex)
         expected[:, 0, 0] = d * np.exp(-0.5j * phi)
         expected[:, 1, 1] = d * np.exp(0.5j * phi)
-        np.testing.assert_allclose(block(zeroth, key), expected, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(block(zeroth, k), expected, rtol=0, atol=1e-10)
 
 
 _ANALYTIC_PROFILES = st.one_of(
@@ -391,7 +401,7 @@ def test_block_generators_property(theta, a_par, a_perp, zeta, profile, times):
     c0, c = _block_generators(p, Frame.LAB, times)
     lab = pauli_matrices(c0, c)
     full = hamiltonian_batch(p, times)
-    for k, slots in enumerate(_BLOCK_SLOTS):
+    for k, slots in enumerate(BLOCK_SLOTS):
         expected = full[:, slots[:, None], slots]
         # the off-diagonal is read off exactly; the diagonal is rebuilt as c0 +- cz
         assert np.array_equal(c[0, k] + 1j * c[1, k], expected[:, 1, 0])
@@ -406,7 +416,7 @@ def test_block_generators_property(theta, a_par, a_perp, zeta, profile, times):
     frame = pauli_matrices(*_block_generators(p, Frame.ADIABATIC, times))
     for k, t in enumerate(times):
         snap = effective_hamiltonian(p, float(t))
-        for blocks, slots in zip(frame, _BLOCK_SLOTS):
+        for blocks, slots in zip(frame, BLOCK_SLOTS):
             expected = snap.effective_h[np.ix_(slots, slots)]
             assert np.max(np.abs(blocks[k] - expected)) <= 1e-12
 
@@ -414,7 +424,7 @@ def test_block_generators_property(theta, a_par, a_perp, zeta, profile, times):
 def frame_generators_4x4(p, times):
     """The frame's central and corner generator blocks scattered into 4x4."""
     out = np.zeros((times.size, 4, 4), dtype=complex)
-    for blocks, slots in zip(pauli_matrices(*effective_h_batch(p, times)), _BLOCK_SLOTS):
+    for blocks, slots in zip(pauli_matrices(*effective_h_batch(p, times)), BLOCK_SLOTS):
         out[:, slots[:, None], slots] = blocks
     return out
 

@@ -4,7 +4,8 @@ from split_quad import first_order_block
 
 from spinpair.errors import QuadratureFailure
 from spinpair.fields import Tabulated
-from spinpair.hamiltonian import THETA_PERPENDICULAR, SystemParams
+from spinpair import quadrature
+from spinpair.hamiltonian import BLOCK_SLOTS, THETA_PERPENDICULAR, SystemParams
 from spinpair.propagators import TimeGrid, full_propagator_paths
 from spinpair.quadrature import (
     DEFAULT_ORDER,
@@ -24,8 +25,11 @@ def level_nodes(edges, m):
         seen.append(nodes)
         return np.ones_like(nodes)
 
-    with pytest.raises(QuadratureFailure):
-        cumulative_integral(capture, edges, tol=-1.0)
+    # a negative tolerance is never met: every level's nodes are captured
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quadrature, "DEFAULT_TOL", -1.0)
+        with pytest.raises(QuadratureFailure):
+            cumulative_integral(capture, edges)
     return next(nodes for nodes in seen if nodes.shape[1] == m)
 
 
@@ -90,7 +94,7 @@ def test_tabulated_first_order_block_matches_split_quad(n_steps):
     omegas = 3.0 + 0.6 * np.sin(0.9 * knots) + 0.2 * np.cos(2.3 * knots)
     p = SystemParams(1.0, 0.5, 0.1, THETA_PERPENDICULAR, Tabulated(knots, omegas))
     _, _, first = full_propagator_paths(p, TimeGrid(0.0, 8.0, n_steps))
-    for key, slots in (("23", [1, 2]), ("14", [0, 3])):
+    for k, slots in enumerate(BLOCK_SLOTS):
         np.testing.assert_allclose(first[-1][np.ix_(slots, slots)],
-                                   first_order_block(p, key, knots),
+                                   first_order_block(p, k, knots),
                                    rtol=0, atol=1e-11)

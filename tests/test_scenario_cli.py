@@ -20,16 +20,19 @@ from split_quad import first_order_block
 from spinpair.cli import main
 from spinpair.errors import ConfigError, IoError
 from spinpair.fields import FieldProfile, Tabulated
+from spinpair.hamiltonian import BLOCK_SLOTS
 from spinpair.linalg import unitarity_defect
 from spinpair.propagators import full_propagator_paths
 from spinpair.scenario import (
     ADIABATIC_WARNING_THRESHOLD,
+    _scaled_scenario,
     _write_table,
     load_config,
     parse_config,
     run_scenario,
     run_sweep,
     run_validation,
+    write_outputs,
 )
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -182,8 +185,10 @@ class TestRunScenario:
             ",".join(f"{float(v):.17g}" for v in row) + "\n" for row in rows)
         assert (tmp_path / "t.csv").read_bytes() == expected.encode()
         _write_table(tmp_path / "t.json", header, columns, "json")
+        # JSON has no token for NaN or an infinity: they are written as null
         payload = {"columns": header,
-                   "rows": [[float(v) for v in row] for row in rows]}
+                   "rows": [[float(v) if math.isfinite(v) else None for v in row]
+                            for row in rows]}
         expected = json.dumps(payload, indent=2) + "\n"
         assert (tmp_path / "t.json").read_bytes() == expected.encode()
 
@@ -326,6 +331,45 @@ class TestRunScenario:
         report = run_scenario(cfg, tmp_path)
         assert report["summary"]["initial_state"] == "custom"
 
+    @pytest.mark.parametrize("rate", [0.5, -0.5])
+    def test_omega0_sweep_spans_each_value_symmetrically(self, tmp_path, rate):
+        config = base_config(outputs=["comparison"])
+        config["profile"] = {"kind": "linear", "omega_start": 0.0, "rate": rate}
+        config["sweep"] = {"parameter": "omega0", "values": [2.0, 3.0]}
+        cfg = parse_config(config)
+        for value in (2.0, 3.0):
+            point = _scaled_scenario(cfg, "omega0", value)
+            ends = [point.grid.t_start, point.grid.t_end]
+            w, _ = point.params.profile.evaluate(np.array(ends))
+            np.testing.assert_allclose(w, np.sign(rate) * np.array([-value, value]),
+                                       rtol=1e-15)
+        # the field along the axis sweeps the central pair through its
+        # crossing: every row carries the Landau-Zener prediction
+        report = run_sweep(cfg, tmp_path)
+        rows = report["summary"]["points"]
+        assert [row["value"] for row in rows] == [2.0, 3.0]
+        assert all(0.0 < row["lz_prediction"] < 1.0 for row in rows)
+        header = (tmp_path / "sweep.csv").read_text().splitlines()[0]
+        assert header.split(",")[-1] == "lz_prediction"
+
+    def test_json_files_write_non_finite_numbers_as_null(self, tmp_path):
+        report = {"summary": {"max_eta": math.inf, "points": [{"v": math.nan}, 1.5]}}
+        columns = [np.array([0.0, 1.0]), np.array([-np.inf, 2.0])]
+        write_outputs(tmp_path, "json", report, {"trajectory": (["t", "eta"], columns)})
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        on_disk = {name: json.loads((tmp_path / name).read_text(), parse_constant=reject)
+                   for name in ("report.json", "trajectory.json")}
+        assert on_disk["report.json"]["summary"] == {"max_eta": None,
+                                                     "points": [{"v": None}, 1.5]}
+        assert on_disk["trajectory.json"]["rows"] == [[0.0, None], [1.0, 2.0]]
+        # the report is updated to match its file; CSV keeps inf
+        assert report == json.loads((tmp_path / "report.json").read_text())
+        write_outputs(tmp_path / "csv", "csv", {}, {"trajectory": (["t", "eta"], columns)})
+        assert (tmp_path / "csv" / "trajectory.csv").read_text() == "t,eta\n0,-inf\n1,2\n"
+
 
 class TestValidation:
     def test_all_checks_pass(self):
@@ -457,9 +501,9 @@ class TestCli:
         assert (out / "comparison.csv").exists()
         cfg = load_config(path)
         _, _, first = full_propagator_paths(cfg.params, cfg.grid)
-        for key, slots in (("23", [1, 2]), ("14", [0, 3])):
+        for k, slots in enumerate(BLOCK_SLOTS):
             np.testing.assert_allclose(first[-1][np.ix_(slots, slots)],
-                                       first_order_block(cfg.params, key, knots),
+                                       first_order_block(cfg.params, k, knots),
                                        rtol=0, atol=1e-11)
 
     def test_sweep_subcommand_ordering(self, tmp_path):
