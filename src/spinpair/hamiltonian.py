@@ -9,7 +9,9 @@ the symmetry axis, into a central 2x2 block on ``{|+->, |-+>}`` and a corner
 
 The Hamiltonian is linear in the drive: ``H(t) = omega(t) * P + K`` with a
 constant field-coupling matrix ``P`` and a constant hyperfine matrix ``K``.
-That split is what the batched propagators rely on.
+That split is what the batched propagators rely on.  Both are real symmetric
+at every orientation (the field and the axis lie in the x-z plane, and
+``sigma_y (x) sigma_y`` is real), so every builder here returns ``float64``.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ class SystemParams:
 
 def field_coupling_matrix(params: SystemParams) -> np.ndarray:
     """Constant matrix multiplying omega(t): Zeeman action on both spins."""
-    p = np.zeros((4, 4), dtype=complex)
+    p = np.zeros((4, 4))
     up = 0.5 * (1.0 + params.zeta)
     um = 0.5 * (1.0 - params.zeta)
     p[0, 0] = up
@@ -104,7 +106,7 @@ def static_matrix(params: SystemParams) -> np.ndarray:
     """
     a_par, a_perp = params.a_par, params.a_perp
     if params.is_parallel:
-        k = np.zeros((4, 4), dtype=complex)
+        k = np.zeros((4, 4))
         k[0, 0] = a_par
         k[1, 1] = -a_par
         k[2, 2] = -a_par
@@ -112,7 +114,7 @@ def static_matrix(params: SystemParams) -> np.ndarray:
         k[1, 2] = k[2, 1] = 2.0 * a_perp
         return k
     if params.is_perpendicular:
-        k = np.zeros((4, 4), dtype=complex)
+        k = np.zeros((4, 4))
         k[0, 0] = a_perp
         k[1, 1] = -a_perp
         k[2, 2] = -a_perp
@@ -125,11 +127,13 @@ def static_matrix(params: SystemParams) -> np.ndarray:
         kron2(SIGMA_X, SIGMA_X) + kron2(SIGMA_Y, SIGMA_Y) + kron2(SIGMA_Z, SIGMA_Z)
     )
     k += (a_par - a_perp) * kron2(axis, axis)
-    return k
+    # every imaginary part is an exact zero: i * i products of sigma_y only
+    return k.real.copy()
 
 
 def build_hamiltonian(params: SystemParams, t) -> np.ndarray:
-    """H(t) = omega(t) * P + K in the product basis; Hermitian by construction."""
+    """H(t) = omega(t) * P + K in the product basis; real symmetric by
+    construction."""
     w, _ = params.profile.evaluate(t)
     return w * field_coupling_matrix(params) + static_matrix(params)
 

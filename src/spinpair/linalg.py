@@ -1,9 +1,12 @@
-"""Dense complex linear algebra for 2x2 / 4x4 matrices and 4-component states.
+"""Dense linear algebra for 2x2 / 4x4 matrices and 4-component states.
 
-Everything operates on plain ``numpy`` arrays of ``complex128``.  Functions
-accept stacked inputs (leading batch dimensions) wherever the propagators
-benefit from it; scalar inputs come back as scalars.  All returned values are
-freshly allocated, so results can be shared freely between threads.
+Everything operates on plain ``numpy`` arrays of ``complex128``, except that a
+real symmetric 4x4 generator stays ``float64`` until its exponential is
+assembled: ``expm_unitary`` evaluates a Taylor exponential with scaling and
+squaring in the input's own arithmetic.  Functions accept stacked inputs
+(leading batch dimensions) wherever the propagators benefit from it; scalar
+inputs come back as scalars.  All returned values are freshly allocated, so
+results can be shared freely between threads.
 
 A 2x2 generator is also carried as its real Pauli components ``(c0, c)`` and
 an SU(2) element as its Cayley-Klein pair ``(a, b)``, the matrix ``[[a, -b*],
@@ -11,6 +14,8 @@ an SU(2) element as its Cayley-Klein pair ``(a, b)``, the matrix ``[[a, -b*],
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -22,6 +27,14 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 STATE_NORM_TOL = 1e-8
 EXPM_HERMITIAN_TOL = 1e-9
+
+# Taylor coefficients of cos x and sin(x)/x in y = x^2 up to y^5: together the
+# degree-11 Taylor polynomial of exp(-ix)
+_COS_COEFFS = [(-1) ** k / math.factorial(2 * k) for k in range(6)]
+_SINC_COEFFS = [(-1) ** k / math.factorial(2 * k + 1) for k in range(6)]
+# largest 1-norm at which the first omitted term x^12/12! is one unit
+# roundoff; the rest of the tail adds under 2% to it
+_TAYLOR_THETA = (0.5 * np.finfo(float).eps * math.factorial(12)) ** (1.0 / 12.0)
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -67,11 +80,14 @@ def expm_unitary(h: np.ndarray, scale: float | np.ndarray = 1.0) -> np.ndarray:
     """Unitary ``exp(-i * scale * h)`` for Hermitian ``h``.
 
     2x2 inputs use the closed Pauli form (``su2_exp`` times the scalar phase
-    ``e^{-i s c0}``), which is branch free; 4x4 inputs go through a Hermitian
-    eigendecomposition.  ``h`` may carry leading batch dimensions and ``scale``
-    may broadcast against them.
+    ``e^{-i s c0}``), which is branch free; 4x4 inputs take a Taylor
+    exponential with scaling and squaring, evaluated in real arithmetic for a
+    real symmetric ``h`` and in complex arithmetic otherwise.  The result is
+    always a complex unitary, for a real symmetric ``h`` too.  ``h`` may carry
+    leading batch dimensions and ``scale`` may broadcast against them.
     """
-    h = np.asarray(h, dtype=complex)
+    h = np.asarray(h)
+    h = h.astype(np.result_type(h, float), copy=False)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2] or h.shape[-1] not in (2, 4):
         raise ValueError("expm_unitary expects 2x2 or 4x4 matrices")
     s = np.asarray(scale, dtype=float)
@@ -116,9 +132,28 @@ def _expm2(c0: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _expm4(h: np.ndarray, s: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(h)
-    phases = np.exp(-1j * s[..., None] * w) if s.ndim else np.exp(-1j * s * w)
-    return (v * phases[..., None, :]) @ dagger(v)
+    """``exp(-iX) = cos X - i sin X`` for ``X = s h``: both series are
+    evaluated in ``Y = X^2`` by Paterson-Stockmeyer (6 matmuls) on ``X`` scaled
+    by ``2^-q``, with ``q`` set by the batch's largest 1-norm, and the result
+    is squared ``q`` times."""
+    x = s[..., None, None] * h
+    norm = np.max(np.sum(np.abs(x), axis=-2), initial=0.0)
+    squarings = max(0, math.ceil(math.log2(norm / _TAYLOR_THETA))) if norm else 0
+    x *= 0.5 ** squarings
+    eye = np.eye(4)
+    y = x @ x
+    y2 = y @ y
+    y3 = y @ y2
+
+    def series(c):
+        return c[0] * eye + c[1] * y + c[2] * y2 + y3 @ (c[3] * eye + c[4] * y + c[5] * y2)
+
+    # -i sin X first, then cos X added in place: no complex copy of cos X
+    u = np.multiply(x @ series(_SINC_COEFFS), -1j)
+    u += series(_COS_COEFFS)
+    for _ in range(squarings):
+        u = u @ u
+    return u
 
 
 def fidelity(psi: np.ndarray, phi: np.ndarray) -> float:

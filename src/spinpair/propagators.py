@@ -58,7 +58,7 @@ _CHUNK_SUBSTEPS = 1 << 17
 # Gauss nodes of a step sit this many step widths either side of its midpoint
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 # a level change up to this much per step is round-off (measured: about
-# 0.5 eps for the closed-form 2x2 step, 2-3 eps for the 4x4 eigh step)
+# 0.5 eps for the closed-form 2x2 step, at most 0.7 eps for the 4x4 Taylor step)
 _ROUNDOFF_PER_STEP = 4.0 * np.finfo(float).eps
 # successive changes of a fourth-order scheme shrink 16-fold in its regime
 _REGIME_RATIO = 8.0
@@ -241,19 +241,33 @@ def _midpoint_chunks(edges: np.ndarray, widths: np.ndarray, m: int, nodes: int =
         yield c0, c1, (edges[c0:c1, None] + fractions * h).reshape(-1), h.reshape(-1)
 
 
+def _matrix_scan(steps: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Running products ``steps[j] ... steps[0] @ start`` of stacked 4x4
+    matrices by a two-level scan: runs of about ``sqrt(n)`` steps advance side
+    by side, then each run is carried over by the product of all runs before it."""
+    n = steps.shape[0]
+    run = math.isqrt(n - 1) + 1
+    prefix = np.empty((-(-n // run), run, 4, 4), dtype=complex)
+    flat = prefix.reshape(-1, 4, 4)
+    flat[:n], flat[n:] = steps, np.eye(4)
+    flat[0] = flat[0] @ start
+    for j in range(1, run):
+        prefix[:, j] = prefix[:, j] @ prefix[:, j - 1]
+    for r in range(1, prefix.shape[0]):
+        prefix[r] = prefix[r] @ prefix[r - 1, -1]
+    return flat[:n]
+
+
 def _full_nodes(params: SystemParams, edges: np.ndarray, widths: np.ndarray,
                 m: int) -> np.ndarray:
     u_nodes = np.empty((widths.size + 1, 4, 4), dtype=complex)
     u_nodes[0] = np.eye(4)
-    acc = np.eye(4, dtype=complex)
     for c0, c1, midpoints, h in _midpoint_chunks(edges, widths, m):
         generators = hamiltonian_batch(params, midpoints)
         steps = expm_unitary(generators, h).reshape(c1 - c0, m, 4, 4)
         while steps.shape[1] > 1:  # time-ordered tree product within each cell
             steps = steps[:, 1::2] @ steps[:, 0::2]
-        for j in range(c1 - c0):
-            acc = steps[j, 0] @ acc
-            u_nodes[c0 + j + 1] = acc
+        u_nodes[c0 + 1:c1 + 1] = _matrix_scan(steps[:, 0], u_nodes[c0])
     return u_nodes
 
 
@@ -346,9 +360,9 @@ def reference_propagate(params: SystemParams, grid: TimeGrid, psi0: np.ndarray,
     special orientations when the budget allows two halvings; it certifies
     from the second halving on, once the previous change is ``_REGIME_RATIO``
     times the current one or at the round-off floor.  General ``theta`` uses
-    the midpoint rule.  A change at the round-off floor with the estimate
-    above target raises ``ToleranceNotMet`` at once.  ``psi0`` is interpreted
-    in ``frame``.
+    the midpoint rule.  A change at the round-off floor raises
+    ``ToleranceNotMet`` at once when the floor over ``2**order - 1`` is above
+    target.  ``psi0`` is interpreted in ``frame``.
     """
     psi0 = np.asarray(psi0, dtype=complex).reshape(4)
     deviation = abs(np.linalg.norm(psi0) - 1.0)
@@ -374,14 +388,17 @@ def reference_propagate(params: SystemParams, grid: TimeGrid, psi0: np.ndarray,
         halvings += 1
         in_regime = order == 2 or (halvings >= 2 and (
             last_change >= _REGIME_RATIO * change or last_change <= last_floor))
-        if estimate <= target and in_regime:
-            break
-        if estimate > target and change <= floor:
+        # a change within the floor is round-off: it certifies no estimate
+        # below the floor's own, even when it happens to vanish
+        if change <= floor and floor / (2 ** order - 1) > target:
             raise ToleranceNotMet(
                 f"refinement stalled at the round-off floor after {halvings} "
                 f"halvings: level change {change:.3e} within the floor "
-                f"{floor:.3e}, estimate {estimate:.3e} above target {target:.3e}"
+                f"{floor:.3e}, which certifies no estimate below "
+                f"{floor / (2 ** order - 1):.3e} against target {target:.3e}"
             )
+        if estimate <= target and in_regime:
+            break
         if halvings >= max_halvings:
             raise ToleranceNotMet(
                 f"estimate {estimate:.3e} above target {target:.3e} after "

@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinpair.errors import UnsupportedOrientation
-from spinpair.fields import Constant
+from spinpair.fields import Constant, TanhRamp
 from spinpair.hamiltonian import (
     THETA_PERPENDICULAR,
     SystemParams,
     build_hamiltonian,
     closed_eigenvalues,
+    field_coupling_matrix,
     hamiltonian_batch,
+    static_matrix,
 )
 from spinpair.linalg import hermiticity_defect
 
@@ -126,6 +130,17 @@ def test_batch_matches_scalar():
     batch = hamiltonian_batch(p, ts)
     for k, t in enumerate(ts):
         np.testing.assert_array_equal(batch[k], build_hamiltonian(p, float(t)))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(theta=st.floats(0.0, THETA_PERPENDICULAR) | st.sampled_from([0.0, THETA_PERPENDICULAR]),
+       a_par=st.floats(-3.0, 3.0), a_perp=st.floats(-3.0, 3.0), zeta=st.floats(-1.0, 1.0))
+def test_generator_is_real_symmetric(theta, a_par, a_perp, zeta):
+    p = SystemParams(a_par, a_perp, zeta, theta, TanhRamp(3.0, 2.0, 4.0))
+    for h in (field_coupling_matrix(p), static_matrix(p), build_hamiltonian(p, 0.7),
+              hamiltonian_batch(p, np.linspace(-5.0, 5.0, 6))):
+        assert h.dtype == np.float64
+        assert np.array_equal(h, np.swapaxes(h, -1, -2))
 
 
 def test_params_validation():

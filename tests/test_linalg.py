@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinpair.errors import NonHermitianInput, NonNormalizedInput
 from spinpair.linalg import (
@@ -126,6 +129,34 @@ class TestExpmUnitary:
 
     def test_hermiticity_defect_reported(self):
         assert hermiticity_defect(SIGMA_Y) == 0.0
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), is_complex=st.booleans(),
+       log_scales=st.lists(st.floats(-4.0, 3.0), min_size=1, max_size=5),
+       stacked=st.booleans())
+def test_expm4_matches_scipy(seed, is_complex, log_scales, stacked):
+    """Real symmetric and complex Hermitian 4x4 inputs, alone or stacked with
+    per-matrix scales, with s |h|_1 from 1e-4 to 1e3 so squarings are used."""
+    rng = np.random.default_rng(seed)
+    count = len(log_scales)
+    m = rng.standard_normal((count, 4, 4))
+    if is_complex:
+        m = m + 1j * rng.standard_normal((count, 4, 4))
+    h = m + dagger(m)
+    h /= np.abs(h).sum(axis=-2).max(axis=-1)[:, None, None]  # |h|_1 = 1
+    s = 10.0 ** np.array(log_scales) * rng.choice([-1.0, 1.0], count)
+    if stacked:
+        u = expm_unitary(h, s)
+    else:
+        u = np.array([expm_unitary(hk, sk) for hk, sk in zip(h, s)])
+    assert u.dtype == np.complex128 and u.shape == (count, 4, 4)
+    expected = np.array([scipy.linalg.expm(-1j * sk * hk) for hk, sk in zip(h, s)])
+    # a stack shares the squarings its largest s |h|_1 asks for
+    bound = 1e-14 * np.maximum(1.0, np.max(np.abs(s)) if stacked else np.abs(s))
+    assert np.all(np.max(np.abs(u - expected), axis=(-2, -1)) <= bound)
+    defects = [unitarity_defect(uk) for uk in u]
+    assert np.all(np.array(defects) <= bound)
 
 
 class TestFidelity:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinpair import propagators
 from spinpair.errors import ToleranceNotMet
 from spinpair.fields import Constant, Harmonic, LinearRamp, Tabulated, TanhRamp
 from spinpair.hamiltonian import THETA_PERPENDICULAR, SystemParams
@@ -137,6 +138,22 @@ def test_midpoint_stall_stops_early():
     with pytest.raises(ToleranceNotMet, match="round-off floor") as info:
         reference_propagate(p, TimeGrid(0.0, 10.0, 100), E2, tol_per_time=1e-18)
     assert halvings_reached(info.value) <= 3
+
+
+def test_roundoff_change_certifies_no_target_below_the_floor():
+    # a constant field: the coarse level squares its step once and the fine
+    # level multiplies the same two half steps, so the levels agree bit for bit
+    p = SystemParams(1.0, 0.5, 0.1, 0.7, Constant(2.0))
+    grid = TimeGrid(0.0, 10.0, 100)
+    coarse, fine = (fixed_step_propagators(p, grid, Frame.LAB, m) for m in (1, 2))
+    assert np.array_equal(coarse, fine)
+    floor_estimate = propagators._ROUNDOFF_PER_STEP * grid.n_steps * 2 / 3.0
+    with pytest.raises(ToleranceNotMet, match="round-off floor") as info:
+        reference_propagate(p, grid, E2, tol_per_time=0.5 * floor_estimate / grid.duration)
+    assert halvings_reached(info.value) == 1
+    traj = reference_propagate(p, grid, E2, tol_per_time=2.0 * floor_estimate / grid.duration)
+    assert (traj.scheme, traj.halvings, traj.error_estimate) == ("midpoint", 1, 0.0)
+    assert traj.propagators.tobytes() == fine.tobytes()
 
 
 def assert_midpoint_fallback(p, grid, frame, tol_per_time, max_halvings):

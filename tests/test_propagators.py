@@ -38,6 +38,7 @@ from spinpair.propagators import (
     _block_generators,
     _block_nodes,
     _cells,
+    _matrix_scan,
     _pair_scan,
     fixed_step_propagators,
     frame_rotations,
@@ -429,21 +430,24 @@ def frame_generators_4x4(p, times):
     return out
 
 
-def midpoint_nodes_4x4(p, grid, frame, substeps):
+def midpoint_nodes_4x4(p, grid, frame, substeps, cuts=None):
     """Node propagators of the midpoint rule from full 4x4 generators, with
-    ``eigh`` exponentials and a sequential product."""
+    ``eigh`` exponentials and a sequential product over the cells between
+    ``cuts`` (the grid nodes unless given); the rows at the grid nodes."""
     generators = hamiltonian_batch if frame is Frame.LAB else frame_generators_4x4
-    h = grid.dt / substeps
-    mids = grid.times()[:-1, None] + ((np.arange(substeps) + 0.5) * h)[None, :]
+    cuts = grid.times() if cuts is None else cuts
+    widths = np.diff(cuts)[:, None] / substeps
+    mids = cuts[:-1, None] + (np.arange(substeps) + 0.5) * widths
+    h = np.repeat(widths, substeps, axis=1).reshape(-1, 1)
     w, v = np.linalg.eigh(generators(p, mids.reshape(-1)))
     steps = (v * np.exp(-1j * h * w)[:, None, :]) @ dagger(v)
     nodes = [np.eye(4, dtype=complex)]
-    for cell in steps.reshape(grid.n_steps, substeps, 4, 4):
+    for cell in steps.reshape(cuts.size - 1, substeps, 4, 4):
         u = nodes[-1]
         for step in cell:
             u = step @ u
         nodes.append(u)
-    return np.array(nodes)
+    return np.array(nodes)[np.isin(cuts, grid.times())]
 
 
 def random_su2(count, seed):
@@ -502,17 +506,62 @@ class TestBlockNativePropagation:
         np.testing.assert_array_equal(both[0][0], a)
         np.testing.assert_array_equal(both[1][1], _pair_scan(ck_pair(units[::-1]))[1])
 
-    @pytest.mark.parametrize("order", [2, 4])
-    def test_lab_blocks_keep_the_hermiticity_check(self, monkeypatch, order):
+    @pytest.mark.parametrize("theta, order", [(0.0, 2), (0.0, 4), (0.7, 2)],
+                             ids=["2", "4", "general-2"])
+    def test_lab_blocks_keep_the_hermiticity_check(self, monkeypatch, theta, order):
         def skewed(p, times):
-            h = hamiltonian_batch(p, times)
+            h = hamiltonian_batch(p, times).astype(complex)
             h[:, 1, 2] += 1e-6j  # the central block's upper off-diagonal slot
             return h
 
         monkeypatch.setattr(propagators, "hamiltonian_batch", skewed)
-        p = params(0.0, TanhRamp(3.0, 2.0, 4.0))
+        p = params(theta, TanhRamp(3.0, 2.0, 4.0))
         with pytest.raises(NonHermitianInput):
             fixed_step_propagators(p, TimeGrid(-8.0, 16.0, 10), Frame.LAB, 2, order=order)
+
+
+class TestFullGeneratorPropagation:
+    def test_matrix_scan_matches_sequential_product(self):
+        rng = np.random.default_rng(5)
+        start, *steps = np.linalg.qr(rng.standard_normal((71, 4, 4))
+                                     + 1j * rng.standard_normal((71, 4, 4)))[0]
+        steps = np.array(steps)
+        for length in range(1, 71):  # 1, 2, primes and perfect squares among them
+            expected, u = [], start
+            for step in steps[:length]:
+                u = step @ u
+                expected.append(u)
+            scanned = _matrix_scan(steps[:length], start)
+            assert scanned.shape == (length, 4, 4)
+            np.testing.assert_allclose(scanned, np.array(expected), rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("chunk", [1 << 17, 12, 5])
+    @pytest.mark.parametrize("substeps", [1, 2, 8])
+    def test_general_angle_matches_eigh_sequential_product(self, monkeypatch, chunk, substeps):
+        # knots inside cells cut them; small chunks carry the product across
+        # chunk boundaries, one chunk of 5 substeps holding a single 8-step cell
+        monkeypatch.setattr(propagators, "_CHUNK_SUBSTEPS", chunk)
+        profile = Tabulated(np.linspace(-4.0, 8.0, 7),
+                            np.array([2.0, 2.4, 3.1, 3.5, 3.2, 3.9, 4.0]))
+        p = params(0.7, profile)
+        grid = TimeGrid(-4.0, 8.0, 25)
+        cuts = _cells(p, grid)[0]
+        assert cuts.size > grid.n_steps + 1
+        nodes = fixed_step_propagators(p, grid, Frame.LAB, substeps)
+        expected = midpoint_nodes_4x4(p, grid, Frame.LAB, substeps, cuts)
+        assert nodes.shape == (grid.n_steps + 1, 4, 4)
+        assert np.max(np.abs(nodes - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("theta", [0.0, THETA_PERPENDICULAR])
+    def test_real_generator_leaves_special_orientations_unmoved(self, monkeypatch, theta):
+        p = params(theta, TanhRamp(3.0, 2.0, 4.0))
+        grid = TimeGrid(-8.0, 16.0, 30)
+        real = [fixed_step_propagators(p, grid, Frame.LAB, 4, order) for order in (2, 4)]
+        monkeypatch.setattr(propagators, "hamiltonian_batch",
+                            lambda p, times: hamiltonian_batch(p, times).astype(complex))
+        for order, nodes in zip((2, 4), real):
+            assert nodes.tobytes() == fixed_step_propagators(
+                p, grid, Frame.LAB, 4, order).tobytes()
 
 
 def ck_pair(u):

@@ -524,7 +524,7 @@ class TestCli:
 
 def test_shipped_scenarios_parse():
     for name in ("lz_sweep.json", "constant_parallel.json", "tanh_compare.json",
-                 "tabulated_compare.json", "rate_sweep.json"):
+                 "tabulated_compare.json", "rate_sweep.json", "oblique_propagate.json"):
         cfg = load_config(SCENARIOS / name)
         assert cfg.grid.n_steps >= 1
 
