@@ -23,6 +23,8 @@ from .frames import block_splitting_and_rate
 from .hamiltonian import BLOCK_SLOTS, SystemParams
 from .linalg import unitarity_defect
 from .propagators import (
+    DEFAULT_MAX_HALVINGS,
+    DEFAULT_TOL_PER_TIME,
     Frame,
     TimeGrid,
     Trajectory,
@@ -100,8 +102,8 @@ def _state_infidelities(reference: np.ndarray, approx: np.ndarray) -> np.ndarray
 
 
 def compare_solutions(params: SystemParams, grid: TimeGrid, initial_index: int,
-                      *, tol_per_time: float = 1e-10,
-                      max_halvings: int = 12,
+                      *, tol_per_time: float = DEFAULT_TOL_PER_TIME,
+                      max_halvings: int = DEFAULT_MAX_HALVINGS,
                       reference: Trajectory | None = None) -> ComparisonReport:
     """Run the reference integrator and both block approximations from the
     frame basis state ``initial_index`` (zero based) and report infidelities.

@@ -62,6 +62,9 @@ _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 _ROUNDOFF_PER_STEP = 4.0 * np.finfo(float).eps
 # successive changes of a fourth-order scheme shrink 16-fold in its regime
 _REGIME_RATIO = 8.0
+# the certificate a reference run asks for unless its caller says otherwise
+DEFAULT_TOL_PER_TIME = 1e-10
+DEFAULT_MAX_HALVINGS = 12
 
 
 @dataclass(frozen=True)
@@ -349,8 +352,8 @@ def fixed_step_propagators(params: SystemParams, grid: TimeGrid, frame: Frame,
 
 def reference_propagate(params: SystemParams, grid: TimeGrid, psi0: np.ndarray,
                         frame: Frame = Frame.LAB, *,
-                        tol_per_time: float = 1e-10,
-                        max_halvings: int = 12) -> Trajectory:
+                        tol_per_time: float = DEFAULT_TOL_PER_TIME,
+                        max_halvings: int = DEFAULT_MAX_HALVINGS) -> Trajectory:
     """Brute-force trajectory with certified accuracy.
 
     The substep count per knot-cut cell doubles until the Richardson estimate

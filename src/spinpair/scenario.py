@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +41,10 @@ from .hamiltonian import (
     build_hamiltonian,
     closed_eigenvalues,
 )
-from .linalg import hermiticity_defect, unitarity_defect
+from .linalg import STATE_NORM_TOL, hermiticity_defect, unitarity_defect
 from .propagators import (
+    DEFAULT_MAX_HALVINGS,
+    DEFAULT_TOL_PER_TIME,
     Frame,
     TimeGrid,
     fixed_step_propagators,
@@ -61,14 +63,10 @@ _CSV_BLOCK_ROWS = 256
 _SWEEP_COLUMNS = ("survival_probability", "max_eta", "final_infidelity_zeroth",
                   "final_infidelity_first", "final_beta_sq_central", "lz_prediction")
 ADIABATIC_WARNING_THRESHOLD = 0.1  # max |eta| above which a run is flagged
-
-_PROFILE_SCHEMAS = {
-    "constant": {"omega0"},
-    "linear": {"omega_start", "rate"},
-    "tanh": {"omega_mid", "amplitude", "tau"},
-    "harmonic": {"omega0", "amplitude", "angular_frequency", "phase"},
-    "tabulated": {"csv", "times", "omegas"},
-}
+# a profile's config keys are its class's fields (a tabulated one may name a
+# csv file instead); a field with a default is an optional key
+_PROFILES = {"constant": Constant, "linear": LinearRamp, "tanh": TanhRamp,
+             "harmonic": Harmonic, "tabulated": Tabulated}
 
 
 @dataclass(frozen=True)
@@ -111,36 +109,25 @@ def _reject_unknown(mapping, allowed, context):
         raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
 
 
+def _profile_keys(cls) -> set:
+    keys = {f.name for f in fields(cls)}
+    return keys | {"csv"} if cls is Tabulated else keys
+
+
 def _parse_profile(spec, base_dir: Path) -> FieldProfile:
-    _reject_unknown(spec, {"kind"} | set().union(*_PROFILE_SCHEMAS.values()), "profile")
+    _reject_unknown(spec, {"kind"}.union(*map(_profile_keys, _PROFILES.values())),
+                    "profile")
     kind = spec.get("kind")
-    if not isinstance(kind, str) or kind not in _PROFILE_SCHEMAS:
+    if not isinstance(kind, str) or kind not in _PROFILES:
         raise ConfigError(
-            f"profile: kind must be one of {sorted(_PROFILE_SCHEMAS)}, got {kind!r}"
+            f"profile: kind must be one of {sorted(_PROFILES)}, got {kind!r}"
         )
-    allowed = _PROFILE_SCHEMAS[kind] | {"kind"}
-    _reject_unknown(spec, allowed, f"profile({kind})")
+    cls = _PROFILES[kind]
+    _reject_unknown(spec, _profile_keys(cls) | {"kind"}, f"profile({kind})")
     try:
-        if kind == "constant":
-            return Constant(_require_number(spec, "omega0", "profile"))
-        if kind == "linear":
-            return LinearRamp(
-                _require_number(spec, "omega_start", "profile"),
-                _require_number(spec, "rate", "profile"),
-            )
-        if kind == "tanh":
-            return TanhRamp(
-                _require_number(spec, "omega_mid", "profile"),
-                _require_number(spec, "amplitude", "profile"),
-                _require_number(spec, "tau", "profile"),
-            )
-        if kind == "harmonic":
-            return Harmonic(
-                _require_number(spec, "omega0", "profile"),
-                _require_number(spec, "amplitude", "profile"),
-                _require_number(spec, "angular_frequency", "profile"),
-                _require_number(spec, "phase", "profile") if "phase" in spec else 0.0,
-            )
+        if cls is not Tabulated:
+            return cls(*(_require_number(spec, f.name, "profile") for f in fields(cls)
+                         if f.name in spec or f.default is MISSING))
         if "csv" in spec:
             if "times" in spec or "omegas" in spec:
                 raise ConfigError("profile(tabulated): give csv or inline samples, not both")
@@ -181,7 +168,7 @@ def _parse_initial(value, orientation_is_literal: bool):
             raise ConfigError("initial_state: custom state needs four [re, im] number pairs")
         amps = np.array([complex(p[0], p[1]) for p in value])
         deviation = abs(np.linalg.norm(amps) - 1.0)
-        if not deviation <= 1e-8:
+        if not deviation <= STATE_NORM_TOL:
             raise ConfigError(
                 f"initial_state: custom amplitudes off unit norm by {deviation:.3e}"
             )
@@ -255,16 +242,16 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ScenarioConfig:
     integrator = raw.get("integrator", {})
     _reject_unknown(integrator, _INTEGRATOR_KEYS, "integrator")
     tol_per_time = (_require_number(integrator, "tol_per_time", "integrator")
-                    if "tol_per_time" in integrator else 1e-10)
+                    if "tol_per_time" in integrator else DEFAULT_TOL_PER_TIME)
     if tol_per_time <= 0.0:
         raise ConfigError("integrator: tol_per_time must be positive")
-    max_halvings = integrator.get("max_halvings", 12)
+    max_halvings = integrator.get("max_halvings", DEFAULT_MAX_HALVINGS)
     if isinstance(max_halvings, bool) or not isinstance(max_halvings, int) or max_halvings < 1:
         raise ConfigError("integrator: max_halvings must be a positive integer")
 
     seed = raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError("config: seed must be an integer")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError("config: seed must be a non-negative integer")
 
     sweep = raw.get("sweep")
     if sweep is not None:
@@ -294,13 +281,17 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ScenarioConfig:
 def load_config(path) -> ScenarioConfig:
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise IoError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
     return parse_config(raw, base_dir=path.parent)
@@ -332,7 +323,7 @@ def _write_table(path: Path, header: list, columns: list, fmt: str) -> None:
                     block = table[start:start + _CSV_BLOCK_ROWS].tolist()
                     fh.writelines(line % tuple(row) for row in block)
         else:
-            rows = np.where(np.isfinite(table), table, None).tolist()
+            rows = _json_safe(table.tolist())
             with open(path, "w", newline="\n") as fh:
                 json.dump({"columns": header, "rows": rows}, fh, indent=2,
                           allow_nan=False)
@@ -341,13 +332,12 @@ def _write_table(path: Path, header: list, columns: list, fmt: str) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def _amplitude_columns(prefix: str, states: np.ndarray):
-    header = []
-    columns = []
+def _amplitude_columns(prefix: str, states: np.ndarray) -> dict:
+    columns = {}
     for i in range(4):
-        header += [f"re_{prefix}{i + 1}", f"im_{prefix}{i + 1}"]
-        columns += [states[:, i].real, states[:, i].imag]
-    return header, columns
+        columns[f"re_{prefix}{i + 1}"] = states[:, i].real
+        columns[f"im_{prefix}{i + 1}"] = states[:, i].imag
+    return columns
 
 
 def run_scenario(config: ScenarioConfig, out_dir, fmt: str = "csv",
@@ -367,32 +357,20 @@ def run_scenario(config: ScenarioConfig, out_dir, fmt: str = "csv",
         "summary": summary,
     }
 
+    infidelities = {} if comparison is None else {
+        "infidelity_zeroth": comparison.infidelity_zeroth,
+        "infidelity_first": comparison.infidelity_first}
     tables = {}
     if "trajectory" in config.outputs:
-        header = ["t"]
-        columns = [times]
-        lab_header, lab_cols = _amplitude_columns("chi", trajectory.states)
-        header += lab_header
-        columns += lab_cols
+        table = {"t": times, **_amplitude_columns("chi", trajectory.states)}
         if trajectory.adiabatic_states is not None:
-            adi_header, adi_cols = _amplitude_columns("phi", trajectory.adiabatic_states)
-            header += adi_header
-            columns += adi_cols
+            table |= _amplitude_columns("phi", trajectory.adiabatic_states)
         pops = populations(trajectory.states)
-        header += [f"pop_chi{i + 1}" for i in range(4)]
-        columns += [pops[:, i] for i in range(4)]
-        header.append("eta")
-        columns.append(eta)
-        if comparison is not None:
-            header += ["infidelity_zeroth", "infidelity_first"]
-            columns += [comparison.infidelity_zeroth, comparison.infidelity_first]
-        tables["trajectory"] = header, columns
+        table |= {f"pop_chi{i + 1}": pops[:, i] for i in range(4)}
+        tables["trajectory"] = {**table, "eta": eta, **infidelities}
 
     if comparison is not None:
-        header = ["t", "infidelity_zeroth", "infidelity_first", "eta"]
-        columns = [times, comparison.infidelity_zeroth,
-                   comparison.infidelity_first, eta]
-        tables["comparison"] = header, columns
+        tables["comparison"] = {"t": times, **infidelities, "eta": eta}
 
     if "propagator" in config.outputs:
         lab_props = trajectory.propagators
@@ -400,13 +378,10 @@ def run_scenario(config: ScenarioConfig, out_dir, fmt: str = "csv",
             rot = trajectory.rotations
             lab_props = np.einsum("nij,njk,lk->nil", rot, trajectory.propagators,
                                   np.conj(rot[0]))
-        header = ["t"]
-        columns = [times]
+        table = {"t": times}
         for i in range(4):
-            for j in range(4):
-                header += [f"re_u{i + 1}{j + 1}", f"im_u{i + 1}{j + 1}"]
-                columns += [lab_props[:, i, j].real, lab_props[:, i, j].imag]
-        tables["propagator"] = header, columns
+            table |= _amplitude_columns(f"u{i + 1}", lab_props[:, i])
+        tables["propagator"] = table
 
     write_outputs(out_dir, fmt, report, tables)
     if not quiet:
@@ -474,8 +449,9 @@ def write_outputs(out_dir, fmt: str, report: dict, tables: dict | None = None,
                   name: str = "report.json") -> None:
     """Write a run's tables and its JSON report into ``out_dir``.
 
-    ``tables`` maps an output kind to its ``(header, columns)``; each is
-    written as ``<kind>.<fmt>`` and listed, with the report itself, in
+    ``tables`` maps an output kind to its table, a mapping from column name
+    to column array whose order is the column order; each is written as
+    ``<kind>.<fmt>`` and listed, with the report itself, in
     ``report["outputs"]``.  ``fmt`` is checked before the directory is
     created, so a rejected format writes nothing.  Every JSON file holds
     each non-finite number as null, and ``report`` is updated to match.
@@ -491,8 +467,8 @@ def write_outputs(out_dir, fmt: str, report: dict, tables: dict | None = None,
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create {out_dir}: {exc}") from exc
-    for kind, (header, columns) in (tables or {}).items():
-        _write_table(out_dir / f"{kind}.{fmt}", header, columns, fmt)
+    for kind, table in (tables or {}).items():
+        _write_table(out_dir / f"{kind}.{fmt}", list(table), list(table.values()), fmt)
     path = out_dir / name
     try:
         with open(path, "w", newline="\n") as fh:
@@ -557,8 +533,8 @@ def run_sweep(config: ScenarioConfig, out_dir, fmt: str = "csv",
         rows.append({"value": value,
                      **{key: summary[key] for key in _SWEEP_COLUMNS if key in summary}})
 
-    header = ["value"] + [key for key in _SWEEP_COLUMNS if any(key in row for row in rows)]
-    columns = [np.array([row.get(key, np.nan) for row in rows]) for key in header]
+    table = {key: np.array([row.get(key, np.nan) for row in rows])
+             for key in ("value", *_SWEEP_COLUMNS) if any(key in row for row in rows)}
 
     report = {
         "version": __version__,
@@ -568,7 +544,7 @@ def run_sweep(config: ScenarioConfig, out_dir, fmt: str = "csv",
         "summary": {"parameter": parameter, "scheme": summary["scheme"],
                     "points": rows},
     }
-    write_outputs(out_dir, fmt, report, {"sweep": (header, columns)})
+    write_outputs(out_dir, fmt, report, {"sweep": table})
     if not quiet:
         for row in rows:
             print(row)

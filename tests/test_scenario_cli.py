@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -24,6 +25,7 @@ from spinpair.hamiltonian import BLOCK_SLOTS
 from spinpair.linalg import unitarity_defect
 from spinpair.propagators import full_propagator_paths
 from spinpair.scenario import (
+    _PROFILES,
     ADIABATIC_WARNING_THRESHOLD,
     _scaled_scenario,
     _write_table,
@@ -36,6 +38,20 @@ from spinpair.scenario import (
 )
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+# the required keys of each numeric profile kind
+NUMERIC_PROFILES = {
+    "constant": ["omega0"],
+    "linear": ["omega_start", "rate"],
+    "tanh": ["omega_mid", "amplitude", "tau"],
+    "harmonic": ["omega0", "amplitude", "angular_frequency"],
+}
+AMPLITUDES = [f"{part}_{level}{i}" for level in ("chi", "phi") for i in range(1, 5)
+              for part in ("re", "im")]
+POPULATIONS = ["pop_chi1", "pop_chi2", "pop_chi3", "pop_chi4"]
+
+
+def csv_header(path):
+    return path.read_text().splitlines()[0].split(",")
 
 
 def base_config(**overrides):
@@ -104,6 +120,37 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             parse_config(bad)
 
+    def test_profile_kinds_are_their_classes(self):
+        numeric = {kind: [f.name for f in dataclasses.fields(cls)
+                          if f.default is dataclasses.MISSING]
+                   for kind, cls in _PROFILES.items() if cls is not Tabulated}
+        assert numeric == NUMERIC_PROFILES
+
+    @pytest.mark.parametrize("kind, key", [(kind, key) for kind, keys
+                                           in NUMERIC_PROFILES.items() for key in keys])
+    def test_profile_needs_each_required_key(self, kind, key):
+        spec = {"kind": kind, **dict.fromkeys(NUMERIC_PROFILES[kind], 1.0)}
+        parse_config(base_config(profile=spec))
+        del spec[key]
+        with pytest.raises(ConfigError, match=f"profile: missing required key '{key}'"):
+            parse_config(base_config(profile=spec))
+
+    def test_harmonic_phase_is_optional(self):
+        spec = {"kind": "harmonic", "omega0": 2.0, "amplitude": 0.5,
+                "angular_frequency": 1.0}
+        assert parse_config(base_config(profile=spec)).params.profile.phase == 0.0
+        spec["phase"] = 0.25
+        assert parse_config(base_config(profile=spec)).params.profile.phase == 0.25
+
+    def test_key_of_another_profile_kind_is_rejected(self):
+        bad = base_config(profile={"kind": "constant", "omega0": 1.0, "rate": 0.5})
+        with pytest.raises(ConfigError,
+                           match=r"profile\(constant\): unknown keys \['rate'\]"):
+            parse_config(bad)
+        bad = base_config(profile={"kind": "constant", "omega0": 1.0, "typo": 0.5})
+        with pytest.raises(ConfigError, match=r"profile: unknown keys \['typo'\]"):
+            parse_config(bad)
+
     def test_comparison_needs_frame_state(self):
         bad = base_config(initial_state="chi2")
         with pytest.raises(ConfigError):
@@ -151,6 +198,10 @@ class TestRunScenario:
         assert (tmp_path / "trajectory.csv").exists()
         assert (tmp_path / "comparison.csv").exists()
         assert (tmp_path / "report.json").exists()
+        assert csv_header(tmp_path / "trajectory.csv") == [
+            "t", *AMPLITUDES, *POPULATIONS, "eta", "infidelity_zeroth", "infidelity_first"]
+        assert csv_header(tmp_path / "comparison.csv") == [
+            "t", "infidelity_zeroth", "infidelity_first", "eta"]
 
     def test_csv_row_count(self, tmp_path):
         cfg = parse_config(base_config())
@@ -199,6 +250,11 @@ class TestRunScenario:
         assert "propagator" in report["outputs"]
         header = (tmp_path / "propagator.csv").read_text().splitlines()[0]
         assert header.startswith("t,re_u11,im_u11")
+        assert csv_header(tmp_path / "propagator.csv") == ["t"] + [
+            f"{part}_u{i}{j}" for i in range(1, 5) for j in range(1, 5)
+            for part in ("re", "im")]
+        assert csv_header(tmp_path / "trajectory.csv") == [
+            "t", *AMPLITUDES, *POPULATIONS, "eta"]
 
     def test_json_format_trajectory(self, tmp_path):
         cfg = parse_config(base_config(outputs=["trajectory"],
@@ -215,6 +271,8 @@ class TestRunScenario:
         report = run_scenario(cfg, tmp_path)
         header = (tmp_path / "trajectory.csv").read_text().splitlines()[0]
         assert "re_phi1" not in header  # no frame companion away from 0, pi/2
+        assert csv_header(tmp_path / "trajectory.csv") == [
+            "t", *AMPLITUDES[:8], *POPULATIONS, "eta"]
         assert report["summary"]["survival_probability"] <= 1.0
 
     def test_one_reference_run_per_compared_point(self, tmp_path, monkeypatch):
@@ -351,11 +409,15 @@ class TestRunScenario:
         assert all(0.0 < row["lz_prediction"] < 1.0 for row in rows)
         header = (tmp_path / "sweep.csv").read_text().splitlines()[0]
         assert header.split(",")[-1] == "lz_prediction"
+        assert csv_header(tmp_path / "sweep.csv") == [
+            "value", "survival_probability", "max_eta", "final_infidelity_zeroth",
+            "final_infidelity_first", "final_beta_sq_central", "lz_prediction"]
 
     def test_json_files_write_non_finite_numbers_as_null(self, tmp_path):
         report = {"summary": {"max_eta": math.inf, "points": [{"v": math.nan}, 1.5]}}
         columns = [np.array([0.0, 1.0]), np.array([-np.inf, 2.0])]
-        write_outputs(tmp_path, "json", report, {"trajectory": (["t", "eta"], columns)})
+        write_outputs(tmp_path, "json", report,
+                      {"trajectory": dict(zip(["t", "eta"], columns))})
 
         def reject(token):
             raise ValueError(f"non-standard JSON token {token}")
@@ -367,7 +429,8 @@ class TestRunScenario:
         assert on_disk["trajectory.json"]["rows"] == [[0.0, None], [1.0, 2.0]]
         # the report is updated to match its file; CSV keeps inf
         assert report == json.loads((tmp_path / "report.json").read_text())
-        write_outputs(tmp_path / "csv", "csv", {}, {"trajectory": (["t", "eta"], columns)})
+        write_outputs(tmp_path / "csv", "csv", {},
+                      {"trajectory": dict(zip(["t", "eta"], columns))})
         assert (tmp_path / "csv" / "trajectory.csv").read_text() == "t,eta\n0,-inf\n1,2\n"
 
 
@@ -420,6 +483,28 @@ class TestCli:
                      "--out", str(out), "--quiet"])
         assert code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("content, message", [
+        (json.dumps(base_config(outputs=["trajectory"])).encode("utf-16"), "not UTF-8"),
+        (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
+        (json.dumps(base_config(outputs=["trajectory"], seed=-1)).encode(),
+         "seed must be a non-negative integer"),
+    ], ids=["utf-16", "nested-too-deep", "negative-seed"])
+    def test_malformed_config_exits_2_without_traceback(self, tmp_path, content,
+                                                         message):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(content)
+        env = dict(os.environ)
+        package_root = str(Path(spinpair.fields.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [package_root, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "spinpair.cli", "validate", "--config", str(path),
+             "--quiet"], capture_output=True, text=True, env=env, timeout=300)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("config error: ")
+        assert message in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_missing_config_is_io_error(self, tmp_path):
         code = main(["propagate", "--config", str(tmp_path / "nope.json"),
