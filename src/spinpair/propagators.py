@@ -13,11 +13,14 @@ Two independent routes to the same dynamics live here.
   directly by ``effective_h_batch`` in the frame, read from the block slots
   of ``hamiltonian_batch`` in the lab), each step is the closed form
   ``su2_exp``, and a tree product within each cell and a log-depth prefix
-  scan over the cells multiply the pairs (``su2_product``); the 4x4 node
-  matrices are assembled once per level.  Any other orientation propagates
-  the full 4x4 generator.  The step is the fourth-order Gauss Magnus step at
-  the special orientations when the budget allows two halvings, else the
-  second-order exponential midpoint rule.
+  scan over the cells multiply the pairs (``su2_product``).  Any other
+  orientation propagates the full 4x4 generator.  The step is the
+  fourth-order Gauss Magnus step at the special orientations when the budget
+  allows two halvings, else the second-order exponential midpoint rule.  The
+  Magnus step cannot certify before the second halving, so its first three
+  levels run as one pass (``fixed_step_propagators(..., levels=3)``): one
+  generator and one ``su2_exp`` call on all their nodes, one scan and one
+  4x4 assembly for the stack, each level bit for bit its own pass.
 
 * ``full_propagator_paths`` is the block route: the unperturbed propagator
   of each 2x2 block is a pair of accumulated dynamical phases, the gauge
@@ -80,6 +83,8 @@ class TimeGrid:
             raise ValueError("grid endpoints must be finite")
         if not self.t_end > self.t_start:
             raise ValueError("t_end must exceed t_start")
+        if not math.isfinite(self.t_end - self.t_start):
+            raise ValueError("grid duration t_end - t_start must be finite")
         if (isinstance(self.n_steps, bool) or not isinstance(self.n_steps, Integral)
                 or self.n_steps < 1):
             raise ValueError("n_steps must be a positive integer")
@@ -233,15 +238,20 @@ def _pair_scan(pair):
     return a, b
 
 
-def _midpoint_chunks(edges: np.ndarray, widths: np.ndarray, m: int, nodes: int = 1):
+def _midpoint_chunks(edges: np.ndarray, widths: np.ndarray, ms, nodes: int = 1):
     """``(c0, c1, midpoints, h)`` for consecutive runs of cells, holding about
-    ``_CHUNK_SUBSTEPS`` points (``nodes`` per substep) each; ``h`` the substep widths."""
-    fractions = np.arange(m) + 0.5
-    cells_per_chunk = max(1, _CHUNK_SUBSTEPS // (m * nodes))
+    ``_CHUNK_SUBSTEPS`` points (``nodes`` per substep) each, with every level's
+    ``m`` in ``ms`` substeps per cell laid out one level after the other; ``h``
+    the substep widths."""
+    cells_per_chunk = max(1, _CHUNK_SUBSTEPS // (sum(ms) * nodes))
     for c0 in range(0, widths.size, cells_per_chunk):
         c1 = min(widths.size, c0 + cells_per_chunk)
-        h = np.repeat(widths[c0:c1, None] / m, m, axis=1)
-        yield c0, c1, (edges[c0:c1, None] + fractions * h).reshape(-1), h.reshape(-1)
+        points, steps = [], []
+        for m in ms:
+            h = np.repeat(widths[c0:c1, None] / m, m, axis=1)
+            points.append((edges[c0:c1, None] + (np.arange(m) + 0.5) * h).reshape(-1))
+            steps.append(h.reshape(-1))
+        yield c0, c1, np.concatenate(points), np.concatenate(steps)
 
 
 def _matrix_scan(steps: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -265,7 +275,7 @@ def _full_nodes(params: SystemParams, edges: np.ndarray, widths: np.ndarray,
                 m: int) -> np.ndarray:
     u_nodes = np.empty((widths.size + 1, 4, 4), dtype=complex)
     u_nodes[0] = np.eye(4)
-    for c0, c1, midpoints, h in _midpoint_chunks(edges, widths, m):
+    for c0, c1, midpoints, h in _midpoint_chunks(edges, widths, (m,)):
         generators = hamiltonian_batch(params, midpoints)
         steps = expm_unitary(generators, h).reshape(c1 - c0, m, 4, 4)
         while steps.shape[1] > 1:  # time-ordered tree product within each cell
@@ -283,15 +293,25 @@ def _block_generators(params: SystemParams, frame: Frame, times: np.ndarray):
     return pauli_components(np.moveaxis(blocks, 1, 0))
 
 
-def _block_nodes(params: SystemParams, cells, frame: Frame, m: int, order: int):
+def _block_nodes(params: SystemParams, cells, frame: Frame, m: int, order: int,
+                 levels: int = 1):
     """Scalar phases and Cayley-Klein pairs ``(phase, a, b)`` of the central and
     corner block propagators ``phase * [[a, -b*], [b, a*]]`` at every cell
-    edge, each of shape ``(2, cells + 1)``."""
+    edge, each of shape ``(2, levels, cells + 1)``, for the ``levels`` substep
+    counts ``m / 2**(levels - 1), ..., m / 2, m``.
+
+    The levels share one generator and one ``su2_exp`` call per chunk of
+    cells; each level's steps are reduced to cell pairs from its own slice,
+    and all levels' cells are scanned together once every chunk is in.  Every
+    operation acts element by element, so a level's values are those of its
+    own single-level call, whatever the chunk size.
+    """
     edges, widths, _ = cells
-    phase = np.ones((2, widths.size + 1), dtype=complex)
-    a = np.ones((2, widths.size + 1), dtype=complex)
-    b = np.zeros((2, widths.size + 1), dtype=complex)
-    for c0, c1, midpoints, h in _midpoint_chunks(edges, widths, m, order // 2):
+    ms = [m >> k for k in range(levels - 1, -1, -1)]
+    cell_angles = np.empty((2, levels, widths.size))
+    cell_a = np.empty((2, levels, widths.size), dtype=complex)
+    cell_b = np.empty((2, levels, widths.size), dtype=complex)
+    for c0, c1, midpoints, h in _midpoint_chunks(edges, widths, ms, order // 2):
         if order == 2:
             scalar, vector = _block_generators(params, frame, midpoints)
         else:
@@ -305,23 +325,34 @@ def _block_nodes(params: SystemParams, cells, frame: Frame, m: int, order: int):
             (x1, y1, z1), (x2, y2, z2) = early, late
             vector = 0.5 * (early + late) + offset * np.stack(
                 [y2 * z1 - z2 * y1, z2 * x1 - x2 * z1, x2 * y1 - y2 * x1])
-        angle = (h * scalar).reshape(2, c1 - c0, m)
-        steps = [x.reshape(2, c1 - c0, m) for x in su2_exp(vector, h)]
-        while angle.shape[-1] > 1:
-            # pairwise sums of the phase angles: with h = width / m, a constant
-            # c0 gives every level the same cell phases to the bit
-            angle = angle[..., 1::2] + angle[..., 0::2]
-            steps = su2_product([x[..., 1::2] for x in steps], [x[..., 0::2] for x in steps])
-        cell_phases = np.exp(-1j * angle[..., 0])
-        phase[:, c0 + 1:c1 + 1] = phase[:, c0, None] * np.cumprod(cell_phases, axis=-1)
-        a[:, c0 + 1:c1 + 1], b[:, c0 + 1:c1 + 1] = su2_product(
-            _pair_scan([x[..., 0] for x in steps]), (a[:, c0, None], b[:, c0, None]))
+        all_angles = h * scalar
+        all_steps = su2_exp(vector, h)
+        start = 0
+        for level, sub in enumerate(ms):
+            part = slice(start, start + (c1 - c0) * sub)
+            start = part.stop
+            angle = all_angles[:, part].reshape(2, c1 - c0, sub)
+            steps = [x[:, part].reshape(2, c1 - c0, sub) for x in all_steps]
+            while angle.shape[-1] > 1:
+                # pairwise sums of the phase angles: with h = width / m, a
+                # constant c0 gives every level the same cell phases to the bit
+                angle = angle[..., 1::2] + angle[..., 0::2]
+                steps = su2_product([x[..., 1::2] for x in steps],
+                                    [x[..., 0::2] for x in steps])
+            cell_angles[:, level, c0:c1] = angle[..., 0]
+            cell_a[:, level, c0:c1], cell_b[:, level, c0:c1] = (x[..., 0] for x in steps)
+    phase = np.ones((2, levels, widths.size + 1), dtype=complex)
+    a = np.ones((2, levels, widths.size + 1), dtype=complex)
+    b = np.zeros((2, levels, widths.size + 1), dtype=complex)
+    phase[..., 1:] = phase[..., 0, None] * np.cumprod(np.exp(-1j * cell_angles), axis=-1)
+    a[..., 1:], b[..., 1:] = su2_product(_pair_scan((cell_a, cell_b)),
+                                         (a[..., 0, None], b[..., 0, None]))
     return phase, a, b
 
 
 def fixed_step_propagators(params: SystemParams, grid: TimeGrid, frame: Frame,
                            substeps: int = 1, order: int = 2, *,
-                           cells=None) -> np.ndarray:
+                           cells=None, levels: int | None = None) -> np.ndarray:
     """Node propagators from ``substeps`` steps per knot-cut cell.
 
     ``order=2`` is the exponential midpoint rule ``exp(-i h H(t_mid))``;
@@ -334,19 +365,29 @@ def fixed_step_propagators(params: SystemParams, grid: TimeGrid, frame: Frame,
     and the entries off the blocks are exact zeros; any other ``theta``
     propagates the full 4x4 generator.  ``cells``, the cell set
     ``_cells(params, grid)`` when the caller already has it, is used as given.
+    ``levels`` (special orientations only), when given, returns the stack of
+    the ``levels`` refinement levels ``substeps / 2**(levels - 1), ...,
+    substeps``, shape ``(levels, n_steps + 1, 4, 4)``, run as one pass, each
+    level equal to its own call to the bit.
     """
+    stack = 1 if levels is None else levels
     if substeps < 1 or substeps & (substeps - 1):
         raise ValueError("substeps must be a positive power of two")
+    if stack < 1 or substeps < 1 << (stack - 1):
+        raise ValueError("levels must be between 1 and log2(substeps) + 1")
     if order not in (2, 4):
         raise ValueError("order must be 2 (midpoint) or 4 (Gauss Magnus)")
     if frame is Frame.ADIABATIC:
         params.require_special_orientation()
     edges, widths, on_grid = cells = _cells(params, grid) if cells is None else cells
     if params.is_special_orientation:
-        return _scatter_blocks(*(x[:, on_grid] for x in
-                                 _block_nodes(params, cells, frame, substeps, order)))
+        nodes = _scatter_blocks(*(x[..., on_grid] for x in
+                                  _block_nodes(params, cells, frame, substeps, order, stack)))
+        return nodes if levels is not None else nodes[0]
     if order == 4:
         raise ValueError("the fourth-order step needs a special orientation")
+    if levels is not None:
+        raise ValueError("a stack of levels needs a special orientation")
     return _full_nodes(params, edges, widths, substeps)[on_grid]
 
 
@@ -377,14 +418,22 @@ def reference_propagate(params: SystemParams, grid: TimeGrid, psi0: np.ndarray,
     order = 4 if params.is_special_orientation and max_halvings >= 2 else 2
     cells = _cells(params, grid)
     target = tol_per_time * grid.duration
+    # the fourth-order step certifies no earlier than halving 2, so its first
+    # three levels (1, 2 and 4 substeps per cell) run as one pass
+    ladder = list(fixed_step_propagators(params, grid, frame, 4, order=order, cells=cells,
+                                         levels=3)) if order == 4 else []
+
+    def level(substeps):
+        return ladder.pop(0) if ladder else fixed_step_propagators(
+            params, grid, frame, substeps, order=order, cells=cells)
+
     substeps = 1
-    previous = fixed_step_propagators(params, grid, frame, substeps, order=order, cells=cells)
+    previous = level(substeps)
     halvings = 0
     last_change, last_floor = math.inf, 0.0
     while True:
         substeps *= 2
-        current = fixed_step_propagators(params, grid, frame, substeps, order=order,
-                                         cells=cells)
+        current = level(substeps)
         change = float(np.max(np.abs(current - previous)))
         estimate = change / (2 ** order - 1)
         floor = _ROUNDOFF_PER_STEP * cells[1].size * substeps

@@ -562,6 +562,9 @@ def run_validation(config: ScenarioConfig) -> dict:
     rng = np.random.default_rng(config.seed)
     h_fd = 1e-6
     lo, hi = grid.t_start + h_fd, grid.t_end - h_fd
+    if hi < lo:
+        # a grid shorter than two difference steps: draw from all of it
+        lo, hi = grid.t_start, grid.t_end
     draws = rng.uniform(lo, hi, size=50)
     checks = {}
 

@@ -74,6 +74,11 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(0.0, 1.0, 0)
 
+    def test_duration_must_be_finite(self):
+        # both ends finite, their difference not: dt and every target would be inf
+        with pytest.raises(ValueError, match="duration"):
+            TimeGrid(-1e308, 1e308, 10)
+
     @pytest.mark.parametrize("n_steps", [3.0, True, False, "3"])
     def test_step_count_must_be_an_int(self, n_steps):
         # a float count would fail only in times(), and True would make one step
@@ -628,3 +633,68 @@ def test_pair_kernel_matches_expm_product(theta, frame, order, substeps, n_steps
     _, a, b = _block_nodes(p, _cells(p, grid), frame, substeps, order)
     assert np.max(np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0)) <= 1e-14
     assert np.all(nodes[:, ~TestBlockNativePropagation.BLOCK_MASK] == 0.0)
+
+
+def knotted_drive(knots, grid):
+    """A tabulated drive over ``[0, 4]`` with knots inside the grid cells, or
+    ``None`` when two cut points crowd each other."""
+    knots = np.sort(knots)
+    if (np.min(np.diff(np.concatenate([[0.0], knots, [4.0]]))) <= 0.02
+            or np.min(np.abs(knots[:, None] - grid.times()[None, :])) <= 1e-3):
+        return None
+    samples = np.concatenate([[0.0], knots, [4.0]])
+    return Tabulated(samples, 3.0 + 0.8 * np.sin(1.3 * samples))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(theta=st.sampled_from([0.0, THETA_PERPENDICULAR]),
+       frame=st.sampled_from([Frame.LAB, Frame.ADIABATIC]),
+       order=st.sampled_from([2, 4]), levels=st.integers(1, 3),
+       substeps=st.sampled_from([4, 8]), chunk=st.sampled_from([1, 5, 24, 1 << 17]),
+       n_steps=st.integers(1, 6),
+       drive=st.one_of(_ANALYTIC_PROFILES, _TABULATED_KNOTS))
+def test_fused_levels_match_single_level_calls(theta, frame, order, levels, substeps,
+                                               chunk, n_steps, drive):
+    """The levels of one fused pass, run in chunks small enough to cut it
+    anywhere, equal the single-level calls at the default chunk size bit for
+    bit, so the fused reference certifies exactly what the ladder did."""
+    grid = TimeGrid(0.0, 4.0, n_steps)
+    if isinstance(drive, list):
+        drive = knotted_drive(drive, grid)
+        assume(drive is not None)
+    p = params(theta, drive)
+    singles = [fixed_step_propagators(p, grid, frame, substeps >> k, order)
+               for k in range(levels - 1, -1, -1)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(propagators, "_CHUNK_SUBSTEPS", chunk)
+        fused = fixed_step_propagators(p, grid, frame, substeps, order, levels=levels)
+    assert fused.shape == (levels, n_steps + 1, 4, 4)
+    for level, single in zip(fused, singles):
+        assert level.tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("theta, substeps, levels", [
+    (0.0, 2, 3), (0.0, 2, 0), (0.7, 4, 2)], ids=["deeper", "empty", "general-angle"])
+def test_fused_levels_reject_a_stack_they_cannot_run(theta, substeps, levels):
+    p = params(theta, TanhRamp(3.0, 2.0, 4.0))
+    with pytest.raises(ValueError, match="levels"):
+        fixed_step_propagators(p, TimeGrid(0.0, 4.0, 4), Frame.LAB, substeps, levels=levels)
+
+
+def test_roundoff_stall_at_the_first_halving_keeps_its_message():
+    # a constant field: the Magnus levels differ by round-off only, so the
+    # fused first pass stalls at halving 1 and reports the two levels it compared
+    p = params(0.0, Constant(2.0))
+    grid = TimeGrid(0.0, 10.0, 100)
+    coarse, fine = (fixed_step_propagators(p, grid, Frame.LAB, m, 4) for m in (1, 2))
+    change = float(np.max(np.abs(fine - coarse)))
+    floor = propagators._ROUNDOFF_PER_STEP * grid.n_steps * 2
+    target = 1e-18 * grid.duration
+    assert change <= floor
+    message = (f"refinement stalled at the round-off floor after 1 halvings: "
+               f"level change {change:.3e} within the floor {floor:.3e}, which "
+               f"certifies no estimate below {floor / 15:.3e} against target "
+               f"{target:.3e}")
+    with pytest.raises(ToleranceNotMet) as info:
+        reference_propagate(p, grid, E2, tol_per_time=1e-18)
+    assert str(info.value) == message

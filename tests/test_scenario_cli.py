@@ -506,6 +506,33 @@ class TestCli:
         assert message in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("command, grid, code, stderr", [
+        ("validate", {"t_start": 0.0, "t_end": 1e-300}, 0, ""),
+        ("propagate", {"t_start": 0.0, "t_end": 1e-300}, 3,
+         "compute error [spinpair.errors.ToleranceNotMet]: refinement stalled"),
+        ("validate", {"t_start": -1e308, "t_end": 1e308}, 2,
+         "config error: grid: grid duration t_end - t_start must be finite"),
+        ("propagate", {"t_start": -1e308, "t_end": 1e308}, 2,
+         "config error: grid: grid duration t_end - t_start must be finite"),
+    ], ids=["validate-tiny", "propagate-tiny", "validate-overflow", "propagate-overflow"])
+    def test_extreme_grid_exits_without_traceback(self, tmp_path, command, grid, code,
+                                                  stderr):
+        # validation draws its sample times from a grid shorter than its
+        # finite-difference steps; a span that overflows is a config error
+        path = self.write(tmp_path, base_config(
+            outputs=["trajectory"], grid=dict(grid, n_steps=10)))
+        env = dict(os.environ)
+        package_root = str(Path(spinpair.fields.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [package_root, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "spinpair.cli", command, "--config", str(path),
+             "--out", str(tmp_path / "out"), "--quiet"],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert result.returncode == code, result.stderr
+        assert result.stderr.startswith(stderr)
+        assert "Traceback" not in result.stderr
+
     def test_missing_config_is_io_error(self, tmp_path):
         code = main(["propagate", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "out"), "--quiet"])
