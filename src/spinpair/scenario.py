@@ -8,8 +8,11 @@ are rejected and no physics parameter has a silent default.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
+import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
@@ -58,7 +61,47 @@ _GRID_KEYS = {"t_start", "t_end", "n_steps"}
 _INTEGRATOR_KEYS = {"tol_per_time", "max_halvings"}
 _SWEEP_KEYS = {"parameter", "values"}
 _OUTPUT_KINDS = ("trajectory", "comparison", "propagator")
-_CSV_BLOCK_ROWS = 256
+# The one CSV row writer.  This interpreter runs it, and so does the helper
+# that formats the tail rows of large tables (``_Helper``), from the same
+# text: both format the same doubles to the same bytes.
+_ROW_WRITER = """
+def write_rows(values, width, write):
+    \"\"\"Write ``values``, flat float64 (a numpy array or a memoryview), as
+    rows of ``width`` ``%.17g`` fields, as bytes through ``write``; 256 rows
+    at a time bound the Python-float copy.\"\"\"
+    line = ",".join(["%.17g"] * width) + "\\n"
+    block = 256 * width
+    for start in range(0, len(values), block):
+        chunk = values[start:start + block].tolist()
+        write((line * (len(chunk) // width) % tuple(chunk)).encode())
+"""
+_row_writer_globals = {}
+exec(_ROW_WRITER, _row_writer_globals)
+_write_rows = _row_writer_globals["write_rows"]
+# the helper's program: argv holds each tail's width and row count, stdin the
+# tails as raw float64; once done it replies with a line of the byte size of
+# each tail's text, then the texts
+_HELPER_PROGRAM = _ROW_WRITER + """
+import sys
+data = memoryview(sys.stdin.buffer.read())
+shape = [int(arg) for arg in sys.argv[1:]]
+texts, offset = [], 0
+for width, n_rows in zip(shape[::2], shape[1::2]):
+    chunks, size = [], 8 * width * n_rows
+    write_rows(data[offset:offset + size].cast("d"), width, chunks.append)
+    texts.append(b"".join(chunks))
+    offset += size
+sys.stdout.buffer.write(b" ".join(b"%d" % len(text) for text in texts) + b"\\n")
+for text in texts:
+    sys.stdout.buffer.write(text)
+"""
+# CSV tables of one call holding at least this many values are split between
+# two workers; below it the helper's start (about 15 ms) outweighs its share
+_SPLIT_VALUES = 1 << 16
+# the helper's share of each table's rows, under half: it starts about 15 ms
+# late, and two formatting jobs at once each run 1.2-1.35x slower than one
+_HELPER_SHARE = 0.45
+_COPY_BYTES = 1 << 16  # largest chunk of the helper's reply held at once
 # summary entries a sweep tabulates per point, those a point has
 _SWEEP_COLUMNS = ("survival_probability", "max_eta", "final_infidelity_zeroth",
                   "final_infidelity_first", "final_beta_sq_central", "lz_prediction")
@@ -309,27 +352,118 @@ def _json_safe(value):
     return value
 
 
-def _write_table(path: Path, header: list, columns: list, fmt: str) -> None:
-    """One table as CSV (``%.17g``, so ``nan``/``inf`` stay as such) or as
-    JSON with every non-finite value null."""
-    table = np.column_stack(columns).astype(float, copy=False)
-    try:
-        if fmt == "csv":
-            line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+def _write_tables(out_dir: Path, tables: dict, fmt: str) -> None:
+    """Each table as ``<kind>.<fmt>`` in ``out_dir``: CSV (``%.17g``, so
+    ``nan``/``inf`` stay as such) or JSON with every non-finite value null."""
+    stacks = {kind: np.column_stack(list(table.values())).astype(float, copy=False)
+              for kind, table in tables.items()}
+    if fmt == "csv":
+        _write_csv_tables(out_dir, tables, stacks)
+        return
+    for kind, rows in stacks.items():
+        path = out_dir / f"{kind}.json"
+        try:
             with open(path, "w", newline="\n") as fh:
-                fh.write(",".join(header) + "\n")
-                # row blocks bound the Python-float copy of a long table
-                for start in range(0, len(table), _CSV_BLOCK_ROWS):
-                    block = table[start:start + _CSV_BLOCK_ROWS].tolist()
-                    fh.writelines(line % tuple(row) for row in block)
-        else:
-            rows = _json_safe(table.tolist())
-            with open(path, "w", newline="\n") as fh:
-                json.dump({"columns": header, "rows": rows}, fh, indent=2,
-                          allow_nan=False)
+                json.dump({"columns": list(tables[kind]), "rows": _json_safe(rows.tolist())},
+                          fh, indent=2, allow_nan=False)
                 fh.write("\n")
+        except OSError as exc:
+            raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_csv_tables(out_dir: Path, tables: dict, stacks: dict) -> None:
+    """Write each table, stacked as ``(n, width)`` floats in ``stacks``, as
+    ``<kind>.csv``.  When the stacks hold at least ``_SPLIT_VALUES`` values,
+    a ``_Helper`` formats the tail rows of each while this interpreter
+    formats the heads; a helper that fails leaves its rows to this one, so
+    the bytes are the same either way."""
+    split = {kind: len(rows) for kind, rows in stacks.items()}
+    helper = None
+    if sum(rows.size for rows in stacks.values()) >= _SPLIT_VALUES:
+        split = {kind: len(rows) - int(len(rows) * _HELPER_SHARE)
+                 for kind, rows in stacks.items()}
+        helper = _Helper([rows[split[kind]:] for kind, rows in stacks.items()])
+    try:
+        with contextlib.ExitStack() as opened:
+            files = {}
+            for kind, rows in stacks.items():
+                path = out_dir / f"{kind}.csv"
+                files[kind] = fh = opened.enter_context(open(path, "wb"))
+                fh.write((",".join(tables[kind]) + "\n").encode())
+                _write_rows(rows[:split[kind]].ravel(), rows.shape[1], fh.write)
+            sizes = helper.finish() if helper else None
+            for index, (kind, rows) in enumerate(stacks.items()):
+                path = out_dir / f"{kind}.csv"
+                if sizes is not None:
+                    helper.copy(sizes[index], files[kind])
+                else:
+                    _write_rows(rows[split[kind]:].ravel(), rows.shape[1], files[kind].write)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if helper:
+            helper.close()
+
+
+class _Helper:
+    """A second interpreter formatting the tail rows of one call's CSV
+    tables (``_HELPER_PROGRAM``), run isolated (``-I -S``) so that it reads
+    no environment variable and imports nothing outside the standard
+    library.  It gets the rows as raw float64 from an unnamed temporary
+    file, and its reply goes to another.  A helper that cannot start, exits
+    non-zero or replies short yields no sizes from ``finish``; ``close``
+    kills and reaps it."""
+
+    def __init__(self, tails: list):
+        import subprocess
+        import tempfile
+
+        self.process = self.reply = None
+        self.count = len(tails)
+        shape = [str(n) for tail in tails for n in tail.shape[::-1]]
+        if not sys.executable:
+            return
+        try:
+            self.reply = tempfile.TemporaryFile()
+            with tempfile.TemporaryFile() as rows:
+                for tail in tails:
+                    rows.write(np.ascontiguousarray(tail).data)
+                rows.seek(0)
+                self.process = subprocess.Popen(
+                    [sys.executable, "-I", "-S", "-c", _HELPER_PROGRAM, *shape],
+                    stdin=rows, stdout=self.reply, stderr=subprocess.DEVNULL)
+        except OSError:
+            pass  # no helper: finish() leaves its rows to this interpreter
+
+    def finish(self) -> list | None:
+        """Wait for the helper; the byte size of each tail's text, with the
+        reply positioned at the first, or None if the helper failed."""
+        if self.process is None or self.process.wait() != 0:
+            return None
+        self.reply.seek(0)
+        try:
+            sizes = [int(size) for size in self.reply.readline().split()]
+        except ValueError:
+            return None
+        total = os.fstat(self.reply.fileno()).st_size
+        if len(sizes) != self.count or self.reply.tell() + sum(sizes) != total:
+            return None
+        return sizes
+
+    def copy(self, size: int, fh) -> None:
+        """Copy the next ``size`` bytes of the reply into ``fh``, in chunks
+        of at most ``_COPY_BYTES``."""
+        for start in range(0, size, _COPY_BYTES):
+            fh.write(self.reply.read(min(size - start, _COPY_BYTES)))
+
+    def close(self) -> None:
+        try:
+            if self.process is not None:
+                self.process.kill()
+                self.process.wait()
+        finally:
+            if self.reply is not None:
+                self.reply.close()
 
 
 def _amplitude_columns(prefix: str, states: np.ndarray) -> dict:
@@ -467,8 +601,7 @@ def write_outputs(out_dir, fmt: str, report: dict, tables: dict | None = None,
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create {out_dir}: {exc}") from exc
-    for kind, table in (tables or {}).items():
-        _write_table(out_dir / f"{kind}.{fmt}", list(table), list(table.values()), fmt)
+    _write_tables(out_dir, tables or {}, fmt)
     path = out_dir / name
     try:
         with open(path, "w", newline="\n") as fh:

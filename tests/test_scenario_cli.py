@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import spinpair.analysis
 import spinpair.fields
@@ -28,7 +29,6 @@ from spinpair.scenario import (
     _PROFILES,
     ADIABATIC_WARNING_THRESHOLD,
     _scaled_scenario,
-    _write_table,
     load_config,
     parse_config,
     run_scenario,
@@ -48,6 +48,32 @@ NUMERIC_PROFILES = {
 AMPLITUDES = [f"{part}_{level}{i}" for level in ("chi", "phi") for i in range(1, 5)
               for part in ("re", "im")]
 POPULATIONS = ["pop_chi1", "pop_chi2", "pop_chi3", "pop_chi4"]
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """The helper interpreters the CSV writer tries to start (``attempts``)
+    and starts (``processes``); each must be reaped by the time
+    ``write_outputs`` returns or raises."""
+    record = SimpleNamespace(attempts=[], processes=[])
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, args, **kwargs):
+            record.attempts.append(args)
+            super().__init__(args, **kwargs)
+            record.processes.append(self)
+
+    write = spinpair.scenario.write_outputs
+
+    def checked(*args, **kwargs):
+        try:
+            return write(*args, **kwargs)
+        finally:
+            assert all(process.returncode is not None for process in record.processes)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    monkeypatch.setattr(spinpair.scenario, "write_outputs", checked)
+    return record
 
 
 def csv_header(path):
@@ -223,25 +249,45 @@ class TestRunScenario:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
 
-    def test_table_writer_matches_per_value_format(self, tmp_path):
-        special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300,
-                            -1e300, 0.1, 1.0 / 3.0, 2.0 ** 53 + 2.0, -7.0])
-        # more rows than one write block, so block boundaries are covered
-        special = np.resize(special, 600)
-        columns = [special, special[::-1], np.linspace(-1.0, 1.0, special.size)]
-        header = ["a", "b", "c"]
+    def test_table_writer_matches_per_value_format(self, tmp_path, helpers):
+        special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -1e300, 0.1,
+                   1.0 / 3.0, 2.0 ** 53 + 2.0, -7.0]
+        # enough rows that the table crosses the split threshold, so a helper
+        # formats its tail rows
+        width = len(special) + 1
+        n_rows = spinpair.scenario._SPLIT_VALUES // width + 100
+        split = n_rows - int(n_rows * spinpair.scenario._HELPER_SHARE)
+        # column j repeats the special values with period 12 and holds
+        # special[j] on the split row, so each sits on the split row and on
+        # both sides of it
+        cycle = np.resize(special, n_rows + len(special))
+        columns = [cycle[(j - split) % len(special):][:n_rows] for j in range(len(special))]
+        columns.append(np.linspace(-1.0, 1.0, n_rows))
+        assert [column[split] for column in columns[:-1]] == pytest.approx(
+            special, nan_ok=True)
+        header = [f"c{j}" for j in range(width)]
         rows = np.column_stack(columns)
-        _write_table(tmp_path / "t.csv", header, columns, "csv")
-        expected = "a,b,c\n" + "".join(
+        spinpair.scenario.write_outputs(tmp_path, "csv", {},
+                                        {"t": dict(zip(header, columns))})
+        # isolated: the helper reads no environment variable and no site
+        assert [args[1:3] for args in helpers.attempts] == [["-I", "-S"]]
+        expected = ",".join(header) + "\n" + "".join(
             ",".join(f"{float(v):.17g}" for v in row) + "\n" for row in rows)
         assert (tmp_path / "t.csv").read_bytes() == expected.encode()
-        _write_table(tmp_path / "t.json", header, columns, "json")
+        spinpair.scenario.write_outputs(tmp_path, "json", {},
+                                        {"t": dict(zip(header, columns))})
         # JSON has no token for NaN or an infinity: they are written as null
         payload = {"columns": header,
                    "rows": [[float(v) if math.isfinite(v) else None for v in row]
                             for row in rows]}
         expected = json.dumps(payload, indent=2) + "\n"
         assert (tmp_path / "t.json").read_bytes() == expected.encode()
+        assert len(helpers.processes) == 1  # JSON is written by this interpreter
+
+    def test_small_tables_start_no_helper(self, tmp_path, helpers):
+        cfg = parse_config(base_config())
+        run_scenario(cfg, tmp_path)
+        assert helpers.attempts == []
 
     def test_propagator_dump(self, tmp_path):
         cfg = parse_config(base_config(outputs=["trajectory", "propagator"],
@@ -560,6 +606,52 @@ class TestCli:
         code = main(["propagate", "--config", str(path), "--out", str(out), "--quiet"])
         assert code == 2
         assert not out.exists()
+
+    def split_config(self, tmp_path):
+        """A propagate run whose CSV tables cross the split threshold."""
+        config = base_config(outputs=["trajectory", "propagator"], initial_state="chi1",
+                             grid={"t_start": 0.0, "t_end": 5.0, "n_steps": 1500})
+        return self.write(tmp_path, config)
+
+    @pytest.mark.parametrize("failure", ["missing", "empty", "exit", "short"])
+    def test_failed_helper_leaves_its_rows_to_this_interpreter(
+            self, tmp_path, monkeypatch, helpers, failure):
+        path = self.split_config(tmp_path)
+        argv = ["propagate", "--config", str(path), "--quiet", "--out"]
+        assert main([*argv, str(tmp_path / "two")]) == 0
+        assert len(helpers.processes) == 1
+        if failure in ("missing", "empty"):
+            executable = "" if failure == "empty" else str(tmp_path / "no-python")
+            monkeypatch.setattr(sys, "executable", executable)
+        else:
+            # a well-formed reply of two empty texts, then a failed exit; or
+            # a clean exit with a reply shorter than its sizes
+            program = ('import sys; print(0, 0); sys.exit(3)' if failure == "exit"
+                       else "print(5, 5)")
+            monkeypatch.setattr(spinpair.scenario, "_HELPER_PROGRAM", program)
+        assert main([*argv, str(tmp_path / "one")]) == 0
+        assert len(helpers.attempts) == (2 if failure != "empty" else 1)
+        for name in ("trajectory.csv", "propagator.csv", "report.json"):
+            assert (tmp_path / "one" / name).read_bytes() == \
+                (tmp_path / "two" / name).read_bytes()
+        if failure == "exit":
+            assert helpers.processes[-1].returncode == 3
+
+    def test_write_error_mid_call_kills_the_helper(self, tmp_path, monkeypatch, helpers,
+                                                   capsys):
+        path = self.split_config(tmp_path)
+        # a helper that would outlast the call unless it is killed
+        monkeypatch.setattr(spinpair.scenario, "_HELPER_PROGRAM",
+                            "import time; time.sleep(60)")
+        # the second table's path is a directory: its open fails after the
+        # helper started and the first table was opened
+        (tmp_path / "out" / "propagator.csv").mkdir(parents=True)
+        code = main(["propagate", "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--quiet"])
+        assert code == 4
+        assert "propagator.csv" in capsys.readouterr().err
+        assert len(helpers.processes) == 1
+        assert helpers.processes[0].returncode != 0
 
     def test_validate_subcommand(self, tmp_path):
         path = self.write(tmp_path, base_config(outputs=["trajectory"]))
