@@ -152,11 +152,13 @@ def frame_unitary(angles: AdiabaticAngles) -> np.ndarray:
 
 
 def gauge_term(angles: AdiabaticAngles) -> np.ndarray:
-    """T^dagger dT/dt: real, antisymmetric, purely off-diagonal in the blocks."""
-    g = np.zeros((4, 4))
-    for (i, j), rate in zip(BLOCK_SLOTS, (angles.theta1_rate, angles.theta2_rate)):
-        g[i, j] = -rate
-        g[j, i] = rate
+    """T^dagger dT/dt: real, antisymmetric, purely off-diagonal in the blocks;
+    rate arrays give a stack of shape ``(..., 4, 4)``."""
+    rates = angles.theta1_rate, angles.theta2_rate
+    g = np.zeros(np.broadcast(*rates).shape + (4, 4))
+    for (i, j), rate in zip(BLOCK_SLOTS, rates):
+        g[..., i, j] = -rate
+        g[..., j, i] = rate
     return g
 
 

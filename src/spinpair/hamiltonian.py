@@ -145,8 +145,8 @@ def hamiltonian_batch(params: SystemParams, times: np.ndarray) -> np.ndarray:
     return w[:, None, None] * field_coupling_matrix(params) + static_matrix(params)
 
 
-def closed_eigenvalues(params: SystemParams, t) -> tuple[float, float, float, float]:
-    """Closed-form spectrum (eps1, eps2, eps3, eps4) for theta in {0, pi/2}.
+def closed_eigenvalues(params: SystemParams, t) -> tuple:
+    """Closed-form spectrum (eps1, eps2, eps3, eps4) at ``t`` for theta in {0, pi/2}.
 
     Index order follows the sign convention of the block split: eps1/eps2
     carry the upper sign of the corner/central pair, eps4/eps3 the lower.
@@ -159,8 +159,8 @@ def closed_eigenvalues(params: SystemParams, t) -> tuple[float, float, float, fl
     a_par, a_perp, zeta = params.a_par, params.a_perp, params.zeta
     if params.is_parallel:
         half = 0.5 * w * (1.0 + zeta)
-        r23 = 0.5 * math.sqrt((4.0 * a_perp) ** 2 + (w * (1.0 - zeta)) ** 2)
+        r23 = 0.5 * np.sqrt((4.0 * a_perp) ** 2 + (w * (1.0 - zeta)) ** 2)
         return (a_par + half, -a_par + r23, -a_par - r23, a_par - half)
-    r14 = 0.5 * math.sqrt(4.0 * (a_par - a_perp) ** 2 + (w * (1.0 + zeta)) ** 2)
-    r23 = 0.5 * math.sqrt(4.0 * (a_par + a_perp) ** 2 + (w * (1.0 - zeta)) ** 2)
+    r14 = 0.5 * np.sqrt(4.0 * (a_par - a_perp) ** 2 + (w * (1.0 + zeta)) ** 2)
+    r23 = 0.5 * np.sqrt(4.0 * (a_par + a_perp) ** 2 + (w * (1.0 - zeta)) ** 2)
     return (a_perp + r14, -a_perp + r23, -a_perp - r23, a_perp - r14)

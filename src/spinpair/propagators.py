@@ -391,6 +391,15 @@ def fixed_step_propagators(params: SystemParams, grid: TimeGrid, frame: Frame,
     return _full_nodes(params, edges, widths, substeps)[on_grid]
 
 
+def check_budget(tol_per_time: float, max_halvings: int) -> None:
+    """Raise ValueError unless tol_per_time is finite and > 0 and max_halvings an int >= 1."""
+    if not (math.isfinite(tol_per_time) and tol_per_time > 0.0):
+        raise ValueError("tol_per_time must be a finite positive number")
+    if isinstance(max_halvings, bool) or not isinstance(max_halvings, Integral) \
+            or max_halvings < 1:
+        raise ValueError("max_halvings must be a positive integer")
+
+
 def reference_propagate(params: SystemParams, grid: TimeGrid, psi0: np.ndarray,
                         frame: Frame = Frame.LAB, *,
                         tol_per_time: float = DEFAULT_TOL_PER_TIME,
@@ -406,8 +415,10 @@ def reference_propagate(params: SystemParams, grid: TimeGrid, psi0: np.ndarray,
     times the current one or at the round-off floor.  General ``theta`` uses
     the midpoint rule.  A change at the round-off floor raises
     ``ToleranceNotMet`` at once when the floor over ``2**order - 1`` is above
-    target.  ``psi0`` is interpreted in ``frame``.
+    target.  ``psi0`` is interpreted in ``frame``.  A budget that
+    ``check_budget`` rejects raises ``ValueError`` before the first level.
     """
+    check_budget(tol_per_time, max_halvings)
     psi0 = np.asarray(psi0, dtype=complex).reshape(4)
     deviation = abs(np.linalg.norm(psi0) - 1.0)
     if not deviation <= STATE_NORM_TOL:

@@ -36,21 +36,23 @@ from .fields import (
     TanhRamp,
     adiabaticity_profile,
 )
-from .frames import diagonalization_residual, effective_hamiltonian, mixing_angles
+from .frames import AdiabaticAngles, block_splitting_and_rate, gauge_term, mixing_angle_arrays
 from .hamiltonian import (
     BLOCK_SLOTS,
     THETA_PERPENDICULAR,
     SystemParams,
-    build_hamiltonian,
     closed_eigenvalues,
+    hamiltonian_batch,
 )
-from .linalg import STATE_NORM_TOL, hermiticity_defect, unitarity_defect
+from .linalg import STATE_NORM_TOL, dagger, hermiticity_defect, unitarity_defect
 from .propagators import (
     DEFAULT_MAX_HALVINGS,
     DEFAULT_TOL_PER_TIME,
     Frame,
     TimeGrid,
+    check_budget,
     fixed_step_propagators,
+    frame_rotations,
     reference_propagate,
 )
 
@@ -286,11 +288,11 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ScenarioConfig:
     _reject_unknown(integrator, _INTEGRATOR_KEYS, "integrator")
     tol_per_time = (_require_number(integrator, "tol_per_time", "integrator")
                     if "tol_per_time" in integrator else DEFAULT_TOL_PER_TIME)
-    if tol_per_time <= 0.0:
-        raise ConfigError("integrator: tol_per_time must be positive")
     max_halvings = integrator.get("max_halvings", DEFAULT_MAX_HALVINGS)
-    if isinstance(max_halvings, bool) or not isinstance(max_halvings, int) or max_halvings < 1:
-        raise ConfigError("integrator: max_halvings must be a positive integer")
+    try:
+        check_budget(tol_per_time, max_halvings)
+    except ValueError as exc:
+        raise ConfigError(f"integrator: {exc}") from exc
 
     seed = raw.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
@@ -352,23 +354,14 @@ def _json_safe(value):
     return value
 
 
-def _write_tables(out_dir: Path, tables: dict, fmt: str) -> None:
-    """Each table as ``<kind>.<fmt>`` in ``out_dir``: CSV (``%.17g``, so
-    ``nan``/``inf`` stay as such) or JSON with every non-finite value null."""
-    stacks = {kind: np.column_stack(list(table.values())).astype(float, copy=False)
-              for kind, table in tables.items()}
-    if fmt == "csv":
-        _write_csv_tables(out_dir, tables, stacks)
-        return
-    for kind, rows in stacks.items():
-        path = out_dir / f"{kind}.json"
-        try:
-            with open(path, "w", newline="\n") as fh:
-                json.dump({"columns": list(tables[kind]), "rows": _json_safe(rows.tolist())},
-                          fh, indent=2, allow_nan=False)
-                fh.write("\n")
-        except OSError as exc:
-            raise IoError(f"cannot write {path}: {exc}") from exc
+def _write_json(path: Path, document) -> None:
+    """``document`` as indented, key-sorted strict JSON at ``path``."""
+    try:
+        with open(path, "w", newline="\n") as fh:
+            json.dump(document, fh, indent=2, sort_keys=True, allow_nan=False)
+            fh.write("\n")
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_csv_tables(out_dir: Path, tables: dict, stacks: dict) -> None:
@@ -587,7 +580,8 @@ def write_outputs(out_dir, fmt: str, report: dict, tables: dict | None = None,
     to column array whose order is the column order; each is written as
     ``<kind>.<fmt>`` and listed, with the report itself, in
     ``report["outputs"]``.  ``fmt`` is checked before the directory is
-    created, so a rejected format writes nothing.  Every JSON file holds
+    created, so a rejected format writes nothing.  A CSV table holds
+    ``%.17g`` fields, so ``nan``/``inf`` stay as such; every JSON file holds
     each non-finite number as null, and ``report`` is updated to match.
     """
     if fmt not in {"csv", "json"}:
@@ -601,14 +595,16 @@ def write_outputs(out_dir, fmt: str, report: dict, tables: dict | None = None,
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create {out_dir}: {exc}") from exc
-    _write_tables(out_dir, tables or {}, fmt)
-    path = out_dir / name
-    try:
-        with open(path, "w", newline="\n") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    tables = tables or {}
+    stacks = {kind: np.column_stack(list(table.values())).astype(float, copy=False)
+              for kind, table in tables.items()}
+    if fmt == "csv":
+        _write_csv_tables(out_dir, tables, stacks)
+    else:
+        for kind, rows in stacks.items():
+            _write_json(out_dir / f"{kind}.json",
+                        {"columns": list(tables[kind]), "rows": _json_safe(rows.tolist())})
+    _write_json(out_dir / name, report)
 
 
 def _scaled_scenario(config: ScenarioConfig, parameter: str, value: float) -> ScenarioConfig:
@@ -687,9 +683,13 @@ def run_sweep(config: ScenarioConfig, out_dir, fmt: str = "csv",
 def run_validation(config: ScenarioConfig) -> dict:
     """Run the invariant suite on the configured system over its grid.
 
-    Draws times from the grid with the config seed and checks the structural
-    identities the rest of the package relies on.  Returns a report dict with
-    one entry per check.
+    Draws 50 times from the grid with the config seed and checks, in one
+    pass over the draws, the identities the rest of the package relies on,
+    on the builders the propagators use.  A rate check counts only the error
+    of its central difference beyond twice the difference's round-off bound,
+    ``eps (|f(t + h)| + |f(t - h)|) / 2h``, plus for an angle
+    ``|dtheta / domega|`` times the field's.  Returns a report dict with one
+    entry per check.
     """
     params, grid = config.params, config.grid
     rng = np.random.default_rng(config.seed)
@@ -699,70 +699,56 @@ def run_validation(config: ScenarioConfig) -> dict:
         # a grid shorter than two difference steps: draw from all of it
         lo, hi = grid.t_start, grid.t_end
     draws = rng.uniform(lo, hi, size=50)
+    w, wdot = params.profile.evaluate(draws)
+    w_plus, _ = params.profile.evaluate(draws + h_fd)
+    w_minus, _ = params.profile.evaluate(draws - h_fd)
+    h = hamiltonian_batch(params, draws)
     checks = {}
 
     def record(name, value, threshold):
-        checks[name] = {
-            "value": float(value),
-            "threshold": float(threshold),
-            "pass": bool(value <= threshold),
-        }
+        checks[name] = {"value": float(value), "threshold": float(threshold),
+                        "pass": bool(value <= threshold)}
 
-    record(
-        "hamiltonian_hermiticity",
-        max(hermiticity_defect(build_hamiltonian(params, t)) for t in draws),
-        1e-12,
-    )
+    def roundoff(plus, minus):
+        return np.finfo(float).eps * (np.abs(plus) + np.abs(minus)) / (2.0 * h_fd)
 
-    worst = 0.0
-    for t in draws:
-        w, wdot = params.profile.evaluate(t)
-        wp, _ = params.profile.evaluate(t + h_fd)
-        wm, _ = params.profile.evaluate(t - h_fd)
-        fd = (wp - wm) / (2.0 * h_fd)
-        worst = max(worst, abs(wdot - fd) / max(abs(wdot), abs(fd), 1e-8))
-    record("profile_rate_consistency", worst, 1e-5)
+    def rate_error(closed, plus, minus, slack=0.0):
+        fd = (plus - minus) / (2.0 * h_fd)
+        excess = np.abs(closed - fd) - 2.0 * (roundoff(plus, minus) + slack)
+        return np.max(np.maximum(excess, 0.0)
+                      / np.maximum(np.maximum(np.abs(closed), np.abs(fd)), 1e-8))
+
+    record("hamiltonian_hermiticity", hermiticity_defect(h), 1e-12)
+    record("profile_rate_consistency", rate_error(wdot, w_plus, w_minus), 1e-5)
 
     props = fixed_step_propagators(params, TimeGrid(grid.t_start, grid.t_end, 16),
                                    Frame.LAB, substeps=2)
     record("propagator_unitarity", unitarity_defect(props[-1]), 1e-12)
 
     if params.is_special_orientation:
-        record(
-            "frame_diagonalization",
-            max(diagonalization_residual(params, t) for t in draws),
-            1e-12,
-        )
-        worst = 0.0
-        for t in draws:
-            h = build_hamiltonian(params, t)
-            numeric = np.sort(np.linalg.eigvalsh(h))
-            closed = np.sort(closed_eigenvalues(params, t))
-            worst = max(worst, float(np.max(np.abs(numeric - closed))))
-        record("spectrum_closure", worst, 1e-11)
+        rotations = frame_rotations(params, draws, w)
+        transformed = dagger(rotations) @ h @ rotations
+        record("frame_diagonalization",
+               np.max(np.abs(transformed[:, ~np.eye(4, dtype=bool)])), 1e-12)
 
-        worst = 0.0
-        for t in draws:
-            ang = mixing_angles(params, t)
-            plus = mixing_angles(params, t + h_fd)
-            minus = mixing_angles(params, t - h_fd)
-            for closed_rate, a, b in (
-                (ang.theta1_rate, plus.theta1, minus.theta1),
-                (ang.theta2_rate, plus.theta2, minus.theta2),
-            ):
-                fd = (a - b) / (2.0 * h_fd)
-                worst = max(worst, abs(closed_rate - fd) / max(abs(closed_rate), abs(fd), 1e-8))
-        record("angle_rate_consistency", worst, 1e-5)
+        closed = np.sort(np.stack(closed_eigenvalues(params, draws), axis=-1))
+        record("spectrum_closure",
+               np.max(np.abs(np.sort(np.linalg.eigvalsh(h)) - closed)), 1e-11)
 
-        worst = 0.0
-        central, corner = BLOCK_SLOTS
-        for t in draws:
-            snap = effective_hamiltonian(params, t)
-            coupling_outside = np.abs([snap.effective_h[np.ix_(central, corner)],
-                                       snap.effective_h[np.ix_(corner, central)]])
-            worst = max(worst, float(np.max(coupling_outside)))
-            worst = max(worst, float(np.max(np.abs(snap.gauge + snap.gauge.T))))
-        record("block_preservation", worst, 0.0)
+        theta, theta_plus, theta_minus = np.swapaxes(
+            mixing_angle_arrays(params, [w, w_plus, w_minus]), 0, 1)
+        # the angle rates, and d theta / d omega as the rates at a unit field rate
+        rates, slopes = (block_splitting_and_rate(params, w, r)[1] for r in (wdot, 1.0))
+        record("angle_rate_consistency", rate_error(
+            rates, theta_plus, theta_minus, np.abs(slopes) * roundoff(w_plus, w_minus)), 1e-5)
+
+        gauge = gauge_term(AdiabaticAngles(*theta, *rates))
+        effective = transformed - 1j * gauge
+        # each block's rows against the other block's columns
+        off_block = effective[:, BLOCK_SLOTS[:, :, None], BLOCK_SLOTS[::-1, None, :]]
+        record("block_preservation",
+               max(np.max(np.abs(off_block)),
+                   np.max(np.abs(gauge + np.swapaxes(gauge, -1, -2)))), 0.0)
 
     all_pass = all(entry["pass"] for entry in checks.values())
     return {"version": __version__, "config": config.raw,

@@ -134,6 +134,14 @@ class TestGaugeTerm:
         np.testing.assert_array_equal(g, -g.T)
         assert np.isrealobj(g)
 
+    def test_rate_arrays_give_a_stack(self):
+        rate1, rate2 = np.array([0.7, -0.1, 0.0]), np.array([-0.2, 0.3, 0.5])
+        g = gauge_term(AdiabaticAngles(0.3, 0.1, rate1, rate2))
+        assert g.shape == (3, 4, 4)
+        for k in range(3):
+            np.testing.assert_array_equal(
+                g[k], gauge_term(AdiabaticAngles(0.3, 0.1, rate1[k], rate2[k])))
+
     def test_matches_numerical_frame_derivative(self):
         p = params(THETA_PERPENDICULAR, TanhRamp(3.0, 2.0, 5.0))
         h = 1e-5

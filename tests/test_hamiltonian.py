@@ -132,6 +132,15 @@ def test_batch_matches_scalar():
         np.testing.assert_array_equal(batch[k], build_hamiltonian(p, float(t)))
 
 
+@pytest.mark.parametrize("theta", [0.0, THETA_PERPENDICULAR])
+def test_closed_eigenvalues_batch_matches_scalar(theta):
+    p = SystemParams(1.0, 0.5, 0.1, theta, TanhRamp(0.5, 2.0, 1.5))
+    ts = np.linspace(-3.0, 3.0, 7)
+    batch = closed_eigenvalues(p, ts)
+    for k, t in enumerate(ts):
+        assert [eps[k] for eps in batch] == list(closed_eigenvalues(p, float(t)))
+
+
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(theta=st.floats(0.0, THETA_PERPENDICULAR) | st.sampled_from([0.0, THETA_PERPENDICULAR]),
        a_par=st.floats(-3.0, 3.0), a_perp=st.floats(-3.0, 3.0), zeta=st.floats(-1.0, 1.0))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from split_quad import splitting_and_rate, splitting_phases, zeroth_order_block
 
 from spinpair import propagators
+from spinpair.analysis import compare_solutions
 from spinpair.errors import NonHermitianInput, NonNormalizedInput, ToleranceNotMet
 from spinpair.fields import Constant, Harmonic, LinearRamp, TanhRamp, Tabulated
 from spinpair.frames import (
@@ -141,6 +142,23 @@ class TestReferencePropagate:
         with pytest.raises(ToleranceNotMet):
             reference_propagate(p, TimeGrid(0.0, 10.0, 4), E2,
                                 tol_per_time=1e-18, max_halvings=2)
+
+    @pytest.mark.parametrize("key, value", [
+        ("max_halvings", 0), ("max_halvings", -3), ("max_halvings", 2.0),
+        ("max_halvings", True), ("tol_per_time", math.nan), ("tol_per_time", math.inf),
+        ("tol_per_time", 0.0), ("tol_per_time", -1e-10),
+    ])
+    def test_rejects_a_bad_budget_before_the_first_level(self, monkeypatch, key, value):
+        def level(*args, **kwargs):
+            raise AssertionError("a refinement level ran")
+
+        monkeypatch.setattr(propagators, "fixed_step_propagators", level)
+        p = params(0.0, TanhRamp(3.0, 2.0, 5.0))
+        grid = TimeGrid(-2.0, 2.0, 10)
+        with pytest.raises(ValueError, match=key):
+            reference_propagate(p, grid, E2, Frame.ADIABATIC, **{key: value})
+        with pytest.raises(ValueError, match=key):
+            compare_solutions(p, grid, 1, **{key: value})
 
     def test_convergence_is_second_order(self):
         p = params(0.0, Harmonic(2.0, 0.5, 0.7, 0.3))

@@ -21,8 +21,8 @@ from split_quad import first_order_block
 
 from spinpair.cli import main
 from spinpair.errors import ConfigError, IoError
-from spinpair.fields import FieldProfile, Tabulated
-from spinpair.hamiltonian import BLOCK_SLOTS
+from spinpair.fields import FieldProfile, Tabulated, TanhRamp
+from spinpair.hamiltonian import BLOCK_SLOTS, hamiltonian_batch
 from spinpair.linalg import unitarity_defect
 from spinpair.propagators import full_propagator_paths
 from spinpair.scenario import (
@@ -480,11 +480,74 @@ class TestRunScenario:
         assert (tmp_path / "csv" / "trajectory.csv").read_text() == "t,eta\n0,-inf\n1,2\n"
 
 
+# a drive slow enough that the round-off of the rate checks' central
+# difference alone is more than 1e-5 of its smallest rates
+ROUNDOFF_CONFIG = {
+    "system": {"a_par": 0.932643, "a_perp": 0.45963, "zeta": 0.002821,
+               "orientation": "parallel"},
+    "profile": {"kind": "tanh", "omega_mid": 2.701668, "amplitude": 0.047825,
+                "tau": 3.751510692420724},
+    "grid": {"t_start": -7.503021384841448, "t_end": 15.006042769682896, "n_steps": 171},
+    "initial_state": "phi2", "outputs": ["comparison"],
+    "integrator": {"tol_per_time": 1e-10}, "seed": 1,
+}
+RATE_CHECKS = ("profile_rate_consistency", "angle_rate_consistency")
+
+
+def skew_rate(values, factor):
+    """A profile's ``_values`` with its rate scaled by ``factor``."""
+    def skewed(self, t):
+        w, wdot = values(self, t)
+        return w, wdot * factor
+    return skewed
+
+
+class SkewedTanh(TanhRamp):
+    """A tanh ramp whose rate is off by 1e-4 relative."""
+
+    _values = skew_rate(TanhRamp._values, 1.0 + 1e-4)
+
+
 class TestValidation:
     def test_all_checks_pass(self):
         cfg = parse_config(base_config(outputs=["trajectory"]))
         report = run_validation(cfg)
         assert report["all_pass"], report["checks"]
+
+    def test_non_hermitian_hamiltonian_fails(self, monkeypatch):
+        # the check reads the Hamiltonian stack the propagators build
+        def skewed(params, times):
+            h = hamiltonian_batch(params, times)
+            h[:, 0, 1] += 1e-9
+            return h
+
+        monkeypatch.setattr(spinpair.scenario, "hamiltonian_batch", skewed)
+        report = run_validation(parse_config(base_config(outputs=["trajectory"])))
+        check = report["checks"]["hamiltonian_hermiticity"]
+        assert not check["pass"] and check["value"] == pytest.approx(1e-9)
+        assert not report["all_pass"]
+
+    @pytest.mark.parametrize("profile, code", [(TanhRamp, 0), (SkewedTanh, 3)])
+    def test_rate_checks_fail_a_wrong_rate_only(self, tmp_path, monkeypatch, profile,
+                                                 code):
+        monkeypatch.setitem(_PROFILES, "tanh", profile)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(ROUNDOFF_CONFIG))
+        assert main(["validate", "--config", str(path), "--quiet",
+                     "--out", str(tmp_path / "out")]) == code
+        checks = json.loads((tmp_path / "out" / "validation.json").read_text())["checks"]
+        assert [checks[name]["pass"] for name in RATE_CHECKS] == [code == 0] * 2
+
+    @pytest.mark.parametrize("name", ["lz_sweep", "oblique_propagate", "rate_sweep",
+                                      "tabulated_compare", "tanh_compare"])
+    def test_shipped_drives_fail_a_wrong_rate(self, monkeypatch, name):
+        config = load_config(SCENARIOS / f"{name}.json")
+        cls = type(config.params.profile)
+        assert run_validation(config)["all_pass"]
+        monkeypatch.setattr(cls, "_values", skew_rate(cls._values, 1.0 + 1e-4))
+        checks = run_validation(config)["checks"]
+        failing = RATE_CHECKS if config.params.is_special_orientation else RATE_CHECKS[:1]
+        assert [checks[check]["pass"] for check in failing] == [False] * len(failing)
 
     def test_general_theta_subset(self):
         cfg_dict = base_config(initial_state="chi1", outputs=["trajectory"])
