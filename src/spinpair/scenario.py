@@ -8,11 +8,9 @@ are rejected and no physics parameter has a silent default.
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import json
 import math
-import os
-import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
@@ -63,47 +61,10 @@ _GRID_KEYS = {"t_start", "t_end", "n_steps"}
 _INTEGRATOR_KEYS = {"tol_per_time", "max_halvings"}
 _SWEEP_KEYS = {"parameter", "values"}
 _OUTPUT_KINDS = ("trajectory", "comparison", "propagator")
-# The one CSV row writer.  This interpreter runs it, and so does the helper
-# that formats the tail rows of large tables (``_Helper``), from the same
-# text: both format the same doubles to the same bytes.
-_ROW_WRITER = """
-def write_rows(values, width, write):
-    \"\"\"Write ``values``, flat float64 (a numpy array or a memoryview), as
-    rows of ``width`` ``%.17g`` fields, as bytes through ``write``; 256 rows
-    at a time bound the Python-float copy.\"\"\"
-    line = ",".join(["%.17g"] * width) + "\\n"
-    block = 256 * width
-    for start in range(0, len(values), block):
-        chunk = values[start:start + block].tolist()
-        write((line * (len(chunk) // width) % tuple(chunk)).encode())
-"""
-_row_writer_globals = {}
-exec(_ROW_WRITER, _row_writer_globals)
-_write_rows = _row_writer_globals["write_rows"]
-# the helper's program: argv holds each tail's width and row count, stdin the
-# tails as raw float64; once done it replies with a line of the byte size of
-# each tail's text, then the texts
-_HELPER_PROGRAM = _ROW_WRITER + """
-import sys
-data = memoryview(sys.stdin.buffer.read())
-shape = [int(arg) for arg in sys.argv[1:]]
-texts, offset = [], 0
-for width, n_rows in zip(shape[::2], shape[1::2]):
-    chunks, size = [], 8 * width * n_rows
-    write_rows(data[offset:offset + size].cast("d"), width, chunks.append)
-    texts.append(b"".join(chunks))
-    offset += size
-sys.stdout.buffer.write(b" ".join(b"%d" % len(text) for text in texts) + b"\\n")
-for text in texts:
-    sys.stdout.buffer.write(text)
-"""
-# CSV tables of one call holding at least this many values are split between
-# two workers; below it the helper's start (about 15 ms) outweighs its share
-_SPLIT_VALUES = 1 << 16
-# the helper's share of each table's rows, under half: it starts about 15 ms
-# late, and two formatting jobs at once each run 1.2-1.35x slower than one
-_HELPER_SHARE = 0.45
-_COPY_BYTES = 1 << 16  # largest chunk of the helper's reply held at once
+_CSV_BLOCK = 1 << 12  # values the CSV writer formats at once
+# the decimal exponents X = floor(log10 |v|) of the finite doubles, and the
+# powers 10^k, k = 16 - X, that scale them to 17 digits
+_CSV_EXPONENTS, _CSV_POWERS = (-324, 309), (-292, 341)
 # summary entries a sweep tabulates per point, those a point has
 _SWEEP_COLUMNS = ("survival_probability", "max_eta", "final_infidelity_zeroth",
                   "final_infidelity_first", "final_beta_sq_central", "lz_prediction")
@@ -366,97 +327,128 @@ def _write_json(path: Path, document) -> None:
 
 def _write_csv_tables(out_dir: Path, tables: dict, stacks: dict) -> None:
     """Write each table, stacked as ``(n, width)`` floats in ``stacks``, as
-    ``<kind>.csv``.  When the stacks hold at least ``_SPLIT_VALUES`` values,
-    a ``_Helper`` formats the tail rows of each while this interpreter
-    formats the heads; a helper that fails leaves its rows to this one, so
-    the bytes are the same either way."""
-    split = {kind: len(rows) for kind, rows in stacks.items()}
-    helper = None
-    if sum(rows.size for rows in stacks.values()) >= _SPLIT_VALUES:
-        split = {kind: len(rows) - int(len(rows) * _HELPER_SHARE)
-                 for kind, rows in stacks.items()}
-        helper = _Helper([rows[split[kind]:] for kind, rows in stacks.items()])
-    try:
-        with contextlib.ExitStack() as opened:
-            files = {}
-            for kind, rows in stacks.items():
-                path = out_dir / f"{kind}.csv"
-                files[kind] = fh = opened.enter_context(open(path, "wb"))
+    ``<kind>.csv``, formatting about ``_CSV_BLOCK`` values at a time."""
+    for kind, rows in stacks.items():
+        path = out_dir / f"{kind}.csv"
+        step = max(1, _CSV_BLOCK // rows.shape[1])
+        try:
+            with open(path, "wb") as fh:
                 fh.write((",".join(tables[kind]) + "\n").encode())
-                _write_rows(rows[:split[kind]].ravel(), rows.shape[1], fh.write)
-            sizes = helper.finish() if helper else None
-            for index, (kind, rows) in enumerate(stacks.items()):
-                path = out_dir / f"{kind}.csv"
-                if sizes is not None:
-                    helper.copy(sizes[index], files[kind])
-                else:
-                    _write_rows(rows[split[kind]:].ravel(), rows.shape[1], files[kind].write)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
-    finally:
-        if helper:
-            helper.close()
+                for start in range(0, len(rows), step):
+                    fh.write(_format_rows(rows[start:start + step]))
+        except OSError as exc:
+            raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-class _Helper:
-    """A second interpreter formatting the tail rows of one call's CSV
-    tables (``_HELPER_PROGRAM``), run isolated (``-I -S``) so that it reads
-    no environment variable and imports nothing outside the standard
-    library.  It gets the rows as raw float64 from an unnamed temporary
-    file, and its reply goes to another.  A helper that cannot start, exits
-    non-zero or replies short yields no sizes from ``finish``; ``close``
-    kills and reaps it."""
+@functools.cache
+def _csv_tables() -> dict:
+    """The CSV writer's lookup tables, built on first use: ``powers``, 10^k
+    * 2^7 for k in ``_CSV_POWERS`` rounded to 64 significant bits (1 where
+    ``np.longdouble`` has fewer); ``groups``, each 4-digit group as 8 bytes,
+    every digit followed by a 0xFF point slot; ``last``, the place (1-4) of
+    each group's last nonzero digit, 0 for 0000; ``templates``, for X in
+    -4..16 and the place (0-16) of the last nonzero digit, the AND mask of a
+    value's 48 byte slots; ``exponents``, the last 8 slots for each X."""
+    extended = np.finfo(np.longdouble).nmant == 63
+    mants, shifts = [], []
+    for k in range(*_CSV_POWERS):
+        num, den = (10 ** k << 7, 1) if k >= 0 else (1 << 7, 10 ** -k)
+        cut = num.bit_length() - den.bit_length() - 64
+        num, den = (num, den << cut) if cut >= 0 else (num << -cut, den)
+        if num >= den << 64:  # the quotient, 10^k * 2^(7 - cut), below 2^64
+            den, cut = den << 1, cut + 1
+        mants.append((2 * num + den) // (2 * den))  # rounded to nearest
+        shifts.append(cut)
+    powers = (np.ldexp(np.array(mants, np.uint64).astype(np.longdouble), shifts)
+              if extended else np.ones(len(mants), np.longdouble))
+    chars = np.arange(10000, dtype=np.uint16)[:, None] // np.uint16([1000, 100, 10, 1])
+    chars = (chars % 10 + ord("0")).astype(np.uint8)
+    groups = np.full((10000, 4, 2), 0xFF, np.uint8)
+    groups[:, :, 0] = chars
+    nonzero = chars != ord("0")
+    last = np.where(nonzero.any(axis=1), 4 - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    last = last.astype(np.uint8)
+    # slots: sign, "0.000" prefix, 17 digit-and-point pairs, exponent,
+    # separator, 2 spare; the point follows digit p unless the digits end there
+    digit, point = np.arange(17), np.arange(-1, 17)[:, None, None]
+    last_digit = digit[:, None]
+    keep = np.zeros((18, 17, 48), np.uint8)
+    keep[..., 0] = 0xFF
+    keep[..., 6:40:2] = 0xFF * (digit <= np.maximum(point, last_digit))
+    keep[..., 7:41:2] = ord(".") * ((digit == point) & (last_digit > point))
+    # X in -4..16 prints in fixed notation, from a "0.000" prefix where X < 0;
+    # any other X prints as X = 0 does, with its exponent
+    fixed = np.arange(-4, 17)
+    prefixes = "".join(("\0" + "0." + "0" * (-1 - x) if x < 0 else "").ljust(48, "\0")
+                       for x in fixed)
+    templates = keep[np.maximum(fixed, -1) + 1]
+    templates |= np.frombuffer(prefixes.encode(), np.uint8).reshape(-1, 1, 48)
+    exponents = "".join(("" if -4 <= x <= 16 else f"e{x:+03d}").ljust(8, "\0")
+                        for x in range(*_CSV_EXPONENTS))
+    return dict(extended=extended, powers=powers, last=last,
+                groups=groups.reshape(-1, 8).view("<u8").ravel(),
+                templates=templates.reshape(-1, 8).view("<u8").reshape(-1, 6),
+                exponents=np.frombuffer(exponents.encode(), "<u8"))
 
-    def __init__(self, tails: list):
-        import subprocess
-        import tempfile
 
-        self.process = self.reply = None
-        self.count = len(tails)
-        shape = [str(n) for tail in tails for n in tail.shape[::-1]]
-        if not sys.executable:
-            return
-        try:
-            self.reply = tempfile.TemporaryFile()
-            with tempfile.TemporaryFile() as rows:
-                for tail in tails:
-                    rows.write(np.ascontiguousarray(tail).data)
-                rows.seek(0)
-                self.process = subprocess.Popen(
-                    [sys.executable, "-I", "-S", "-c", _HELPER_PROGRAM, *shape],
-                    stdin=rows, stdout=self.reply, stderr=subprocess.DEVNULL)
-        except OSError:
-            pass  # no helper: finish() leaves its rows to this interpreter
+def _format_rows(rows: np.ndarray) -> bytes:
+    """The CSV lines of ``rows``, a C-contiguous ``(n, width)`` float64
+    block: each value as ``'%.17g' % v``, comma-separated.
 
-    def finish(self) -> list | None:
-        """Wait for the helper; the byte size of each tail's text, with the
-        reply positioned at the first, or None if the helper failed."""
-        if self.process is None or self.process.wait() != 0:
-            return None
-        self.reply.seek(0)
-        try:
-            sizes = [int(size) for size in self.reply.readline().split()]
-        except ValueError:
-            return None
-        total = os.fstat(self.reply.fileno()).st_size
-        if len(sizes) != self.count or self.reply.tell() + sum(sizes) != total:
-            return None
-        return sizes
-
-    def copy(self, size: int, fh) -> None:
-        """Copy the next ``size`` bytes of the reply into ``fh``, in chunks
-        of at most ``_COPY_BYTES``."""
-        for start in range(0, size, _COPY_BYTES):
-            fh.write(self.reply.read(min(size - start, _COPY_BYTES)))
-
-    def close(self) -> None:
-        try:
-            if self.process is not None:
-                self.process.kill()
-                self.process.wait()
-        finally:
-            if self.reply is not None:
-                self.reply.close()
+    |v| * 10^(16 - X) * 2^7, X = floor(log10 |v|), is formed in the extended
+    type and truncated: its top bits are the 17 significant digits D, its
+    low 7 the fraction in 128ths (fixed-precision Ryu printf, Adams, PLDI
+    2019).  The power and the product round once each, by at most 2^-64, so
+    the product is within 1.39/128 of exact and D rounds half-even unless
+    the fraction is 62-65/128.  Such a near tie, a product outside [10^16,
+    10^17) (an X off by one, or a rounding that carries), a non-finite value,
+    and every value without a 64-bit extended type, take ``'%.17g' % v``
+    itself (the exact fallback of Grisu3, Loitsch, PLDI 2010).  A zero prints
+    as 1.0 does with the digit 0.  Each value fills 48 byte slots from its
+    digit groups and its ``templates`` mask, or from its text padded with
+    spaces; the zero bytes of unused slots and the spaces are deleted.
+    """
+    tables = _csv_tables()
+    values = rows.ravel()
+    x = np.abs(values)
+    zero = x == 0
+    decided = np.isfinite(x) & tables["extended"]
+    x[zero | ~decided] = 1.0
+    exponent = np.floor(np.log10(x)).astype(np.intp)
+    x = x.astype(np.longdouble)
+    scaled = (x * tables["powers"][16 - _CSV_POWERS[0] - exponent]).astype(np.uint64)
+    fraction = scaled & np.uint64(127)
+    digits = ((scaled >> np.uint64(7)) + (fraction >= 64)).astype(np.intp)
+    decided &= ((fraction < 62) | (fraction > 65)) & (scaled >= 10 ** 16 << 7)
+    decided &= digits < 10 ** 17
+    digits[zero] = 0
+    # D as its lead digit and four 4-digit groups
+    high, low = np.divmod(digits, 10 ** 8)
+    lead, high = np.divmod(high, 10 ** 8)
+    quads = np.empty((len(values), 4), np.intp)
+    quads[:, 0], quads[:, 1] = np.divmod(high, 10000)
+    quads[:, 2], quads[:, 3] = np.divmod(low, 10000)
+    last = 12 + np.take(tables["last"], quads[:, 3])
+    short = np.flatnonzero(last == 12)  # the last group is 0000
+    if short.size:
+        places = np.take(tables["last"], quads[short, :3])
+        last[short] = np.max((places > 0) * (places + [0, 4, 8]), axis=1)
+    fixed = np.where((exponent >= -4) & (exponent <= 16), exponent, 0)
+    words = np.take(tables["templates"], (fixed + 4) * 17 + last, axis=0)
+    words[:, 5] = np.take(tables["exponents"], exponent - _CSV_EXPONENTS[0])
+    words[:, 1:5] &= np.take(tables["groups"], quads)
+    # slots 0-7: the sign, five prefix slots, the lead digit, its point slot
+    words[:, 0] &= (((lead.astype(np.uint64) + np.uint64(0xFF30)) << np.uint64(48))
+                    | np.uint64(0xFFFFFFFFFF00) | np.signbit(values) * np.uint64(ord("-")))
+    text = words.view(np.uint8).reshape(len(values), 48)
+    fallback = np.flatnonzero(~decided)
+    if fallback.size:
+        texts = "%-48.17g" * fallback.size % tuple(values[fallback].tolist())
+        text[fallback] = np.frombuffer(texts.encode(), np.uint8).reshape(-1, 48)
+    slots = text.reshape(*rows.shape, 48)
+    slots[:, :, 45] = ord(",")
+    slots[:, -1, 45] = ord("\n")
+    return text.tobytes().translate(None, b"\0 ")
 
 
 def _amplitude_columns(prefix: str, states: np.ndarray) -> dict:
@@ -581,8 +573,9 @@ def write_outputs(out_dir, fmt: str, report: dict, tables: dict | None = None,
     ``<kind>.<fmt>`` and listed, with the report itself, in
     ``report["outputs"]``.  ``fmt`` is checked before the directory is
     created, so a rejected format writes nothing.  A CSV table holds
-    ``%.17g`` fields, so ``nan``/``inf`` stay as such; every JSON file holds
-    each non-finite number as null, and ``report`` is updated to match.
+    ``'%.17g' % v`` fields, ``nan``/``inf`` included, formatted in this
+    process by ``_format_rows``; every JSON file holds each non-finite
+    number as null, and ``report`` is updated to match.
     """
     if fmt not in {"csv", "json"}:
         raise ConfigError(f"format must be 'csv' or 'json', got {fmt!r}")
@@ -613,34 +606,38 @@ def _scaled_scenario(config: ScenarioConfig, parameter: str, value: float) -> Sc
     ``rate`` scales the drive rate by ``value`` at fixed sweep shape (the time
     axis stretches by 1/value); ``omega0`` re-spans a symmetric linear ramp
     across (-value, +value) at fixed rate, from the end the rate's sign
-    leaves from.
+    leaves from.  A value that leaves the point invalid, such as a time
+    axis that overflows, is a ``ConfigError`` naming it.
     """
     params, grid = config.params, config.grid
     profile = params.profile
-    if parameter == "rate":
-        s = float(value)
-        if isinstance(profile, LinearRamp):
-            new_profile = LinearRamp(profile.omega_start, profile.rate * s)
-        elif isinstance(profile, TanhRamp):
-            new_profile = TanhRamp(profile.omega_mid, profile.amplitude, profile.tau / s)
-        elif isinstance(profile, Harmonic):
-            new_profile = Harmonic(profile.omega0, profile.amplitude,
-                                   profile.angular_frequency * s, profile.phase)
-        elif isinstance(profile, Tabulated):
-            new_profile = Tabulated(profile.times / s, profile.omegas)
+    try:
+        if parameter == "rate":
+            s = float(value)
+            if isinstance(profile, LinearRamp):
+                new_profile = LinearRamp(profile.omega_start, profile.rate * s)
+            elif isinstance(profile, TanhRamp):
+                new_profile = TanhRamp(profile.omega_mid, profile.amplitude, profile.tau / s)
+            elif isinstance(profile, Harmonic):
+                new_profile = Harmonic(profile.omega0, profile.amplitude,
+                                       profile.angular_frequency * s, profile.phase)
+            elif isinstance(profile, Tabulated):
+                with np.errstate(over="ignore"):  # an overflow is rejected below
+                    new_profile = Tabulated(profile.times / s, profile.omegas)
+            else:
+                raise ConfigError("sweep: a constant profile has no rate to sweep")
+            new_grid = TimeGrid(grid.t_start / s, grid.t_end / s, grid.n_steps)
         else:
-            raise ConfigError("sweep: a constant profile has no rate to sweep")
-        new_grid = TimeGrid(grid.t_start / s, grid.t_end / s, grid.n_steps)
-    else:
-        if not isinstance(profile, LinearRamp):
-            raise ConfigError("sweep: omega0 sweeps need a linear profile")
-        if profile.rate == 0.0:
-            raise ConfigError("sweep: omega0 sweeps need a nonzero rate")
-        w0 = float(value)
-        new_profile = LinearRamp(-math.copysign(w0, profile.rate), profile.rate)
-        new_grid = TimeGrid(0.0, 2.0 * w0 / abs(profile.rate), grid.n_steps)
-    new_params = replace(params, profile=new_profile)
-    return replace(config, params=new_params, grid=new_grid)
+            if not isinstance(profile, LinearRamp):
+                raise ConfigError("sweep: omega0 sweeps need a linear profile")
+            if profile.rate == 0.0:
+                raise ConfigError("sweep: omega0 sweeps need a nonzero rate")
+            w0 = float(value)
+            new_profile = LinearRamp(-math.copysign(w0, profile.rate), profile.rate)
+            new_grid = TimeGrid(0.0, 2.0 * w0 / abs(profile.rate), grid.n_steps)
+    except ValueError as exc:
+        raise ConfigError(f"sweep: {parameter} value {value!r}: {exc}") from exc
+    return replace(config, params=replace(params, profile=new_profile), grid=new_grid)
 
 
 def run_sweep(config: ScenarioConfig, out_dir, fmt: str = "csv",
@@ -655,9 +652,10 @@ def run_sweep(config: ScenarioConfig, out_dir, fmt: str = "csv",
     parameter = config.sweep["parameter"]
     values = [float(v) for v in config.sweep["values"]]
 
+    # every point is built before the first runs, so a bad value fails early
+    points = [_scaled_scenario(config, parameter, value) for value in values]
     rows = []
-    for value in values:
-        point = _scaled_scenario(config, parameter, value)
+    for value, point in zip(values, points):
         *_, summary = _run_point(point, point.initial_label.startswith("phi"))
         rows.append({"value": value,
                      **{key: summary[key] for key in _SWEEP_COLUMNS if key in summary}})

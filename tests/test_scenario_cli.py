@@ -5,8 +5,8 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import spinpair.analysis
 import spinpair.fields
@@ -48,32 +48,6 @@ NUMERIC_PROFILES = {
 AMPLITUDES = [f"{part}_{level}{i}" for level in ("chi", "phi") for i in range(1, 5)
               for part in ("re", "im")]
 POPULATIONS = ["pop_chi1", "pop_chi2", "pop_chi3", "pop_chi4"]
-
-
-@pytest.fixture
-def helpers(monkeypatch):
-    """The helper interpreters the CSV writer tries to start (``attempts``)
-    and starts (``processes``); each must be reaped by the time
-    ``write_outputs`` returns or raises."""
-    record = SimpleNamespace(attempts=[], processes=[])
-
-    class Recorded(subprocess.Popen):
-        def __init__(self, args, **kwargs):
-            record.attempts.append(args)
-            super().__init__(args, **kwargs)
-            record.processes.append(self)
-
-    write = spinpair.scenario.write_outputs
-
-    def checked(*args, **kwargs):
-        try:
-            return write(*args, **kwargs)
-        finally:
-            assert all(process.returncode is not None for process in record.processes)
-
-    monkeypatch.setattr(subprocess, "Popen", Recorded)
-    monkeypatch.setattr(spinpair.scenario, "write_outputs", checked)
-    return record
 
 
 def csv_header(path):
@@ -249,28 +223,23 @@ class TestRunScenario:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
 
-    def test_table_writer_matches_per_value_format(self, tmp_path, helpers):
+    def test_table_writer_matches_per_value_format(self, tmp_path):
+        # 2^-25 is a decimal tie at 17 digits, and log10(1e-304) rounds up
+        # to the next decade
         special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -1e300, 0.1,
-                   1.0 / 3.0, 2.0 ** 53 + 2.0, -7.0]
-        # enough rows that the table crosses the split threshold, so a helper
-        # formats its tail rows
+                   1.0 / 3.0, 2.0 ** 53 + 2.0, -7.0, 2.0 ** -25, 1e-304,
+                   1.7976931348623157e308]
+        # enough rows that the table crosses a block boundary of the writer;
+        # column j repeats the special values from special[j]
         width = len(special) + 1
-        n_rows = spinpair.scenario._SPLIT_VALUES // width + 100
-        split = n_rows - int(n_rows * spinpair.scenario._HELPER_SHARE)
-        # column j repeats the special values with period 12 and holds
-        # special[j] on the split row, so each sits on the split row and on
-        # both sides of it
+        n_rows = spinpair.scenario._CSV_BLOCK // width + 100
         cycle = np.resize(special, n_rows + len(special))
-        columns = [cycle[(j - split) % len(special):][:n_rows] for j in range(len(special))]
+        columns = [cycle[j:][:n_rows] for j in range(len(special))]
         columns.append(np.linspace(-1.0, 1.0, n_rows))
-        assert [column[split] for column in columns[:-1]] == pytest.approx(
-            special, nan_ok=True)
         header = [f"c{j}" for j in range(width)]
         rows = np.column_stack(columns)
         spinpair.scenario.write_outputs(tmp_path, "csv", {},
                                         {"t": dict(zip(header, columns))})
-        # isolated: the helper reads no environment variable and no site
-        assert [args[1:3] for args in helpers.attempts] == [["-I", "-S"]]
         expected = ",".join(header) + "\n" + "".join(
             ",".join(f"{float(v):.17g}" for v in row) + "\n" for row in rows)
         assert (tmp_path / "t.csv").read_bytes() == expected.encode()
@@ -282,12 +251,46 @@ class TestRunScenario:
                             for row in rows]}
         expected = json.dumps(payload, indent=2) + "\n"
         assert (tmp_path / "t.json").read_bytes() == expected.encode()
-        assert len(helpers.processes) == 1  # JSON is written by this interpreter
 
-    def test_small_tables_start_no_helper(self, tmp_path, helpers):
-        cfg = parse_config(base_config())
-        run_scenario(cfg, tmp_path)
-        assert helpers.attempts == []
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(values=st.lists(st.floats() | st.sampled_from(
+               [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-308]),
+               min_size=1, max_size=80),
+           width=st.integers(1, 40), extra_rows=st.integers(0, 3))
+    def test_table_writer_matches_per_value_format_on_any_floats(
+            self, tmp_path_factory, values, width, extra_rows):
+        # any floats, with both zeros, nan, both infinities and subnormals
+        # drawn for sure, tiled over rows that reach or cross the writer's
+        # block boundary
+        n_rows = spinpair.scenario._CSV_BLOCK // width + extra_rows
+        rows = np.resize(np.array(values), (n_rows, width))
+        out = tmp_path_factory.mktemp("writer")
+        header = [f"c{j}" for j in range(width)]
+        write_outputs(out, "csv", {}, {"t": dict(zip(header, rows.T))})
+        lines = (out / "t.csv").read_bytes().decode().splitlines()
+        assert lines[0] == ",".join(header)
+        assert lines[1:] == [",".join("%.17g" % v for v in row) for row in rows.tolist()]
+
+    def test_writer_powers_are_rounded_to_nearest(self):
+        # each 10^k * 2^7 of the digit stage within half a unit in the last
+        # place of its 64-bit significand, checked in exact rational arithmetic
+        tables = spinpair.scenario._csv_tables()
+        if not tables["extended"]:
+            pytest.skip("no 64-bit extended significand: every value falls back")
+        for k, power in zip(range(*spinpair.scenario._CSV_POWERS), tables["powers"]):
+            mantissa, exponent = np.frexp(power)
+            ulp = Fraction(2) ** (int(exponent) - 64)
+            value = int(np.ldexp(mantissa, 64)) * ulp
+            assert abs(value - Fraction(10) ** k * 128) <= ulp / 2, k
+
+    def test_writer_without_extended_type_formats_every_value_per_value(
+            self, monkeypatch):
+        tables = dict(spinpair.scenario._csv_tables(), extended=False)
+        monkeypatch.setattr(spinpair.scenario, "_csv_tables", lambda: tables)
+        rows = np.array([[0.1, -2.5e-300, 1e22], [np.nan, 7.0, -0.0]])
+        text = spinpair.scenario._format_rows(rows).decode()
+        assert text == "".join(",".join("%.17g" % v for v in row) + "\n"
+                               for row in rows.tolist())
 
     def test_propagator_dump(self, tmp_path):
         cfg = parse_config(base_config(outputs=["trajectory", "propagator"],
@@ -670,51 +673,39 @@ class TestCli:
         assert code == 2
         assert not out.exists()
 
-    def split_config(self, tmp_path):
-        """A propagate run whose CSV tables cross the split threshold."""
+    def large_config(self, tmp_path):
+        """A propagate run whose CSV tables span several writer blocks."""
         config = base_config(outputs=["trajectory", "propagator"], initial_state="chi1",
                              grid={"t_start": 0.0, "t_end": 5.0, "n_steps": 1500})
         return self.write(tmp_path, config)
 
-    @pytest.mark.parametrize("failure", ["missing", "empty", "exit", "short"])
-    def test_failed_helper_leaves_its_rows_to_this_interpreter(
-            self, tmp_path, monkeypatch, helpers, failure):
-        path = self.split_config(tmp_path)
+    def test_large_tables_start_no_process(self, tmp_path, monkeypatch):
+        path = self.large_config(tmp_path)
         argv = ["propagate", "--config", str(path), "--quiet", "--out"]
-        assert main([*argv, str(tmp_path / "two")]) == 0
-        assert len(helpers.processes) == 1
-        if failure in ("missing", "empty"):
-            executable = "" if failure == "empty" else str(tmp_path / "no-python")
-            monkeypatch.setattr(sys, "executable", executable)
-        else:
-            # a well-formed reply of two empty texts, then a failed exit; or
-            # a clean exit with a reply shorter than its sizes
-            program = ('import sys; print(0, 0); sys.exit(3)' if failure == "exit"
-                       else "print(5, 5)")
-            monkeypatch.setattr(spinpair.scenario, "_HELPER_PROGRAM", program)
-        assert main([*argv, str(tmp_path / "one")]) == 0
-        assert len(helpers.attempts) == (2 if failure != "empty" else 1)
-        for name in ("trajectory.csv", "propagator.csv", "report.json"):
-            assert (tmp_path / "one" / name).read_bytes() == \
-                (tmp_path / "two" / name).read_bytes()
-        if failure == "exit":
-            assert helpers.processes[-1].returncode == 3
+        assert main([*argv, str(tmp_path / "json"), "--format", "json"]) == 0
 
-    def test_write_error_mid_call_kills_the_helper(self, tmp_path, monkeypatch, helpers,
-                                                   capsys):
-        path = self.split_config(tmp_path)
-        # a helper that would outlast the call unless it is killed
-        monkeypatch.setattr(spinpair.scenario, "_HELPER_PROGRAM",
-                            "import time; time.sleep(60)")
+        def refuse(*args, **kwargs):
+            raise AssertionError("the writer started a process")
+
+        monkeypatch.setattr(subprocess, "Popen", refuse)
+        assert main([*argv, str(tmp_path / "csv")]) == 0
+        for kind in ("trajectory", "propagator"):
+            table = json.loads((tmp_path / "json" / f"{kind}.json").read_text())
+            expected = "".join(",".join("%.17g" % v for v in row) + "\n"
+                               for row in table["rows"])
+            text = (tmp_path / "csv" / f"{kind}.csv").read_text()
+            assert text == ",".join(table["columns"]) + "\n" + expected
+
+    def test_write_error_mid_call_exits_4_and_names_the_path(self, tmp_path, capsys):
+        path = self.large_config(tmp_path)
         # the second table's path is a directory: its open fails after the
-        # helper started and the first table was opened
+        # first table was written
         (tmp_path / "out" / "propagator.csv").mkdir(parents=True)
         code = main(["propagate", "--config", str(path), "--out", str(tmp_path / "out"),
                      "--quiet"])
         assert code == 4
         assert "propagator.csv" in capsys.readouterr().err
-        assert len(helpers.processes) == 1
-        assert helpers.processes[0].returncode != 0
+        assert (tmp_path / "out" / "trajectory.csv").stat().st_size > 0
 
     def test_validate_subcommand(self, tmp_path):
         path = self.write(tmp_path, base_config(outputs=["trajectory"]))
@@ -787,6 +778,33 @@ class TestCli:
         assert len(lines) == 3
         values = [float(line.split(",")[0]) for line in lines[1:]]
         assert values == [1.0, 0.5]
+
+    @pytest.mark.parametrize("profile, values, message", [
+        ({"kind": "linear", "omega_start": -3.0, "rate": 0.5}, [1.0, 1e-308],
+         "sweep: rate value 1e-308: grid endpoints must be finite"),
+        ({"kind": "tanh", "omega_mid": 3.0, "amplitude": 2.0, "tau": 1e-30}, [1e300],
+         "sweep: rate value 1e+300: tanh ramp timescale tau must be positive"),
+        ({"kind": "tabulated", "times": [-8.0, 16.0], "omegas": [1.0, 5.0]}, [1e-308],
+         "sweep: rate value 1e-308: tabulated samples must be finite"),
+    ], ids=["linear-grid-overflow", "tanh-tau-underflow", "tabulated-times-overflow"])
+    @pytest.mark.filterwarnings("error")
+    def test_sweep_value_that_breaks_its_point_exits_2(self, tmp_path, monkeypatch,
+                                                       capsys, profile, values, message):
+        config = base_config(outputs=["comparison"], profile=profile,
+                             grid={"t_start": -4.0, "t_end": 8.0, "n_steps": 50},
+                             sweep={"parameter": "rate", "values": values})
+        path = self.write(tmp_path, config)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a point ran before every point was built")
+
+        # every point is built before the first one runs
+        monkeypatch.setattr(spinpair.scenario, "_run_point", refuse)
+        code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--quiet"])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
 
 def test_shipped_scenarios_parse():
@@ -881,6 +899,20 @@ print([main(argv) for argv in runs])
         codes = json.loads(result.stdout)
         assert codes == [0] * (1 + len(list(SCENARIOS.glob("*.json"))))
         assert (tmp_path / "compare" / "comparison.csv").exists()
+
+    def test_import_loads_no_process_modules(self):
+        # setup cost: the CSV writer runs in this interpreter, so importing
+        # the command line pulls in no process or executor machinery
+        script = """
+import json
+import sys
+import spinpair.cli
+print(json.dumps([name for name in ("subprocess", "concurrent.futures")
+                  if name in sys.modules]))
+"""
+        result = self.run_python(script)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == []
 
     def test_import_and_load_leave_scipy_unloaded(self):
         script = """
