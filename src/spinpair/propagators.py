@@ -16,11 +16,13 @@ Two independent routes to the same dynamics live here.
   scan over the cells multiply the pairs (``su2_product``).  Any other
   orientation propagates the full 4x4 generator.  The step is the
   fourth-order Gauss Magnus step at the special orientations when the budget
-  allows two halvings, else the second-order exponential midpoint rule.  The
-  Magnus step cannot certify before the second halving, so its first three
-  levels run as one pass (``fixed_step_propagators(..., levels=3)``): one
-  generator and one ``su2_exp`` call on all their nodes, one scan and one
-  4x4 assembly for the stack, each level bit for bit its own pass.
+  allows two halvings, else the second-order exponential midpoint rule.  One
+  ladder rule serves both: a scheme of order p cannot certify before halving
+  p/2, so its first p/2 + 1 levels come from one
+  ``fixed_step_propagators(..., levels=p/2 + 1)`` call and each later halving
+  makes one call.  The block stack shares one generator and one ``su2_exp``
+  call, one scan and one 4x4 assembly; the 4x4 stack runs each level on its
+  own.  Either way each level is bit for bit its own pass.
 
 * ``full_propagator_paths`` is the block route: the unperturbed propagator
   of each 2x2 block is a pair of accumulated dynamical phases, the gauge
@@ -365,10 +367,11 @@ def fixed_step_propagators(params: SystemParams, grid: TimeGrid, frame: Frame,
     and the entries off the blocks are exact zeros; any other ``theta``
     propagates the full 4x4 generator.  ``cells``, the cell set
     ``_cells(params, grid)`` when the caller already has it, is used as given.
-    ``levels`` (special orientations only), when given, returns the stack of
-    the ``levels`` refinement levels ``substeps / 2**(levels - 1), ...,
-    substeps``, shape ``(levels, n_steps + 1, 4, 4)``, run as one pass, each
-    level equal to its own call to the bit.
+    ``levels``, when given, returns the stack of the ``levels`` refinement
+    levels ``substeps / 2**(levels - 1), ..., substeps``, shape ``(levels,
+    n_steps + 1, 4, 4)``, each level equal to its own call to the bit: the
+    blocks run as one pass, the 4x4 generator one level at a time, since
+    ``_expm4`` takes its squaring count from the largest norm in its batch.
     """
     stack = 1 if levels is None else levels
     if substeps < 1 or substeps & (substeps - 1):
@@ -383,12 +386,12 @@ def fixed_step_propagators(params: SystemParams, grid: TimeGrid, frame: Frame,
     if params.is_special_orientation:
         nodes = _scatter_blocks(*(x[..., on_grid] for x in
                                   _block_nodes(params, cells, frame, substeps, order, stack)))
-        return nodes if levels is not None else nodes[0]
-    if order == 4:
+    elif order == 4:
         raise ValueError("the fourth-order step needs a special orientation")
-    if levels is not None:
-        raise ValueError("a stack of levels needs a special orientation")
-    return _full_nodes(params, edges, widths, substeps)[on_grid]
+    else:
+        nodes = [_full_nodes(params, edges, widths, substeps >> k)[on_grid]
+                 for k in range(stack - 1, -1, -1)]
+    return np.asarray(nodes) if levels is not None else nodes[0]
 
 
 def check_budget(tol_per_time: float, max_halvings: int) -> None:
@@ -411,46 +414,41 @@ def reference_propagate(params: SystemParams, grid: TimeGrid, psi0: np.ndarray,
     consecutive levels over ``2**order - 1``, drops below
     ``tol_per_time * duration``.  The fourth-order Magnus step serves at the
     special orientations when the budget allows two halvings; it certifies
-    from the second halving on, once the previous change is ``_REGIME_RATIO``
-    times the current one or at the round-off floor.  General ``theta`` uses
-    the midpoint rule.  A change at the round-off floor raises
-    ``ToleranceNotMet`` at once when the floor over ``2**order - 1`` is above
-    target.  ``psi0`` is interpreted in ``frame``.  A budget that
-    ``check_budget`` rejects raises ``ValueError`` before the first level.
+    once the previous change is ``_REGIME_RATIO`` times the current one or at
+    the round-off floor.  General ``theta`` uses the midpoint rule.  A scheme
+    of order p cannot certify before halving p/2, so its first p/2 + 1 levels
+    come from one ``fixed_step_propagators`` call; each later halving makes
+    one call.  A change at the round-off floor raises ``ToleranceNotMet`` at
+    once when the floor over ``2**order - 1`` is above target, and so does a
+    change that is not finite.  ``psi0`` is interpreted in ``frame``.  A
+    budget that ``check_budget`` rejects raises ``ValueError`` before the
+    first level.
     """
     check_budget(tol_per_time, max_halvings)
     psi0 = np.asarray(psi0, dtype=complex).reshape(4)
     deviation = abs(np.linalg.norm(psi0) - 1.0)
     if not deviation <= STATE_NORM_TOL:
         raise NonNormalizedInput(f"initial state off unit norm by {deviation:.3e}")
-    if frame is Frame.ADIABATIC:
-        params.require_special_orientation()
 
     order = 4 if params.is_special_orientation and max_halvings >= 2 else 2
     cells = _cells(params, grid)
     target = tol_per_time * grid.duration
-    # the fourth-order step certifies no earlier than halving 2, so its first
-    # three levels (1, 2 and 4 substeps per cell) run as one pass
-    ladder = list(fixed_step_propagators(params, grid, frame, 4, order=order, cells=cells,
-                                         levels=3)) if order == 4 else []
-
-    def level(substeps):
-        return ladder.pop(0) if ladder else fixed_step_propagators(
-            params, grid, frame, substeps, order=order, cells=cells)
-
-    substeps = 1
-    previous = level(substeps)
-    halvings = 0
+    # a scheme of order p cannot certify before halving p/2, so its first
+    # p/2 + 1 levels come from one call
+    first = order // 2
+    ladder = fixed_step_propagators(params, grid, frame, 1 << first, order=order,
+                                    cells=cells, levels=first + 1)
+    previous = ladder[0]
     last_change, last_floor = math.inf, 0.0
-    while True:
-        substeps *= 2
-        current = level(substeps)
+    for halvings in range(1, max_halvings + 1):
+        substeps = 1 << halvings
+        current = ladder[halvings] if halvings <= first else fixed_step_propagators(
+            params, grid, frame, substeps, order=order, cells=cells)
         change = float(np.max(np.abs(current - previous)))
         estimate = change / (2 ** order - 1)
         floor = _ROUNDOFF_PER_STEP * cells[1].size * substeps
-        halvings += 1
-        in_regime = order == 2 or (halvings >= 2 and (
-            last_change >= _REGIME_RATIO * change or last_change <= last_floor))
+        in_regime = halvings >= first and (
+            order == 2 or last_change >= _REGIME_RATIO * change or last_change <= last_floor)
         # a change within the floor is round-off: it certifies no estimate
         # below the floor's own, even when it happens to vanish
         if change <= floor and floor / (2 ** order - 1) > target:
@@ -462,7 +460,8 @@ def reference_propagate(params: SystemParams, grid: TimeGrid, psi0: np.ndarray,
             )
         if estimate <= target and in_regime:
             break
-        if halvings >= max_halvings:
+        # a change that is not finite stays so at every finer level
+        if halvings == max_halvings or not math.isfinite(change):
             raise ToleranceNotMet(
                 f"estimate {estimate:.3e} above target {target:.3e} after "
                 f"{halvings} halvings"

@@ -254,6 +254,24 @@ def test_magnus_reference_within_midpoint_certificate(theta, zeta, a_par, a_perp
     assert np.all(magnus.propagators[:, ~BLOCK_MASK] == 0.0)
 
 
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(theta=st.floats(0.1, 1.4),
+       zeta=st.floats(-0.5, 0.5),
+       a_par=st.floats(0.2, 2.0),
+       a_perp=st.floats(0.2, 2.0),
+       profile=tabulated_profiles(CERTIFICATE_GRID) | smooth_profiles())
+def test_midpoint_reference_within_its_certificate(theta, zeta, a_par, a_perp, profile):
+    # the general-angle ladder: its accepted level is within the target of a
+    # fixed-step run two halvings deeper
+    p = SystemParams(a_par, a_perp, zeta, theta, profile)
+    grid = CERTIFICATE_GRID
+    tol_per_time = 1e-8
+    midpoint = reference_propagate(p, grid, E2, tol_per_time=tol_per_time)
+    assert midpoint.scheme == "midpoint"
+    deeper = fixed_step_propagators(p, grid, Frame.LAB, 4 << midpoint.halvings)
+    assert np.max(np.abs(midpoint.propagators - deeper)) <= tol_per_time * grid.duration
+
+
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
 @given(theta=st.sampled_from([0.0, THETA_PERPENDICULAR]),
        zeta=st.floats(-0.5, 0.5),

@@ -664,18 +664,28 @@ def knotted_drive(knots, grid):
     return Tabulated(samples, 3.0 + 0.8 * np.sin(1.3 * samples))
 
 
-@settings(derandomize=True, database=None, max_examples=40, deadline=None)
-@given(theta=st.sampled_from([0.0, THETA_PERPENDICULAR]),
-       frame=st.sampled_from([Frame.LAB, Frame.ADIABATIC]),
-       order=st.sampled_from([2, 4]), levels=st.integers(1, 3),
-       substeps=st.sampled_from([4, 8]), chunk=st.sampled_from([1, 5, 24, 1 << 17]),
-       n_steps=st.integers(1, 6),
-       drive=st.one_of(_ANALYTIC_PROFILES, _TABULATED_KNOTS))
-def test_fused_levels_match_single_level_calls(theta, frame, order, levels, substeps,
-                                               chunk, n_steps, drive):
-    """The levels of one fused pass, run in chunks small enough to cut it
-    anywhere, equal the single-level calls at the default chunk size bit for
-    bit, so the fused reference certifies exactly what the ladder did."""
+_STACK_SETUPS = st.one_of(
+    st.tuples(st.sampled_from([0.0, THETA_PERPENDICULAR]),
+              st.sampled_from([Frame.LAB, Frame.ADIABATIC]), st.sampled_from([2, 4]),
+              st.sampled_from([1, 5, 24, 1 << 17])),
+    # a general angle exponentiates the 4x4 generator with ``_expm4``, which
+    # takes its squaring count from the largest 1-norm in its batch: a level
+    # run in other chunks may differ in the last bits, so only the default
+    # chunk size is compared there
+    st.tuples(st.floats(0.1, 1.4), st.just(Frame.LAB), st.just(2),
+              st.just(propagators._CHUNK_SUBSTEPS)),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(setup=_STACK_SETUPS, levels=st.integers(1, 3), substeps=st.sampled_from([4, 8]),
+       n_steps=st.integers(1, 6), drive=st.one_of(_ANALYTIC_PROFILES, _TABULATED_KNOTS))
+def test_fused_levels_match_single_level_calls(setup, levels, substeps, n_steps, drive):
+    """The levels of one stacked call, at the special orientations run in
+    chunks small enough to cut the fused pass anywhere, equal the single-level
+    calls at the default chunk size bit for bit, so the reference certifies
+    exactly what a ladder of single levels would."""
+    theta, frame, order, chunk = setup
     grid = TimeGrid(0.0, 4.0, n_steps)
     if isinstance(drive, list):
         drive = knotted_drive(drive, grid)
@@ -692,11 +702,30 @@ def test_fused_levels_match_single_level_calls(theta, frame, order, levels, subs
 
 
 @pytest.mark.parametrize("theta, substeps, levels", [
-    (0.0, 2, 3), (0.0, 2, 0), (0.7, 4, 2)], ids=["deeper", "empty", "general-angle"])
+    (0.0, 2, 3), (0.0, 2, 0)], ids=["deeper", "empty"])
 def test_fused_levels_reject_a_stack_they_cannot_run(theta, substeps, levels):
     p = params(theta, TanhRamp(3.0, 2.0, 4.0))
     with pytest.raises(ValueError, match="levels"):
         fixed_step_propagators(p, TimeGrid(0.0, 4.0, 4), Frame.LAB, substeps, levels=levels)
+
+
+@pytest.mark.parametrize("theta, tol_per_time, halvings, first_pass", [
+    (0.7, 1e-3, 1, (2, 2)), (0.0, 1e-6, 2, (4, 3))], ids=["midpoint", "magnus4"])
+def test_first_pass_is_one_stacked_call(monkeypatch, theta, tol_per_time, halvings,
+                                        first_pass):
+    """A scheme of order p takes its first p/2 + 1 levels from one call."""
+    calls = []
+    original = propagators.fixed_step_propagators
+
+    def counting(p, grid, frame, substeps=1, order=2, **kwargs):
+        calls.append((substeps, kwargs.get("levels")))
+        return original(p, grid, frame, substeps, order, **kwargs)
+
+    monkeypatch.setattr(propagators, "fixed_step_propagators", counting)
+    traj = reference_propagate(params(theta, TanhRamp(3.0, 2.0, 4.0)),
+                               TimeGrid(0.0, 4.0, 40), E2, tol_per_time=tol_per_time)
+    assert traj.halvings == halvings
+    assert calls == [first_pass]
 
 
 def test_roundoff_stall_at_the_first_halving_keeps_its_message():

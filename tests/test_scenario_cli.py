@@ -645,6 +645,20 @@ class TestCli:
         assert result.stderr.startswith(stderr)
         assert "Traceback" not in result.stderr
 
+    def test_overflowing_sweep_stops_at_the_first_halving(self, tmp_path, capsys):
+        # a valid rate whose steps overflow to NaN: more halvings cannot help
+        config = json.loads((SCENARIOS / "lz_sweep.json").read_text())
+        config["sweep"] = {"parameter": "rate", "values": [1e308]}
+        path = self.write(tmp_path, config)
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            code = main(["sweep", "--config", str(path), "--out", str(out), "--quiet"])
+        assert code == 3
+        message = capsys.readouterr().err
+        assert message.startswith("compute error [spinpair.errors.ToleranceNotMet]")
+        assert "after 1 halvings" in message
+        assert not out.exists()
+
     def test_missing_config_is_io_error(self, tmp_path):
         code = main(["propagate", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "out"), "--quiet"])
