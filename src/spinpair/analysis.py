@@ -77,9 +77,10 @@ def lz_asymptotic(params: SystemParams, ramp: LinearRamp) -> float:
 
     The central pair crosses with diabatic splitting ``omega(t) (1 - zeta)``
     and coupling ``2 a_perp``, so the survival probability of the initial
-    basis state is ``exp(-2 pi (2 a_perp)^2 / ((1 - zeta) |rate|))``.  This is
+    basis state is ``exp(-2 pi (2 a_perp)^2 / (|1 - zeta| |rate|))``.  This is
     a test oracle for sweeps much wider than the coupling, not a model of any
-    finite run.
+    finite run.  A zero sweep rate of the splitting (``zeta = 1``, or a ramp
+    rate that is or underflows to zero) raises ``ZeroRate``.
     """
     if not params.is_parallel:
         raise UnsupportedOrientation(
@@ -87,12 +88,12 @@ def lz_asymptotic(params: SystemParams, ramp: LinearRamp) -> float:
         )
     if not isinstance(ramp, LinearRamp):
         raise TypeError("lz_asymptotic expects a LinearRamp profile")
-    if ramp.rate == 0.0:
-        raise ZeroRate("a zero ramp rate never crosses the gap")
+    slope = abs(1.0 - params.zeta) * abs(ramp.rate)
+    if slope == 0.0:
+        raise ZeroRate("the central splitting does not sweep: it never crosses the gap")
     if params.a_perp <= 0.0:
         raise DegenerateGap("a positive transverse coupling is required")
     coupling = 2.0 * params.a_perp
-    slope = (1.0 - params.zeta) * abs(ramp.rate)
     return float(np.exp(-2.0 * np.pi * coupling**2 / slope))
 
 

@@ -85,6 +85,10 @@ def main(argv=None) -> int:
         provenance = f"{type(exc).__module__}.{type(exc).__name__}"
         print(f"compute error [{provenance}]: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
+    except MemoryError as exc:
+        # e.g. a grid too large to allocate: the config parses, the run cannot
+        print(f"compute error [MemoryError]: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
 
 
 def entry_point() -> None:

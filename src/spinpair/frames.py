@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGap
-from .hamiltonian import BLOCK_SLOTS, SystemParams, build_hamiltonian
+from .hamiltonian import SystemParams, block_matrices, build_hamiltonian
 from .linalg import dagger
 
 
@@ -134,16 +134,9 @@ def mixing_angles(params: SystemParams, t: float) -> AdiabaticAngles:
 
 def frame_matrices(theta1: np.ndarray, theta2: np.ndarray) -> np.ndarray:
     """Stacked frame unitaries for angle arrays, shape ``(..., 4, 4)``."""
-    theta1 = np.asarray(theta1, dtype=float)
-    theta2 = np.asarray(theta2, dtype=float)
-    out = np.zeros(np.broadcast_shapes(theta1.shape, theta2.shape) + (4, 4), dtype=complex)
-    for (i, j), theta in zip(BLOCK_SLOTS, (theta1, theta2)):
-        cos, sin = np.cos(theta), np.sin(theta)
-        out[..., i, i] = cos
-        out[..., i, j] = -sin
-        out[..., j, i] = sin
-        out[..., j, j] = cos
-    return out
+    (c1, s1), (c2, s2) = ((np.cos(theta), np.sin(theta)) for theta in
+                          (np.asarray(theta1, dtype=float), np.asarray(theta2, dtype=float)))
+    return block_matrices([[[c1, -s1], [s1, c1]], [[c2, -s2], [s2, c2]]]).astype(complex)
 
 
 def frame_unitary(angles: AdiabaticAngles) -> np.ndarray:
@@ -154,12 +147,8 @@ def frame_unitary(angles: AdiabaticAngles) -> np.ndarray:
 def gauge_term(angles: AdiabaticAngles) -> np.ndarray:
     """T^dagger dT/dt: real, antisymmetric, purely off-diagonal in the blocks;
     rate arrays give a stack of shape ``(..., 4, 4)``."""
-    rates = angles.theta1_rate, angles.theta2_rate
-    g = np.zeros(np.broadcast(*rates).shape + (4, 4))
-    for (i, j), rate in zip(BLOCK_SLOTS, rates):
-        g[..., i, j] = -rate
-        g[..., j, i] = rate
-    return g
+    r1, r2 = angles.theta1_rate, angles.theta2_rate
+    return block_matrices([[[0.0, -r1], [r1, 0.0]], [[0.0, -r2], [r2, 0.0]]])
 
 
 def effective_h_batch(params: SystemParams, times: np.ndarray):

@@ -5,7 +5,11 @@ Basis ordering throughout the package is the product basis
 frequency unit (e.g. the electron) and the second carries the relative factor
 ``zeta``.  In this basis the Hamiltonian splits, for a field along or across
 the symmetry axis, into a central 2x2 block on ``{|+->, |-+>}`` and a corner
-2x2 block on ``{|++>, |-->}``.
+2x2 block on ``{|++>, |-->}``, at the slots ``BLOCK_SLOTS``.  One writer,
+``block_matrices``, puts 2x2 blocks into those slots with exact zeros
+elsewhere; every block-diagonal matrix of the package comes from it.  The
+field term is traceless on each block, so a block's diagonal offset is that
+of the hyperfine matrix.
 
 The Hamiltonian is linear in the drive: ``H(t) = omega(t) * P + K`` with a
 constant field-coupling matrix ``P`` and a constant hyperfine matrix ``K``.
@@ -84,44 +88,47 @@ class SystemParams:
         return (self.a_par - self.a_perp) * math.sin(self.theta) ** 2
 
 
+def block_matrices(blocks) -> np.ndarray:
+    """Stacked 4x4 matrices holding the central and corner 2x2 ``blocks`` in
+    their ``BLOCK_SLOTS``, with exact zeros elsewhere.
+
+    ``blocks`` lists the two blocks in that order, each as its rows ``[[x00,
+    x01], [x10, x11]]`` (index 0 the upper level) of scalars or arrays that
+    broadcast together; the stack takes their broadcast shape and common
+    type.
+    """
+    entries = np.broadcast_arrays(*(np.asarray(x) for block in blocks
+                                    for row in block for x in row))
+    out = np.zeros(entries[0].shape + (4, 4), dtype=np.result_type(*entries))
+    for (i, j), block in zip(BLOCK_SLOTS, (entries[:4], entries[4:])):
+        out[..., i, i], out[..., i, j], out[..., j, i], out[..., j, j] = block
+    return out
+
+
 def field_coupling_matrix(params: SystemParams) -> np.ndarray:
-    """Constant matrix multiplying omega(t): Zeeman action on both spins."""
-    p = np.zeros((4, 4))
+    """Constant matrix multiplying omega(t): Zeeman action on both spins,
+    traceless on each block."""
     up = 0.5 * (1.0 + params.zeta)
     um = 0.5 * (1.0 - params.zeta)
-    p[0, 0] = up
-    p[1, 1] = um
-    p[2, 2] = -um
-    p[3, 3] = -up
-    return p
+    return block_matrices([[[um, 0.0], [0.0, -um]], [[up, 0.0], [0.0, -up]]])
 
 
 def static_matrix(params: SystemParams) -> np.ndarray:
     """Constant hyperfine matrix for the given orientation.
 
-    For theta in {0, pi/2} the entries are written out directly so the
-    block-sparsity zeros are exact; for general theta the matrix is assembled
-    from Pauli tensor products with the axis in the x-z plane (the azimuthal
-    angle is immaterial by axial symmetry).
+    For theta in {0, pi/2} each block is its diagonal offset, ``-/+ a_par``
+    for the central/corner pair along the axis (``-/+ a_perp`` across it),
+    plus a real coupling, written by ``block_matrices`` so the block-sparsity
+    zeros are exact; for general theta the matrix is assembled from Pauli
+    tensor products with the axis in the x-z plane (the azimuthal angle is
+    immaterial by axial symmetry).
     """
     a_par, a_perp = params.a_par, params.a_perp
-    if params.is_parallel:
-        k = np.zeros((4, 4))
-        k[0, 0] = a_par
-        k[1, 1] = -a_par
-        k[2, 2] = -a_par
-        k[3, 3] = a_par
-        k[1, 2] = k[2, 1] = 2.0 * a_perp
-        return k
-    if params.is_perpendicular:
-        k = np.zeros((4, 4))
-        k[0, 0] = a_perp
-        k[1, 1] = -a_perp
-        k[2, 2] = -a_perp
-        k[3, 3] = a_perp
-        k[1, 2] = k[2, 1] = a_par + a_perp
-        k[0, 3] = k[3, 0] = a_par - a_perp
-        return k
+    if params.is_special_orientation:
+        base, central, corner = ((a_par, 2.0 * a_perp, 0.0) if params.is_parallel
+                                 else (a_perp, a_par + a_perp, a_par - a_perp))
+        return block_matrices([[[-base, central], [central, -base]],
+                               [[base, corner], [corner, base]]])
     axis = math.sin(params.theta) * SIGMA_X + math.cos(params.theta) * SIGMA_Z
     k = a_perp * (
         kron2(SIGMA_X, SIGMA_X) + kron2(SIGMA_Y, SIGMA_Y) + kron2(SIGMA_Z, SIGMA_Z)

@@ -7,13 +7,16 @@ Two independent routes to the same dynamics live here.
   certifies the accuracy instead of assuming it.  It runs in the lab frame
   (any orientation) or the rotating eigenbasis frame.  At the two special
   orientations the generator is block diagonal in both frames, and the
-  central and corner 2x2 blocks are propagated on their own as SU(2)
-  Cayley-Klein pairs ``(a, b)`` with their scalar phase kept apart: each
-  block's generator enters as real Pauli components ``(c0, c)`` (built
-  directly by ``effective_h_batch`` in the frame, read from the block slots
-  of ``hamiltonian_batch`` in the lab), each step is the closed form
-  ``su2_exp``, and a tree product within each cell and a log-depth prefix
-  scan over the cells multiply the pairs (``su2_product``).  Any other
+  central and corner 2x2 blocks are propagated on their own.  Each block's
+  generator is a constant diagonal offset ``d`` plus a traceless part, whose
+  real Pauli components ``c`` are built directly by ``effective_h_batch`` in
+  the frame and read from the block slots of ``hamiltonian_batch`` in the
+  lab.  Only the traceless part is stepped, as SU(2) Cayley-Klein pairs
+  ``(a, b)``: each step is the closed form ``su2_exp``, and a tree product
+  within each cell and a log-depth prefix scan over the cells multiply the
+  pairs (``su2_product``).  The offset commutes with everything, so its
+  factor is the closed form ``exp(-i d (t - t0))``, which
+  ``_block_propagators`` applies for both routes.  Any other
   orientation propagates the full 4x4 generator.  The step is the
   fourth-order Gauss Magnus step at the special orientations when the budget
   allows two halvings, else the second-order exponential midpoint rule.  One
@@ -25,10 +28,11 @@ Two independent routes to the same dynamics live here.
   own.  Either way each level is bit for bit its own pass.
 
 * ``full_propagator_paths`` is the block route: the unperturbed propagator
-  of each 2x2 block is a pair of accumulated dynamical phases, the gauge
-  coupling becomes an interaction-picture perturbation with a running phase,
-  and the time-ordered exponential is approximated by exponentiating its
-  first Magnus term.  That keeps every block exactly unitary (|alpha|^2 +
+  of each 2x2 block is its offset's factor times a pair of accumulated
+  dynamical phases of the traceless part, the gauge coupling becomes an
+  interaction-picture perturbation with a running phase, and the
+  time-ordered exponential is approximated by exponentiating its first
+  Magnus term.  That keeps every block exactly unitary (|alpha|^2 +
   |beta|^2 = 1) while agreeing with the plain first-order expansion to
   leading order in the drive rate.  Each quadrature refinement level
   evaluates the field once for both blocks, and the running phase at the
@@ -55,7 +59,13 @@ from .frames import (
     frame_matrices,
     mixing_angle_arrays,
 )
-from .hamiltonian import BLOCK_SLOTS, SystemParams, hamiltonian_batch
+from .hamiltonian import (
+    BLOCK_SLOTS,
+    SystemParams,
+    block_matrices,
+    hamiltonian_batch,
+    static_matrix,
+)
 from .linalg import STATE_NORM_TOL, expm_unitary, pauli_components, su2_exp, su2_product
 from .quadrature import cumulative_integral, running_integral
 
@@ -152,33 +162,42 @@ def _cells(params: SystemParams, grid: TimeGrid):
     return edges, widths, on_grid
 
 
-def _scatter_blocks(phase: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stacked 4x4 matrices holding the central and corner blocks ``phase *
-    [[a, -b*], [b, a*]]`` (index 0 and 1 of the leading axis of each argument)
-    in their product-basis slots, with exact zeros elsewhere."""
-    out = np.zeros(a.shape[1:] + (4, 4), dtype=complex)
-    for (i, j), p, x, y in zip(BLOCK_SLOTS, phase, a, b):
-        out[..., i, i] = p * x
-        out[..., j, i] = p * y
-        out[..., i, j] = -p * np.conj(y)
-        out[..., j, j] = p * np.conj(x)
-    return out
+def _block_propagators(params: SystemParams, times: np.ndarray, a: np.ndarray,
+                       b: np.ndarray) -> np.ndarray:
+    """Stacked 4x4 propagators holding the central and corner blocks ``exp(-i d
+    (t - t0)) [[a, -b*], [b, a*]]`` at ``times`` (index 0 and 1 of the leading
+    axis of ``a`` and ``b``), with exact zeros off the blocks.
+
+    A block's generator is its constant diagonal offset ``d`` plus a traceless
+    part, in the lab and in the frame alike: the field term is traceless on
+    each block, and the frame's rotation and gauge term keep it so.  The
+    offset commutes with everything, so its factor is exact, and ``d`` is read
+    off the hyperfine matrix's diagonal, which needs no gap.  ``(a, b)`` is
+    the traceless part's SU(2) propagator.
+    """
+    offsets = np.diagonal(static_matrix(params))[BLOCK_SLOTS[:, 0]]
+    phase = np.exp(-1j * offsets[:, None] * (times - times[0]))
+    return block_matrices([[[p * x, -p * np.conj(y)], [p * y, p * np.conj(x)]]
+                           for p, x, y in zip(phase, a, b)])
 
 
-def _block_paths(params: SystemParams, grid: TimeGrid):
-    """``(times, phase, zeroth, first)``: the node times, and the central and
-    corner blocks' diagonal-offset phases and Cayley-Klein pairs ``(a, b)`` at
-    both approximation orders, stacked as in ``_scatter_blocks``.
+def full_propagator_paths(params: SystemParams, grid: TimeGrid):
+    """Frame propagators at every node for both approximation orders.
+
+    Returns ``(times, zeroth, first)`` where the stacked 4x4 arrays hold the
+    unperturbed solution and the first-order solution.  Works for both special
+    orientations; with the field along the axis the corner path reduces to its
+    exact phases automatically (zero coupling, zero rate).
 
     The integrand rows are each block's splitting ``g`` and, for a coupled
     block, ``-rate sin(Phi)`` and ``-rate cos(Phi)`` with ``Phi = int g``.
     They are integrated over the knot-cut cells: a kink inside a cell at a
     non-dyadic position would stall the quadrature's refinement.
     """
+    params.require_special_orientation()
     edges, _, on_grid = _cells(params, grid)
     times = edges[on_grid]
-    coupling, _, offsets = block_constants(params)
-    coupled = (coupling != 0.0).tolist()
+    coupled = (block_constants(params)[0] != 0.0).tolist()
 
     def integrand(nodes):
         g, rate = block_splitting_and_rate(params, *params.profile.evaluate(nodes))
@@ -202,21 +221,8 @@ def _block_paths(params: SystemParams, grid: TimeGrid):
             ix, iy = next(rows), next(rows)
             pair = su2_product(pair, su2_exp(np.stack([ix, iy, 0.0 * ix]), 1.0))
         first.append(pair)
-    phase = np.exp(-1j * offsets[:, None] * (times - times[0]))
-    return times, phase, np.stack(zeroth, axis=1), np.stack(first, axis=1)
-
-
-def full_propagator_paths(params: SystemParams, grid: TimeGrid):
-    """Frame propagators at every node for both approximation orders.
-
-    Returns ``(times, zeroth, first)`` where the stacked 4x4 arrays hold the
-    unperturbed solution and the first-order solution.  Works for both special
-    orientations; with the field along the axis the corner path reduces to its
-    exact phases automatically (zero coupling, zero rate).
-    """
-    params.require_special_orientation()
-    times, phase, zeroth, first = _block_paths(params, grid)
-    return times, _scatter_blocks(phase, *zeroth), _scatter_blocks(phase, *first)
+    return (times, _block_propagators(params, times, *zip(*zeroth)),
+            _block_propagators(params, times, *zip(*first)))
 
 
 def frame_rotations(params: SystemParams, times: np.ndarray,
@@ -297,10 +303,11 @@ def _block_generators(params: SystemParams, frame: Frame, times: np.ndarray):
 
 def _block_nodes(params: SystemParams, cells, frame: Frame, m: int, order: int,
                  levels: int = 1):
-    """Scalar phases and Cayley-Klein pairs ``(phase, a, b)`` of the central and
-    corner block propagators ``phase * [[a, -b*], [b, a*]]`` at every cell
-    edge, each of shape ``(2, levels, cells + 1)``, for the ``levels`` substep
-    counts ``m / 2**(levels - 1), ..., m / 2, m``.
+    """Cayley-Klein pairs ``(a, b)`` of the SU(2) parts ``[[a, -b*], [b, a*]]``
+    of the central and corner block propagators at every cell edge, each of
+    shape ``(2, levels, cells + 1)``, for the ``levels`` substep counts ``m /
+    2**(levels - 1), ..., m / 2, m``.  Only each block's traceless part is
+    stepped: ``_block_propagators`` adds its diagonal offset's exact factor.
 
     The levels share one generator and one ``su2_exp`` call per chunk of
     cells; each level's steps are reduced to cell pairs from its own slice,
@@ -310,46 +317,35 @@ def _block_nodes(params: SystemParams, cells, frame: Frame, m: int, order: int,
     """
     edges, widths, _ = cells
     ms = [m >> k for k in range(levels - 1, -1, -1)]
-    cell_angles = np.empty((2, levels, widths.size))
     cell_a = np.empty((2, levels, widths.size), dtype=complex)
     cell_b = np.empty((2, levels, widths.size), dtype=complex)
     for c0, c1, midpoints, h in _midpoint_chunks(edges, widths, ms, order // 2):
         if order == 2:
-            scalar, vector = _block_generators(params, frame, midpoints)
+            _, vector = _block_generators(params, frame, midpoints)
         else:
             # two-point Gauss Magnus step: mean generator plus the commutator,
             # -i (sqrt(3)/12) h [c2.sigma, c1.sigma] = (sqrt(3)/6) h (c2 x c1).sigma
             offset = _GAUSS_OFFSET * h
             nodes = np.concatenate([midpoints - offset, midpoints + offset])
-            scalar, vector = _block_generators(params, frame, nodes)
-            scalar = 0.5 * (scalar[:, :h.size] + scalar[:, h.size:])
+            _, vector = _block_generators(params, frame, nodes)
             early, late = vector[..., :h.size], vector[..., h.size:]
             (x1, y1, z1), (x2, y2, z2) = early, late
             vector = 0.5 * (early + late) + offset * np.stack(
                 [y2 * z1 - z2 * y1, z2 * x1 - x2 * z1, x2 * y1 - y2 * x1])
-        all_angles = h * scalar
         all_steps = su2_exp(vector, h)
         start = 0
         for level, sub in enumerate(ms):
             part = slice(start, start + (c1 - c0) * sub)
             start = part.stop
-            angle = all_angles[:, part].reshape(2, c1 - c0, sub)
             steps = [x[:, part].reshape(2, c1 - c0, sub) for x in all_steps]
-            while angle.shape[-1] > 1:
-                # pairwise sums of the phase angles: with h = width / m, a
-                # constant c0 gives every level the same cell phases to the bit
-                angle = angle[..., 1::2] + angle[..., 0::2]
+            while steps[0].shape[-1] > 1:
                 steps = su2_product([x[..., 1::2] for x in steps],
                                     [x[..., 0::2] for x in steps])
-            cell_angles[:, level, c0:c1] = angle[..., 0]
             cell_a[:, level, c0:c1], cell_b[:, level, c0:c1] = (x[..., 0] for x in steps)
-    phase = np.ones((2, levels, widths.size + 1), dtype=complex)
     a = np.ones((2, levels, widths.size + 1), dtype=complex)
     b = np.zeros((2, levels, widths.size + 1), dtype=complex)
-    phase[..., 1:] = phase[..., 0, None] * np.cumprod(np.exp(-1j * cell_angles), axis=-1)
-    a[..., 1:], b[..., 1:] = su2_product(_pair_scan((cell_a, cell_b)),
-                                         (a[..., 0, None], b[..., 0, None]))
-    return phase, a, b
+    a[..., 1:], b[..., 1:] = _pair_scan((cell_a, cell_b))
+    return a, b
 
 
 def fixed_step_propagators(params: SystemParams, grid: TimeGrid, frame: Frame,
@@ -384,8 +380,8 @@ def fixed_step_propagators(params: SystemParams, grid: TimeGrid, frame: Frame,
         params.require_special_orientation()
     edges, widths, on_grid = cells = _cells(params, grid) if cells is None else cells
     if params.is_special_orientation:
-        nodes = _scatter_blocks(*(x[..., on_grid] for x in
-                                  _block_nodes(params, cells, frame, substeps, order, stack)))
+        a, b = _block_nodes(params, cells, frame, substeps, order, stack)
+        nodes = _block_propagators(params, edges[on_grid], a[..., on_grid], b[..., on_grid])
     elif order == 4:
         raise ValueError("the fourth-order step needs a special orientation")
     else:
@@ -433,40 +429,43 @@ def reference_propagate(params: SystemParams, grid: TimeGrid, psi0: np.ndarray,
     order = 4 if params.is_special_orientation and max_halvings >= 2 else 2
     cells = _cells(params, grid)
     target = tol_per_time * grid.duration
-    # a scheme of order p cannot certify before halving p/2, so its first
-    # p/2 + 1 levels come from one call
-    first = order // 2
-    ladder = fixed_step_propagators(params, grid, frame, 1 << first, order=order,
-                                    cells=cells, levels=first + 1)
-    previous = ladder[0]
-    last_change, last_floor = math.inf, 0.0
-    for halvings in range(1, max_halvings + 1):
-        substeps = 1 << halvings
-        current = ladder[halvings] if halvings <= first else fixed_step_propagators(
-            params, grid, frame, substeps, order=order, cells=cells)
-        change = float(np.max(np.abs(current - previous)))
-        estimate = change / (2 ** order - 1)
-        floor = _ROUNDOFF_PER_STEP * cells[1].size * substeps
-        in_regime = halvings >= first and (
-            order == 2 or last_change >= _REGIME_RATIO * change or last_change <= last_floor)
-        # a change within the floor is round-off: it certifies no estimate
-        # below the floor's own, even when it happens to vanish
-        if change <= floor and floor / (2 ** order - 1) > target:
-            raise ToleranceNotMet(
-                f"refinement stalled at the round-off floor after {halvings} "
-                f"halvings: level change {change:.3e} within the floor "
-                f"{floor:.3e}, which certifies no estimate below "
-                f"{floor / (2 ** order - 1):.3e} against target {target:.3e}"
-            )
-        if estimate <= target and in_regime:
-            break
-        # a change that is not finite stays so at every finer level
-        if halvings == max_halvings or not math.isfinite(change):
-            raise ToleranceNotMet(
-                f"estimate {estimate:.3e} above target {target:.3e} after "
-                f"{halvings} halvings"
-            )
-        previous, last_change, last_floor = current, change, floor
+    # an overflowing step makes a level inf or nan, which the non-finite
+    # check below turns into ToleranceNotMet: numpy need not warn of it too
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a scheme of order p cannot certify before halving p/2, so its first
+        # p/2 + 1 levels come from one call
+        first = order // 2
+        ladder = fixed_step_propagators(params, grid, frame, 1 << first, order=order,
+                                        cells=cells, levels=first + 1)
+        previous = ladder[0]
+        last_change, last_floor = math.inf, 0.0
+        for halvings in range(1, max_halvings + 1):
+            substeps = 1 << halvings
+            current = ladder[halvings] if halvings <= first else fixed_step_propagators(
+                params, grid, frame, substeps, order=order, cells=cells)
+            change = float(np.max(np.abs(current - previous)))
+            estimate = change / (2 ** order - 1)
+            floor = _ROUNDOFF_PER_STEP * cells[1].size * substeps
+            in_regime = halvings >= first and (
+                order == 2 or last_change >= _REGIME_RATIO * change or last_change <= last_floor)
+            # a change within the floor is round-off: it certifies no estimate
+            # below the floor's own, even when it happens to vanish
+            if change <= floor and floor / (2 ** order - 1) > target:
+                raise ToleranceNotMet(
+                    f"refinement stalled at the round-off floor after {halvings} "
+                    f"halvings: level change {change:.3e} within the floor "
+                    f"{floor:.3e}, which certifies no estimate below "
+                    f"{floor / (2 ** order - 1):.3e} against target {target:.3e}"
+                )
+            if estimate <= target and in_regime:
+                break
+            # a change that is not finite stays so at every finer level
+            if halvings == max_halvings or not math.isfinite(change):
+                raise ToleranceNotMet(
+                    f"estimate {estimate:.3e} above target {target:.3e} after "
+                    f"{halvings} halvings"
+                )
+            previous, last_change, last_floor = current, change, floor
 
     times = grid.times()
     omega, omega_rate = params.profile.evaluate(times)

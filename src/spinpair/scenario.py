@@ -24,7 +24,7 @@ from .analysis import (
     lz_asymptotic,
     populations,
 )
-from .errors import ConfigError, IoError
+from .errors import ConfigError, IoError, ZeroRate
 from .fields import (
     Constant,
     FieldProfile,
@@ -343,7 +343,7 @@ def _write_csv_tables(out_dir: Path, tables: dict, stacks: dict) -> None:
 @functools.cache
 def _csv_tables() -> dict:
     """The CSV writer's lookup tables, built on first use: ``powers``, 10^k
-    * 2^7 for k in ``_CSV_POWERS`` rounded to 64 significant bits (1 where
+    * 2^7 for k in ``_CSV_POWERS`` rounded to 64 significant bits (None where
     ``np.longdouble`` has fewer); ``groups``, each 4-digit group as 8 bytes,
     every digit followed by a 0xFF point slot; ``last``, the place (1-4) of
     each group's last nonzero digit, 0 for 0000; ``templates``, for X in
@@ -360,7 +360,7 @@ def _csv_tables() -> dict:
         mants.append((2 * num + den) // (2 * den))  # rounded to nearest
         shifts.append(cut)
     powers = (np.ldexp(np.array(mants, np.uint64).astype(np.longdouble), shifts)
-              if extended else np.ones(len(mants), np.longdouble))
+              if extended else None)
     chars = np.arange(10000, dtype=np.uint16)[:, None] // np.uint16([1000, 100, 10, 1])
     chars = (chars % 10 + ord("0")).astype(np.uint8)
     groups = np.full((10000, 4, 2), 0xFF, np.uint8)
@@ -401,18 +401,22 @@ def _format_rows(rows: np.ndarray) -> bytes:
     2019).  The power and the product round once each, by at most 2^-64, so
     the product is within 1.39/128 of exact and D rounds half-even unless
     the fraction is 62-65/128.  Such a near tie, a product outside [10^16,
-    10^17) (an X off by one, or a rounding that carries), a non-finite value,
-    and every value without a 64-bit extended type, take ``'%.17g' % v``
-    itself (the exact fallback of Grisu3, Loitsch, PLDI 2010).  A zero prints
-    as 1.0 does with the digit 0.  Each value fills 48 byte slots from its
-    digit groups and its ``templates`` mask, or from its text padded with
-    spaces; the zero bytes of unused slots and the spaces are deleted.
+    10^17) (an X off by one, or a rounding that carries) and a non-finite
+    value take ``'%.17g' % v`` itself (the exact fallback of Grisu3, Loitsch,
+    PLDI 2010); without a 64-bit extended type the whole block is one ``%``
+    call.  A zero prints as 1.0 does with the digit 0.  Each value fills 48
+    byte slots from its digit groups and its ``templates`` mask, or from its
+    text padded with spaces; the zero bytes of unused slots and the spaces
+    are deleted.
     """
     tables = _csv_tables()
     values = rows.ravel()
+    if not tables["extended"]:
+        line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        return (line * rows.shape[0] % tuple(values.tolist())).encode()
     x = np.abs(values)
     zero = x == 0
-    decided = np.isfinite(x) & tables["extended"]
+    decided = np.isfinite(x)
     x[zero | ~decided] = 1.0
     exponent = np.floor(np.log10(x)).astype(np.intp)
     x = x.astype(np.longdouble)
@@ -558,9 +562,11 @@ def _summarize(config: ScenarioConfig, trajectory, eta, comparison) -> dict:
             summary["final_beta_sq_corner"] = comparison.final_beta_sq[BLOCK_CORNER]
         summary["max_gauge_rate"] = float(comparison.max_gauge_rate)
         summary["max_rate_over_gap"] = float(comparison.max_rate_over_gap)
-    if (isinstance(params.profile, LinearRamp) and params.is_parallel
-            and params.a_perp > 0.0 and params.profile.rate != 0.0):
-        summary["lz_prediction"] = lz_asymptotic(params, params.profile)
+    if isinstance(params.profile, LinearRamp) and params.is_parallel and params.a_perp > 0.0:
+        try:
+            summary["lz_prediction"] = lz_asymptotic(params, params.profile)
+        except ZeroRate:
+            pass  # the central splitting never sweeps: no prediction
     return summary
 
 

@@ -76,6 +76,20 @@ class TestLzAsymptotic:
         with pytest.raises(DegenerateGap):
             lz_asymptotic(params(0.0, ramp, a_perp=-1.0), ramp)
 
+    def test_zeta_above_one_sweeps_the_splitting_the_other_way(self):
+        # the central splitting sweeps at |1 - zeta| |rate|: 1.5 mirrors 0.5
+        ramp = LinearRamp(-4.0, 0.04)
+        above = lz_asymptotic(params(0.0, ramp, a_perp=0.05, zeta=1.5), ramp)
+        assert above == lz_asymptotic(params(0.0, ramp, a_perp=0.05, zeta=0.5), ramp)
+        assert 0.0 < above < 1.0
+
+    @pytest.mark.parametrize("zeta, rate", [(1.0, 0.04), (0.5, 5e-324)],
+                             ids=["zeta-one", "underflow"])
+    def test_a_splitting_that_does_not_sweep_is_a_zero_rate(self, zeta, rate):
+        ramp = LinearRamp(-4.0, rate)
+        with pytest.raises(ZeroRate):
+            lz_asymptotic(params(0.0, ramp, a_perp=0.05, zeta=zeta), ramp)
+
     def test_reference_converges_to_oracle_with_width(self):
         # fixed rate, growing half-width: the channel jump probability
         # approaches the asymptote, monotonically in error

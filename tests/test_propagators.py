@@ -648,7 +648,7 @@ def test_pair_kernel_matches_expm_product(theta, frame, order, substeps, n_steps
     nodes = fixed_step_propagators(p, grid, frame, substeps, order)
     expected = expm_nodes(p, grid, cuts, frame, substeps, order)
     assert np.max(np.abs(nodes - expected)) <= 1e-12
-    _, a, b = _block_nodes(p, _cells(p, grid), frame, substeps, order)
+    a, b = _block_nodes(p, _cells(p, grid), frame, substeps, order)
     assert np.max(np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0)) <= 1e-14
     assert np.all(nodes[:, ~TestBlockNativePropagation.BLOCK_MASK] == 0.0)
 
@@ -699,6 +699,44 @@ def test_fused_levels_match_single_level_calls(setup, levels, substeps, n_steps,
     assert fused.shape == (levels, n_steps + 1, 4, 4)
     for level, single in zip(fused, singles):
         assert level.tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("theta", [0.0, THETA_PERPENDICULAR], ids=["parallel", "perpendicular"])
+@pytest.mark.parametrize("frame", [Frame.LAB, Frame.ADIABATIC], ids=["lab", "frame"])
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("levels", [1, 2, 3])
+@settings(derandomize=True, database=None, max_examples=8, deadline=None)
+@given(n_steps=st.integers(1, 8), substeps=st.sampled_from([4, 8]),
+       a_par=st.floats(-2.0, 2.0), a_perp=st.floats(0.1, 2.0), drive=_ANALYTIC_PROFILES)
+def test_block_determinant_is_the_closed_form_phase(theta, frame, order, levels, n_steps,
+                                                    substeps, a_par, a_perp, drive):
+    """Each block's generator is its diagonal offset ``d`` plus a traceless
+    part, in either frame, so the block's determinant at every node of every
+    level is ``exp(-2i d (t - t0))``.  Bound: the SU(2) part keeps ``|a|^2 +
+    |b|^2 = 1`` to a few eps per step and per product, and at most 64 steps
+    chain here, so the bound is 64 * 4 eps (measured: at most 10 eps)."""
+    grid = TimeGrid(-1.0, 3.0, n_steps)
+    p = params(theta, drive, a_par=a_par, a_perp=a_perp)
+    base = a_par if p.is_parallel else a_perp
+    stack = fixed_step_propagators(p, grid, frame, substeps, order, levels=levels)
+    t = grid.times() - grid.t_start
+    for (i, j), d in zip(BLOCK_SLOTS, (-base, base)):
+        det = stack[..., i, i] * stack[..., j, j] - stack[..., i, j] * stack[..., j, i]
+        assert np.max(np.abs(det - np.exp(-2j * d * t))) <= 64 * 4 * np.finfo(float).eps
+
+
+def test_gapless_lab_reference_runs_without_a_frame():
+    """a_perp = 0 with the field along the axis closes the central gap at zero
+    field: the frame is undefined, but the lab blocks and their phases need no
+    gap, so the lab reference runs and carries no frame companion."""
+    p = params(0.0, LinearRamp(-2.0, 1.0), a_perp=0.0)
+    traj = reference_propagate(p, TimeGrid(0.0, 4.0, 40), E2)
+    assert traj.rotations is None and traj.adiabatic_states is None
+    assert traj.scheme == "magnus4"
+    # the central block is diagonal with a_perp = 0: |+-> keeps its population
+    # and picks up exp(-i int (-a_par + omega (1 - zeta) / 2) dt), where the
+    # field omega = -2 + t integrates to 0 over [0, 4]
+    np.testing.assert_allclose(traj.states[-1], np.exp(4.0j) * E2, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("theta, substeps, levels", [

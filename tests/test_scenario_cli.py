@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -651,13 +652,42 @@ class TestCli:
         config["sweep"] = {"parameter": "rate", "values": [1e308]}
         path = self.write(tmp_path, config)
         out = tmp_path / "out"
-        with np.errstate(all="ignore"):
+        # the overflow is reported once, as the typed error: no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = main(["sweep", "--config", str(path), "--out", str(out), "--quiet"])
         assert code == 3
         message = capsys.readouterr().err
         assert message.startswith("compute error [spinpair.errors.ToleranceNotMet]")
         assert "after 1 halvings" in message
+        assert message.count("\n") == 1 and message.endswith("\n")
         assert not out.exists()
+
+    def test_grid_too_large_to_allocate_exits_3(self, tmp_path, capsys):
+        # 10**15 steps pass the config check, but no machine holds their
+        # times: numpy refuses the allocation before taking any memory
+        config = json.loads((SCENARIOS / "lz_sweep.json").read_text())
+        config["grid"]["n_steps"] = 10 ** 15
+        out = tmp_path / "out"
+        code = main(["propagate", "--config", str(self.write(tmp_path, config)),
+                     "--out", str(out), "--quiet"])
+        assert code == 3
+        message = capsys.readouterr().err
+        assert message.startswith("compute error [MemoryError]: ")
+        assert message.count("\n") == 1
+        assert not out.exists()
+
+    def test_unswept_splitting_reports_no_lz_prediction(self, tmp_path):
+        # zeta = 1: the central splitting omega (1 - zeta) stays 0, so a ramp
+        # never sweeps it through the gap and there is nothing to predict
+        config = json.loads((SCENARIOS / "lz_sweep.json").read_text())
+        config["system"]["zeta"] = 1.0
+        config["grid"]["n_steps"] = 200
+        out = tmp_path / "out"
+        code = main(["propagate", "--config", str(self.write(tmp_path, config)),
+                     "--out", str(out), "--quiet"])
+        assert code == 0
+        assert "lz_prediction" not in json.loads((out / "report.json").read_text())["summary"]
 
     def test_missing_config_is_io_error(self, tmp_path):
         code = main(["propagate", "--config", str(tmp_path / "nope.json"),
