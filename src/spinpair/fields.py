@@ -146,23 +146,25 @@ class Tabulated(FieldProfile):
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "knots", times[1:-1])
-        h = np.diff(times)
-        m = np.diff(omegas) / h
-        slopes = np.full(times.size, m[0])  # two samples: a straight line
-        if times.size > 2:
-            w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
-            flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
-            with np.errstate(all="ignore"):  # the flat entries are discarded
+        with np.errstate(all="ignore"):  # flat means are discarded, overflows rejected
+            h = np.diff(times)
+            m = np.diff(omegas) / h
+            slopes = np.full(times.size, m[0])  # two samples: a straight line
+            if times.size > 2:
+                w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+                flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
                 mean = (w1 + w2) / (w1 / m[:-1] + w2 / m[1:])
-            slopes[1:-1] = np.where(flat, 0.0, mean)
-            slopes[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
-            slopes[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
-        # per interval: the cubic in the local power basis, highest power
-        # first, then the interval's left sample time
-        curve = (slopes[:-1] + slopes[1:] - 2.0 * m) / h
-        object.__setattr__(self, "_table", np.stack(
-            [curve / h, (m - slopes[:-1]) / h - curve, slopes[:-1], omegas[:-1],
-             times[:-1]]))
+                slopes[1:-1] = np.where(flat, 0.0, mean)
+                slopes[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+                slopes[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+            # per interval: the cubic in the local power basis, highest power
+            # first, then the interval's left sample time
+            curve = (slopes[:-1] + slopes[1:] - 2.0 * m) / h
+            table = np.stack([curve / h, (m - slopes[:-1]) / h - curve, slopes[:-1],
+                              omegas[:-1], times[:-1]])
+        if not np.all(np.isfinite(table)):
+            raise ValueError("tabulated samples give a coefficient that is not finite")
+        object.__setattr__(self, "_table", table)
 
     def _values(self, t):
         if np.any(t < self.times[0]) or np.any(t > self.times[-1]):

@@ -7,15 +7,18 @@ instantaneous eigenvectors, so ``T^dagger H T`` is diagonal and a state obeys
 time dependence into the basis costs the gauge term ``T^dagger dT/dt``, a real
 antisymmetric matrix carried by the angle rates; the frame generator is
 ``T^dagger H T - i T^dagger dT/dt``.  Like T itself it never couples the two
-blocks, so ``effective_h_batch`` builds the real Pauli components of its
-central and corner 2x2 blocks directly from each block's offset ``d``, splitting
-``g`` and angle rate (``block_splitting_and_rate``): ``c0 = d``, ``c = (0, -rate, g/2)``.
+blocks, and it keeps each block's diagonal offset ``d``, so
+``effective_h_batch`` builds the traceless Pauli vector of its central and
+corner 2x2 blocks directly from each block's splitting ``g`` and angle rate
+(``block_splitting_and_rate``): ``c = (0, -rate, g/2)``.
 
 A block is addressed by its index on a leading block axis, in the order of
 ``hamiltonian.BLOCK_SLOTS``: 0 the central pair, 1 the corner pair.
-``block_constants`` gives each block's coupling ``c``, detuning factor and
-diagonal offset along that axis, and every array function here returns both
-blocks stacked on it.
+``hamiltonian.block_constants`` gives each block's coupling ``c``, detuning
+factor and diagonal offset along that axis, and every array function here
+returns both blocks stacked on it.  The frame readers of those constants
+(``block_splitting_and_rate``, ``mixing_angle_arrays``) need a gap and raise
+``DegenerateGap`` for the one gapless pair, a_perp = 0 along the axis.
 
 Branch convention: each doubled angle is ``atan2(2c, w)`` folded into
 ``[0, pi)``, where ``c`` is the block coupling and ``w`` the block detuning,
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGap
-from .hamiltonian import SystemParams, block_matrices, build_hamiltonian
+from .hamiltonian import SystemParams, block_constants, block_matrices, build_hamiltonian
 from .linalg import dagger
 
 
@@ -59,27 +62,16 @@ class FrameSnapshot:
     effective_h: np.ndarray
 
 
-def block_constants(params: SystemParams) -> np.ndarray:
-    """Rows ``(coupling, zeta_factor, offset)`` of the central and corner
-    blocks, each an array over the block axis: shape ``(3, 2)``, constant in
-    time.
-
-    A block is ``offset + [[w zfac / 2, c], [c, -w zfac / 2]]`` at field
-    ``w``: the central pair sees ``omega (1 - zeta)`` and is offset by
-    ``-a_par`` along the axis (``-a_perp`` across it), the corner pair sees
-    ``omega (1 + zeta)`` with the opposite offset.
-    """
-    params.require_special_orientation()
+def _gapped_constants(params: SystemParams):
+    """Each block's coupling and detuning factor as Python floats (numpy
+    scalar arithmetic is slower), for a pair whose frame is defined."""
+    coupling, zeta_factor, _ = block_constants(params).tolist()
     if params.is_parallel and params.a_perp == 0.0:
         raise DegenerateGap(
             "a_perp = 0 with the field along the axis leaves the central "
             "pair gapless at zero field"
         )
-    da = params.delta_a()
-    base = params.a_par if params.is_parallel else params.a_perp
-    return np.array([[2.0 * params.a_perp + da, da],
-                     [1.0 - params.zeta, 1.0 + params.zeta],
-                     [-base, base]])
+    return coupling, zeta_factor
 
 
 def block_splitting_and_rate(params: SystemParams, w, wdot):
@@ -93,12 +85,11 @@ def block_splitting_and_rate(params: SystemParams, w, wdot):
     (corner pair with the field along the axis), so the sign convention
     always matches the branch of the mixing angles.
     """
-    coupling, zeta_factor, _ = block_constants(params).tolist()
+    coupling, zeta_factor = _gapped_constants(params)
     w = np.asarray(w, dtype=float)
     wdot = np.asarray(wdot, dtype=float)
     splitting = np.empty((2,) + w.shape)
     rate = np.zeros((2,) + w.shape)
-    # Python floats: numpy scalar arithmetic is slower
     for k, (c, zfac) in enumerate(zip(coupling, zeta_factor)):
         detuning = w * zfac
         if c == 0.0:
@@ -114,7 +105,7 @@ def mixing_angle_arrays(params: SystemParams, w) -> np.ndarray:
     """Central and corner mixing angles ``(theta1, theta2)`` at field values
     ``w``, stacked on the block axis: shape ``(2, size(w))``."""
     w = np.atleast_1d(np.asarray(w, dtype=float))
-    coupling, zeta_factor, _ = block_constants(params).tolist()
+    coupling, zeta_factor = _gapped_constants(params)
     angles = np.zeros((2,) + w.shape)
     for k, (c, zfac) in enumerate(zip(coupling, zeta_factor)):
         if c != 0.0:
@@ -153,19 +144,18 @@ def gauge_term(angles: AdiabaticAngles) -> np.ndarray:
 
 def effective_h_batch(params: SystemParams, times: np.ndarray):
     """Central and corner frame generators ``T^dagger H T - i T^dagger dT/dt``
-    (closed form) at ``times`` as real Pauli components ``(c0, c)``, shapes
-    ``(2, n)`` and ``(3, 2, n)``: block ``k`` at ``times[j]`` is
-    ``c0[k, j] + c[:, k, j] . sigma``, index 0 its upper level.  Both blocks
-    come from one evaluation of the field."""
+    (closed form) at ``times`` as the real Pauli vectors ``c`` of their
+    traceless parts, shape ``(3, 2, n)``: block ``k`` at ``times[j]`` is its
+    offset ``block_constants(params)[2][k]`` plus ``c[:, k, j] . sigma``,
+    index 0 its upper level.  Both blocks come from one evaluation of the
+    field."""
     w, wdot = params.profile.evaluate(np.asarray(times, dtype=float))
     g, rate = block_splitting_and_rate(params, w, wdot)
-    c0 = np.empty_like(g)
-    c0[:] = block_constants(params)[2][:, None]
     c = np.zeros((3,) + g.shape)
     # -i * gauge is -rate sigma_y: Hermitian, imaginary off-diagonal
     c[1] = -rate
     c[2] = 0.5 * g
-    return c0, c
+    return c
 
 
 def effective_hamiltonian(params: SystemParams, t: float) -> FrameSnapshot:
@@ -207,7 +197,6 @@ def diagonalization_residual(params: SystemParams, t: float) -> float:
 __all__ = [
     "AdiabaticAngles",
     "FrameSnapshot",
-    "block_constants",
     "block_splitting_and_rate",
     "diagonalization_residual",
     "effective_h_batch",

@@ -5,11 +5,11 @@ Basis ordering throughout the package is the product basis
 frequency unit (e.g. the electron) and the second carries the relative factor
 ``zeta``.  In this basis the Hamiltonian splits, for a field along or across
 the symmetry axis, into a central 2x2 block on ``{|+->, |-+>}`` and a corner
-2x2 block on ``{|++>, |-->}``, at the slots ``BLOCK_SLOTS``.  One writer,
-``block_matrices``, puts 2x2 blocks into those slots with exact zeros
-elsewhere; every block-diagonal matrix of the package comes from it.  The
-field term is traceless on each block, so a block's diagonal offset is that
-of the hyperfine matrix.
+2x2 block on ``{|++>, |-->}``, at the slots ``BLOCK_SLOTS``.  Each block is
+``d + [[omega zfac / 2, c], [c, -omega zfac / 2]]``, and ``block_constants``
+is the one statement of ``(c, zfac, d)``.  One writer, ``block_matrices``,
+puts 2x2 blocks into those slots with exact zeros elsewhere; every
+block-diagonal matrix of the package comes from it.
 
 The Hamiltonian is linear in the drive: ``H(t) = omega(t) * P + K`` with a
 constant field-coupling matrix ``P`` and a constant hyperfine matrix ``K``.
@@ -83,9 +83,25 @@ class SystemParams:
                 "the field along (0) or across (pi/2) the symmetry axis"
             )
 
-    def delta_a(self) -> float:
-        """Anisotropy seen by the frame angles: (a_par - a_perp) * sin(theta)**2."""
-        return (self.a_par - self.a_perp) * math.sin(self.theta) ** 2
+
+def block_constants(params: SystemParams) -> np.ndarray:
+    """Rows ``(coupling, zeta_factor, offset)`` of the central and corner
+    blocks, each an array over the block axis: shape ``(3, 2)``, constant in
+    time.
+
+    A block is ``offset + [[w zfac / 2, c], [c, -w zfac / 2]]`` at field
+    ``w``: the central pair sees ``omega (1 - zeta)`` and is offset by
+    ``-a_par`` along the axis (``-a_perp`` across it), the corner pair sees
+    ``omega (1 + zeta)`` with the opposite offset.  The couplings are ``2
+    a_perp + delta`` and ``delta``, with the anisotropy ``delta = (a_par -
+    a_perp) sin(theta)^2``.  No gap is required: a coupling may vanish.
+    """
+    params.require_special_orientation()
+    delta = (params.a_par - params.a_perp) * math.sin(params.theta) ** 2
+    base = params.a_par if params.is_parallel else params.a_perp
+    return np.array([[2.0 * params.a_perp + delta, delta],
+                     [1.0 - params.zeta, 1.0 + params.zeta],
+                     [-base, base]])
 
 
 def block_matrices(blocks) -> np.ndarray:
@@ -116,19 +132,16 @@ def field_coupling_matrix(params: SystemParams) -> np.ndarray:
 def static_matrix(params: SystemParams) -> np.ndarray:
     """Constant hyperfine matrix for the given orientation.
 
-    For theta in {0, pi/2} each block is its diagonal offset, ``-/+ a_par``
-    for the central/corner pair along the axis (``-/+ a_perp`` across it),
-    plus a real coupling, written by ``block_matrices`` so the block-sparsity
+    For theta in {0, pi/2} each block is its offset plus its coupling from
+    ``block_constants``, written by ``block_matrices`` so the block-sparsity
     zeros are exact; for general theta the matrix is assembled from Pauli
     tensor products with the axis in the x-z plane (the azimuthal angle is
     immaterial by axial symmetry).
     """
-    a_par, a_perp = params.a_par, params.a_perp
     if params.is_special_orientation:
-        base, central, corner = ((a_par, 2.0 * a_perp, 0.0) if params.is_parallel
-                                 else (a_perp, a_par + a_perp, a_par - a_perp))
-        return block_matrices([[[-base, central], [central, -base]],
-                               [[base, corner], [corner, base]]])
+        coupling, _, offset = block_constants(params)
+        return block_matrices([[[d, c], [c, d]] for c, d in zip(coupling, offset)])
+    a_par, a_perp = params.a_par, params.a_perp
     axis = math.sin(params.theta) * SIGMA_X + math.cos(params.theta) * SIGMA_Z
     k = a_perp * (
         kron2(SIGMA_X, SIGMA_X) + kron2(SIGMA_Y, SIGMA_Y) + kron2(SIGMA_Z, SIGMA_Z)
@@ -157,17 +170,20 @@ def closed_eigenvalues(params: SystemParams, t) -> tuple:
 
     Index order follows the sign convention of the block split: eps1/eps2
     carry the upper sign of the corner/central pair, eps4/eps3 the lower.
-    For the field along the axis the corner pair is the exact linear form
-    ``a_par +/- omega (1 + zeta) / 2`` (sign-carrying, so eps1 < eps4 when
-    omega < 0); the other pairs are radical forms and always ordered.
+    Each pair is ``d +/- sqrt(4 c^2 + (omega zfac)^2) / 2`` from the block's
+    ``block_constants``, always ordered, except that an uncoupled block (the
+    corner along the axis, or across it at a_par = a_perp) is the exact
+    linear form ``d +/- omega zfac / 2``, sign-carrying, so eps1 < eps4 when
+    omega < 0 there.
     """
-    params.require_special_orientation()
+    constants = block_constants(params).tolist()
     w, _ = params.profile.evaluate(t)
-    a_par, a_perp, zeta = params.a_par, params.a_perp, params.zeta
-    if params.is_parallel:
-        half = 0.5 * w * (1.0 + zeta)
-        r23 = 0.5 * np.sqrt((4.0 * a_perp) ** 2 + (w * (1.0 - zeta)) ** 2)
-        return (a_par + half, -a_par + r23, -a_par - r23, a_par - half)
-    r14 = 0.5 * np.sqrt(4.0 * (a_par - a_perp) ** 2 + (w * (1.0 + zeta)) ** 2)
-    r23 = 0.5 * np.sqrt(4.0 * (a_par + a_perp) ** 2 + (w * (1.0 - zeta)) ** 2)
-    return (a_perp + r14, -a_perp + r23, -a_perp - r23, a_perp - r14)
+    pairs = []
+    # Python floats: their products overflow to inf, where ** would raise
+    for c, zfac, d in zip(*constants):
+        detuning = w * zfac
+        half = (0.5 * w * zfac if c == 0.0
+                else 0.5 * np.sqrt(4.0 * c * c + detuning * detuning))
+        pairs.append((d + half, d - half))
+    (eps2, eps3), (eps1, eps4) = pairs
+    return (eps1, eps2, eps3, eps4)

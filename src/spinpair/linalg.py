@@ -1,4 +1,4 @@
-"""Dense linear algebra for 2x2 / 4x4 matrices and 4-component states.
+"""Dense linear algebra for 4x4 matrices, SU(2) pairs and 4-component states.
 
 Everything operates on plain ``numpy`` arrays of ``complex128``, except that a
 real symmetric 4x4 generator stays ``float64`` until its exponential is
@@ -8,9 +8,9 @@ squaring in the input's own arithmetic.  Functions accept stacked inputs
 inputs come back as scalars.  All returned values are freshly allocated, so
 results can be shared freely between threads.
 
-A 2x2 generator is also carried as its real Pauli components ``(c0, c)`` and
-an SU(2) element as its Cayley-Klein pair ``(a, b)``, the matrix ``[[a, -b*],
-[b, a*]]``: ``su2_exp`` and ``su2_product`` serve ``_expm2`` and the propagators.
+A traceless 2x2 generator is carried as its real Pauli vector ``c`` and an
+SU(2) element as its Cayley-Klein pair ``(a, b)``, the matrix ``[[a, -b*],
+[b, a*]]``: ``su2_exp`` and ``su2_product`` serve the block propagators.
 """
 
 from __future__ import annotations
@@ -77,34 +77,20 @@ def _require_hermitian(h: np.ndarray) -> None:
 
 
 def expm_unitary(h: np.ndarray, scale: float | np.ndarray = 1.0) -> np.ndarray:
-    """Unitary ``exp(-i * scale * h)`` for Hermitian ``h``.
+    """Unitary ``exp(-i * scale * h)`` for Hermitian 4x4 ``h``.
 
-    2x2 inputs use the closed Pauli form (``su2_exp`` times the scalar phase
-    ``e^{-i s c0}``), which is branch free; 4x4 inputs take a Taylor
-    exponential with scaling and squaring, evaluated in real arithmetic for a
-    real symmetric ``h`` and in complex arithmetic otherwise.  The result is
-    always a complex unitary, for a real symmetric ``h`` too.  ``h`` may carry
-    leading batch dimensions and ``scale`` may broadcast against them.
+    A Taylor exponential with scaling and squaring, evaluated in real
+    arithmetic for a real symmetric ``h`` and in complex arithmetic otherwise.
+    The result is always a complex unitary, for a real symmetric ``h`` too.
+    ``h`` may carry leading batch dimensions and ``scale`` may broadcast
+    against them.  A 2x2 block is exponentiated in closed form by ``su2_exp``.
     """
     h = np.asarray(h)
     h = h.astype(np.result_type(h, float), copy=False)
-    if h.ndim < 2 or h.shape[-1] != h.shape[-2] or h.shape[-1] not in (2, 4):
-        raise ValueError("expm_unitary expects 2x2 or 4x4 matrices")
-    s = np.asarray(scale, dtype=float)
-    if h.shape[-1] == 2:
-        return _expm2(*pauli_components(h), s)
+    if h.ndim < 2 or h.shape[-2:] != (4, 4):
+        raise ValueError("expm_unitary expects 4x4 matrices")
     _require_hermitian(h)
-    return _expm4(h, s)
-
-
-def pauli_components(h: np.ndarray):
-    """Real ``(c0, c)`` with ``h = c0 + c . sigma`` for stacked Hermitian 2x2
-    ``h``, ``c`` holding ``(cx, cy, cz)`` on a new leading axis; a non-Hermitian
-    input raises ``NonHermitianInput``."""
-    _require_hermitian(h)
-    return (0.5 * np.real(h[..., 0, 0] + h[..., 1, 1]),
-            np.stack([np.real(h[..., 1, 0]), np.imag(h[..., 1, 0]),
-                      0.5 * np.real(h[..., 0, 0] - h[..., 1, 1])]))
+    return _expm4(h, np.asarray(scale, dtype=float))
 
 
 def su2_exp(c: np.ndarray, s: float | np.ndarray):
@@ -125,20 +111,16 @@ def su2_product(later, earlier):
     return a2 * a1 - np.conj(b2) * b1, b2 * a1 + np.conj(a2) * b1
 
 
-def _expm2(c0: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    a, b = su2_exp(c, s)
-    return np.exp(-1j * s * c0)[..., None, None] * np.stack(
-        [np.stack([a, -np.conj(b)], axis=-1), np.stack([b, np.conj(a)], axis=-1)], axis=-2)
-
-
 def _expm4(h: np.ndarray, s: np.ndarray) -> np.ndarray:
     """``exp(-iX) = cos X - i sin X`` for ``X = s h``: both series are
     evaluated in ``Y = X^2`` by Paterson-Stockmeyer (6 matmuls) on ``X`` scaled
     by ``2^-q``, with ``q`` set by the batch's largest 1-norm, and the result
-    is squared ``q`` times."""
+    is squared ``q`` times.  A norm whose ratio to ``_TAYLOR_THETA`` is not
+    finite takes no squaring: the result is then not finite either, which the
+    caller's checks see."""
     x = s[..., None, None] * h
-    norm = np.max(np.sum(np.abs(x), axis=-2), initial=0.0)
-    squarings = max(0, math.ceil(math.log2(norm / _TAYLOR_THETA))) if norm else 0
+    ratio = np.max(np.sum(np.abs(x), axis=-2), initial=0.0) / _TAYLOR_THETA
+    squarings = max(0, math.ceil(math.log2(ratio))) if ratio and math.isfinite(ratio) else 0
     x *= 0.5 ** squarings
     eye = np.eye(4)
     y = x @ x

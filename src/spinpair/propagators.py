@@ -9,14 +9,14 @@ Two independent routes to the same dynamics live here.
   orientations the generator is block diagonal in both frames, and the
   central and corner 2x2 blocks are propagated on their own.  Each block's
   generator is a constant diagonal offset ``d`` plus a traceless part, whose
-  real Pauli components ``c`` are built directly by ``effective_h_batch`` in
-  the frame and read from the block slots of ``hamiltonian_batch`` in the
-  lab.  Only the traceless part is stepped, as SU(2) Cayley-Klein pairs
-  ``(a, b)``: each step is the closed form ``su2_exp``, and a tree product
-  within each cell and a log-depth prefix scan over the cells multiply the
-  pairs (``su2_product``).  The offset commutes with everything, so its
-  factor is the closed form ``exp(-i d (t - t0))``, which
-  ``_block_propagators`` applies for both routes.  Any other
+  real Pauli vector ``c`` is built directly from one field evaluation: by
+  ``effective_h_batch`` in the frame, and as ``(coupling, 0, omega zfac / 2)``
+  from ``block_constants`` in the lab.  Only the traceless part is stepped,
+  as SU(2) Cayley-Klein pairs ``(a, b)``: each step is the closed form
+  ``su2_exp``, and a tree product within each cell and a log-depth prefix
+  scan over the cells multiply the pairs (``su2_product``).  The offset
+  commutes with everything, so its factor is the closed form ``exp(-i d (t -
+  t0))``, which ``_block_propagators`` applies for both routes.  Any other
   orientation propagates the full 4x4 generator.  The step is the
   fourth-order Gauss Magnus step at the special orientations when the budget
   allows two halvings, else the second-order exponential midpoint rule.  One
@@ -53,20 +53,13 @@ import numpy as np
 
 from .errors import DegenerateGap, NonNormalizedInput, ToleranceNotMet
 from .frames import (
-    block_constants,
     block_splitting_and_rate,
     effective_h_batch,
     frame_matrices,
     mixing_angle_arrays,
 )
-from .hamiltonian import (
-    BLOCK_SLOTS,
-    SystemParams,
-    block_matrices,
-    hamiltonian_batch,
-    static_matrix,
-)
-from .linalg import STATE_NORM_TOL, expm_unitary, pauli_components, su2_exp, su2_product
+from .hamiltonian import SystemParams, block_constants, block_matrices, hamiltonian_batch
+from .linalg import STATE_NORM_TOL, expm_unitary, su2_exp, su2_product
 from .quadrature import cumulative_integral, running_integral
 
 _CHUNK_SUBSTEPS = 1 << 17
@@ -171,11 +164,11 @@ def _block_propagators(params: SystemParams, times: np.ndarray, a: np.ndarray,
     A block's generator is its constant diagonal offset ``d`` plus a traceless
     part, in the lab and in the frame alike: the field term is traceless on
     each block, and the frame's rotation and gauge term keep it so.  The
-    offset commutes with everything, so its factor is exact, and ``d`` is read
-    off the hyperfine matrix's diagonal, which needs no gap.  ``(a, b)`` is
-    the traceless part's SU(2) propagator.
+    offset commutes with everything, so its factor is exact, and ``d`` comes
+    from ``block_constants``, which needs no gap.  ``(a, b)`` is the traceless
+    part's SU(2) propagator.
     """
-    offsets = np.diagonal(static_matrix(params))[BLOCK_SLOTS[:, 0]]
+    offsets = block_constants(params)[2]
     phase = np.exp(-1j * offsets[:, None] * (times - times[0]))
     return block_matrices([[[p * x, -p * np.conj(y)], [p * y, p * np.conj(x)]]
                            for p, x, y in zip(phase, a, b)])
@@ -292,13 +285,19 @@ def _full_nodes(params: SystemParams, edges: np.ndarray, widths: np.ndarray,
     return u_nodes
 
 
-def _block_generators(params: SystemParams, frame: Frame, times: np.ndarray):
-    """Pauli components ``(c0, c)`` of the central and corner 2x2 generators at
-    ``times``, shapes ``(2, n)`` and ``(3, 2, n)``."""
+def _block_generators(params: SystemParams, frame: Frame, times: np.ndarray) -> np.ndarray:
+    """Real Pauli vectors of the traceless parts of the central and corner 2x2
+    generators at ``times``, shape ``(3, 2, n)``; each block's offset is left
+    to ``_block_propagators``.  A lab block is ``(coupling, 0, omega zfac /
+    2)``."""
     if frame is Frame.ADIABATIC:
         return effective_h_batch(params, times)
-    blocks = hamiltonian_batch(params, times)[:, BLOCK_SLOTS[:, :, None], BLOCK_SLOTS[:, None]]
-    return pauli_components(np.moveaxis(blocks, 1, 0))
+    w, _ = params.profile.evaluate(np.asarray(times, dtype=float))
+    coupling, zeta_factor, _ = block_constants(params)[:, :, None]
+    c = np.zeros((3, 2) + w.shape)
+    c[0] = coupling
+    c[2] = 0.5 * w * zeta_factor
+    return c
 
 
 def _block_nodes(params: SystemParams, cells, frame: Frame, m: int, order: int,
@@ -321,13 +320,13 @@ def _block_nodes(params: SystemParams, cells, frame: Frame, m: int, order: int,
     cell_b = np.empty((2, levels, widths.size), dtype=complex)
     for c0, c1, midpoints, h in _midpoint_chunks(edges, widths, ms, order // 2):
         if order == 2:
-            _, vector = _block_generators(params, frame, midpoints)
+            vector = _block_generators(params, frame, midpoints)
         else:
             # two-point Gauss Magnus step: mean generator plus the commutator,
             # -i (sqrt(3)/12) h [c2.sigma, c1.sigma] = (sqrt(3)/6) h (c2 x c1).sigma
             offset = _GAUSS_OFFSET * h
             nodes = np.concatenate([midpoints - offset, midpoints + offset])
-            _, vector = _block_generators(params, frame, nodes)
+            vector = _block_generators(params, frame, nodes)
             early, late = vector[..., :h.size], vector[..., h.size:]
             (x1, y1, z1), (x2, y2, z2) = early, late
             vector = 0.5 * (early + late) + offset * np.stack(

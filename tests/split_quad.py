@@ -5,7 +5,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from spinpair.frames import block_constants, block_splitting_and_rate
+from spinpair.frames import block_splitting_and_rate
+from spinpair.hamiltonian import block_constants
 
 
 def splitting_and_rate(p, k, t):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,6 +104,10 @@ class TestTabulated:
             Tabulated(np.array([0.0]), np.array([1.0]))
         with pytest.raises(ValueError):
             Tabulated(np.array([0.0, 0.0, 1.0]), np.array([1.0, 2.0, 3.0]))
+        # finite samples whose secants overflow: rejected, without a numpy warning
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="not finite"):
+            warnings.simplefilter("error")
+            Tabulated(np.array([0.0, 1.0, 2.0]), np.array([1.7e308, -1.7e308, 1.0]))
 
     def test_csv_comma_and_whitespace(self, tmp_path):
         comma = tmp_path / "comma.csv"

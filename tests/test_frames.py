@@ -10,7 +10,6 @@ from spinpair.errors import DegenerateGap, UnsupportedOrientation
 from spinpair.fields import Constant, Harmonic, LinearRamp, TanhRamp
 from spinpair.frames import (
     AdiabaticAngles,
-    block_constants,
     block_splitting_and_rate,
     diagonalization_residual,
     effective_h_batch,
@@ -25,6 +24,7 @@ from spinpair.hamiltonian import (
     BLOCK_SLOTS,
     THETA_PERPENDICULAR,
     SystemParams,
+    block_constants,
     build_hamiltonian,
     closed_eigenvalues,
 )
@@ -218,10 +218,11 @@ class TestEffectiveHamiltonian:
         for theta in (0.0, THETA_PERPENDICULAR):
             p = params(theta, Harmonic(2.0, 0.5, 0.7, 0.1))
             ts = np.linspace(-3.0, 3.0, 9)
-            c0, c = effective_h_batch(p, ts)
-            assert c0.shape == (2, ts.size) and c.shape == (3, 2, ts.size)
+            c = effective_h_batch(p, ts)
+            assert c.shape == (3, 2, ts.size)
             assert np.all(c[0] == 0.0)
-            batch = (c0[..., None, None] * np.eye(2)
+            offsets = block_constants(p)[2]
+            batch = (offsets[:, None, None, None] * np.eye(2)
                      + np.einsum("ikn,iab->knab", c, [SIGMA_X, SIGMA_Y, SIGMA_Z]))
             for k, t in enumerate(ts):
                 snap = effective_hamiltonian(p, float(t))
@@ -311,27 +312,32 @@ def written_out_block(params, k):
 def test_block_axis_matches_per_block_formulas(theta, a_perp, anisotropy, zeta, field):
     """Both special orientations, a_par on either side of a_perp (a negative
     corner coupling across the axis) and the uncoupled corner along it: the
-    block-axis arrays are the per-block formulas, bit for bit.  A gapless
-    pair along the axis and a general angle are rejected."""
+    block-axis arrays are the per-block formulas, bit for bit.  A general
+    angle is rejected everywhere; a gapless pair along the axis keeps its
+    constants, and only the frame readers reject it."""
     p = params(theta, Constant(0.0), a_par=a_perp + anisotropy, a_perp=a_perp, zeta=zeta)
     w, wdot = np.array(field).T
-    calls = (lambda: block_constants(p),
-             lambda: block_splitting_and_rate(p, w, wdot),
-             lambda: mixing_angle_arrays(p, w))
-    rejection = (UnsupportedOrientation if not p.is_special_orientation
-                 else DegenerateGap if p.is_parallel and a_perp == 0.0 else None)
-    if rejection is not None:
-        for call in calls:
-            with pytest.raises(rejection):
+    readers = (lambda: block_splitting_and_rate(p, w, wdot),
+               lambda: mixing_angle_arrays(p, w))
+    if not p.is_special_orientation:
+        for call in (lambda: block_constants(p), *readers):
+            with pytest.raises(UnsupportedOrientation):
                 call()
         return
     constants = block_constants(p)
+    for k in range(2):
+        assert all(same_bits(got[k], x)
+                   for got, x in zip(constants, written_out_block(p, k)))
+    if p.is_parallel and a_perp == 0.0:
+        for call in readers:
+            with pytest.raises(DegenerateGap):
+                call()
+        return
     splitting, rate = block_splitting_and_rate(p, w, wdot)
     angles = mixing_angle_arrays(p, w)
     assert splitting.shape == rate.shape == angles.shape == (2, w.size)
     for k in range(2):
-        c, zfac, offset = written_out_block(p, k)
-        assert all(same_bits(got[k], x) for got, x in zip(constants, (c, zfac, offset)))
+        c, zfac, _ = written_out_block(p, k)
         detuning = w * zfac
         if c == 0.0:
             expected_splitting, expected_rate = detuning, np.zeros(w.size)

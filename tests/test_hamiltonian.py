@@ -101,6 +101,10 @@ def test_label_order_follows_sign_of_omega():
     # corner labels carry the sign of the detuning rather than magnitude order
     assert eps_neg[0] == pytest.approx(1.0 - 1.1, abs=1e-14)
     assert eps_neg[3] == pytest.approx(1.0 + 1.1, abs=1e-14)
+    # so do those of a corner left uncoupled across the axis (a_par = a_perp)
+    iso = closed_eigenvalues(params(THETA_PERPENDICULAR, omega=-2.0, a_par=0.8, a_perp=0.8), 0.0)
+    assert iso[0] == pytest.approx(0.8 - 1.1, abs=1e-14)
+    assert iso[3] == pytest.approx(0.8 + 1.1, abs=1e-14)
 
 
 def test_unsupported_orientation():

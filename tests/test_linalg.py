@@ -14,6 +14,7 @@ from spinpair.linalg import (
     fidelity,
     hermiticity_defect,
     kron2,
+    su2_exp,
     unitarity_defect,
 )
 
@@ -67,22 +68,23 @@ class TestKron2:
             kron2(np.eye(3), np.eye(2))
 
 
-class TestExpmUnitary:
+def su2_matrix(c, s):
+    """Stacked matrices ``[[a, -b*], [b, a*]]`` of ``su2_exp(c, s)``."""
+    a, b = su2_exp(np.asarray(c, dtype=float), s)
+    return np.stack([np.stack([a, -np.conj(b)], axis=-1),
+                     np.stack([b, np.conj(a)], axis=-1)], axis=-2)
+
+
+class TestSu2Exp:
     def test_diagonal_case(self):
         a = 0.7
-        u = expm_unitary(SIGMA_Z, a)
         np.testing.assert_allclose(
-            u, np.diag([np.exp(-1j * a), np.exp(1j * a)]), atol=1e-15
-        )
-
-    def test_zero_scale_is_identity(self):
-        rng = np.random.default_rng(0)
-        h = random_hermitian(rng, 4)
-        np.testing.assert_allclose(expm_unitary(h, 0.0), np.eye(4), atol=1e-15)
+            su2_matrix([0.0, 0.0, 1.0], a), np.diag([np.exp(-1j * a), np.exp(1j * a)]),
+            atol=1e-15)
 
     def test_quarter_turn_x(self):
         # closed form against a plain series summation
-        u = expm_unitary(SIGMA_X, np.pi / 2)
+        u = su2_matrix([1.0, 0.0, 0.0], np.pi / 2)
         np.testing.assert_allclose(u, -1j * SIGMA_X, atol=1e-15)
         series = np.zeros((2, 2), dtype=complex)
         term = np.eye(2, dtype=complex)
@@ -91,41 +93,63 @@ class TestExpmUnitary:
             term = term @ (-1j * (np.pi / 2) * SIGMA_X) / k
         np.testing.assert_allclose(u, series, atol=1e-14)
 
-    @pytest.mark.parametrize("n", [2, 4])
-    def test_semigroup_property(self, n):
+    def test_semigroup_property(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
-            h = random_hermitian(rng, n)
+            c = rng.normal(size=3)
+            s1, s2 = rng.normal(size=2)
+            combined = su2_matrix(c, s1) @ su2_matrix(c, s2)
+            assert np.max(np.abs(combined - su2_matrix(c, s1 + s2))) <= 1e-10
+
+    def test_output_unitary(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            a, b = su2_exp(rng.normal(size=3), rng.normal())
+            assert abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= 1e-14
+
+    def test_batched_matches_loop(self):
+        rng = np.random.default_rng(11)
+        c = rng.normal(size=(3, 6))
+        batch = su2_matrix(c, 0.3)
+        for k in range(6):
+            np.testing.assert_array_equal(batch[k], su2_matrix(c[:, k], 0.3))
+
+    def test_vanishing_pauli_vector(self):
+        # removable singularity in sin(s|c|)/|c|
+        np.testing.assert_array_equal(su2_matrix(np.zeros(3), 0.5), np.eye(2))
+
+
+class TestExpmUnitary:
+    def test_zero_scale_is_identity(self):
+        rng = np.random.default_rng(0)
+        h = random_hermitian(rng, 4)
+        np.testing.assert_allclose(expm_unitary(h, 0.0), np.eye(4), atol=1e-15)
+
+    def test_semigroup_property(self):
+        rng = np.random.default_rng(42)
+        for _ in range(50):
+            h = random_hermitian(rng, 4)
             s1, s2 = rng.normal(size=2)
             combined = expm_unitary(h, s1) @ expm_unitary(h, s2)
             direct = expm_unitary(h, s1 + s2)
             assert np.max(np.abs(combined - direct)) <= 1e-10
 
-    @pytest.mark.parametrize("n", [2, 4])
-    def test_output_unitary(self, n):
+    def test_output_unitary(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
-            u = expm_unitary(random_hermitian(rng, n), rng.normal())
+            u = expm_unitary(random_hermitian(rng, 4), rng.normal())
             assert unitarity_defect(u) <= 1e-10
 
-    def test_batched_matches_loop(self):
-        rng = np.random.default_rng(11)
-        hs = np.stack([random_hermitian(rng, 2) for _ in range(6)])
-        batch = expm_unitary(hs, 0.3)
-        for k in range(6):
-            np.testing.assert_allclose(batch[k], expm_unitary(hs[k], 0.3), atol=1e-14)
-
-    def test_vanishing_pauli_part(self):
-        # pure c0 piece: removable singularity in sin(s|c|)/|c|
-        h = 2.0 * np.eye(2)
-        np.testing.assert_allclose(
-            expm_unitary(h, 0.5), np.exp(-1j) * np.eye(2), atol=1e-15
-        )
-
     def test_rejects_non_hermitian(self):
-        bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        bad = np.zeros((4, 4), dtype=complex)
+        bad[0, 1] = 1.0
         with pytest.raises(NonHermitianInput):
             expm_unitary(bad, 1.0)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4,), (4, 2)])
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match="4x4"):
+            expm_unitary(np.zeros(shape), 1.0)
 
     def test_hermiticity_defect_reported(self):
         assert hermiticity_defect(SIGMA_Y) == 0.0

@@ -67,8 +67,8 @@ def test_magnus_step_needs_a_special_orientation():
         fixed_step_propagators(p, TimeGrid(0.0, 1.0, 4), Frame.LAB, 2, order=3)
 
 
-@pytest.mark.parametrize("name", ["constant_parallel", "lz_sweep", "rate_sweep",
-                                  "tabulated_compare", "tanh_compare"])
+@pytest.mark.parametrize("name", ["constant_parallel", "lab_perpendicular", "lz_sweep",
+                                  "rate_sweep", "tabulated_compare", "tanh_compare"])
 def test_schemes_agree_on_shipped_scenarios(name):
     config = load_config(SCENARIOS / f"{name}.json")
     target = config.tol_per_time * config.grid.duration

@@ -12,7 +12,6 @@ from spinpair.analysis import compare_solutions
 from spinpair.errors import NonHermitianInput, NonNormalizedInput, ToleranceNotMet
 from spinpair.fields import Constant, Harmonic, LinearRamp, TanhRamp, Tabulated
 from spinpair.frames import (
-    block_constants,
     effective_h_batch,
     effective_hamiltonian,
     initial_adiabatic_states,
@@ -21,6 +20,7 @@ from spinpair.hamiltonian import (
     BLOCK_SLOTS,
     THETA_PERPENDICULAR,
     SystemParams,
+    block_constants,
     closed_eigenvalues,
     hamiltonian_batch,
 )
@@ -29,7 +29,7 @@ from spinpair.linalg import (
     SIGMA_Y,
     SIGMA_Z,
     dagger,
-    expm_unitary,
+    su2_exp,
     su2_product,
     unitarity_defect,
 )
@@ -57,9 +57,12 @@ def params(theta, profile, a_par=1.0, a_perp=0.5, zeta=0.1):
     return SystemParams(a_par, a_perp, zeta, theta, profile)
 
 
-def pauli_matrices(c0, c):
-    """Stacked 2x2 matrices ``c0 + c . sigma`` from Pauli components."""
-    return (np.asarray(c0)[..., None, None] * np.eye(2)
+def block_generator_matrices(p, c):
+    """Stacked 2x2 generators ``d + c . sigma`` of the central and corner
+    blocks from the Pauli vectors ``c`` of their traceless parts, shape ``(3,
+    2, n)``, with ``d`` each block's offset."""
+    d = block_constants(p)[2]
+    return (d[:, None, None, None] * np.eye(2)
             + np.einsum("i...,iab->...ab", c, [SIGMA_X, SIGMA_Y, SIGMA_Z]))
 
 
@@ -417,17 +420,18 @@ _ANALYTIC_PROFILES = st.one_of(
        zeta=st.floats(-0.5, 0.5), profile=_ANALYTIC_PROFILES,
        times=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8))
 def test_block_generators_property(theta, a_par, a_perp, zeta, profile, times):
-    """The 2x2 generators' Pauli components: lab blocks rebuild the slots of
-    the 4x4 Hamiltonian (the off-diagonal exactly) and carry the closed-form
-    spectrum, frame blocks match the conjugated frame generator."""
+    """The 2x2 generators' Pauli vectors with each block's offset: lab blocks
+    rebuild the slots of the 4x4 Hamiltonian (the off-diagonal exactly) and
+    carry the closed-form spectrum, frame blocks match the conjugated frame
+    generator."""
     p = params(theta, profile, a_par, a_perp, zeta)
     times = np.array(times)
-    c0, c = _block_generators(p, Frame.LAB, times)
-    lab = pauli_matrices(c0, c)
+    c = _block_generators(p, Frame.LAB, times)
+    lab = block_generator_matrices(p, c)
     full = hamiltonian_batch(p, times)
     for k, slots in enumerate(BLOCK_SLOTS):
         expected = full[:, slots[:, None], slots]
-        # the off-diagonal is read off exactly; the diagonal is rebuilt as c0 +- cz
+        # the off-diagonal is the coupling itself; the diagonal is d +- cz
         assert np.array_equal(c[0, k] + 1j * c[1, k], expected[:, 1, 0])
         np.testing.assert_allclose(lab[k], expected, rtol=0, atol=1e-14)
     for k, t in enumerate(times):
@@ -437,7 +441,7 @@ def test_block_generators_property(theta, a_par, a_perp, zeta, profile, times):
                                        rtol=0, atol=1e-11)
     if p.is_parallel and a_perp == 0.0:
         return  # gapless at zero field: the frame is not defined
-    frame = pauli_matrices(*_block_generators(p, Frame.ADIABATIC, times))
+    frame = block_generator_matrices(p, _block_generators(p, Frame.ADIABATIC, times))
     for k, t in enumerate(times):
         snap = effective_hamiltonian(p, float(t))
         for blocks, slots in zip(frame, BLOCK_SLOTS):
@@ -448,7 +452,8 @@ def test_block_generators_property(theta, a_par, a_perp, zeta, profile, times):
 def frame_generators_4x4(p, times):
     """The frame's central and corner generator blocks scattered into 4x4."""
     out = np.zeros((times.size, 4, 4), dtype=complex)
-    for blocks, slots in zip(pauli_matrices(*effective_h_batch(p, times)), BLOCK_SLOTS):
+    for blocks, slots in zip(block_generator_matrices(p, effective_h_batch(p, times)),
+                             BLOCK_SLOTS):
         out[:, slots[:, None], slots] = blocks
     return out
 
@@ -474,11 +479,10 @@ def midpoint_nodes_4x4(p, grid, frame, substeps, cuts=None):
 
 
 def random_su2(count, seed):
-    """Stacked random SU(2) matrices: unitaries scaled to unit determinant."""
+    """Stacked random SU(2) matrices, the closed-form exponentials of random
+    traceless Hermitian generators."""
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal((count, 2, 2)) + 1j * rng.standard_normal((count, 2, 2))
-    u = expm_unitary(a + dagger(a), 1.0)
-    return u / np.sqrt(np.linalg.det(u))[:, None, None]
+    return ck_matrix(*su2_exp(rng.standard_normal((3, count)), 1.0))
 
 
 class TestBlockNativePropagation:
@@ -529,18 +533,16 @@ class TestBlockNativePropagation:
         np.testing.assert_array_equal(both[0][0], a)
         np.testing.assert_array_equal(both[1][1], _pair_scan(ck_pair(units[::-1]))[1])
 
-    @pytest.mark.parametrize("theta, order", [(0.0, 2), (0.0, 4), (0.7, 2)],
-                             ids=["2", "4", "general-2"])
-    def test_lab_blocks_keep_the_hermiticity_check(self, monkeypatch, theta, order):
+    def test_lab_generator_keeps_the_hermiticity_check(self, monkeypatch):
         def skewed(p, times):
             h = hamiltonian_batch(p, times).astype(complex)
             h[:, 1, 2] += 1e-6j  # the central block's upper off-diagonal slot
             return h
 
         monkeypatch.setattr(propagators, "hamiltonian_batch", skewed)
-        p = params(theta, TanhRamp(3.0, 2.0, 4.0))
+        p = params(0.7, TanhRamp(3.0, 2.0, 4.0))
         with pytest.raises(NonHermitianInput):
-            fixed_step_propagators(p, TimeGrid(-8.0, 16.0, 10), Frame.LAB, 2, order=order)
+            fixed_step_propagators(p, TimeGrid(-8.0, 16.0, 10), Frame.LAB, 2)
 
 
 class TestFullGeneratorPropagation:
@@ -574,17 +576,6 @@ class TestFullGeneratorPropagation:
         expected = midpoint_nodes_4x4(p, grid, Frame.LAB, substeps, cuts)
         assert nodes.shape == (grid.n_steps + 1, 4, 4)
         assert np.max(np.abs(nodes - expected)) <= 1e-12
-
-    @pytest.mark.parametrize("theta", [0.0, THETA_PERPENDICULAR])
-    def test_real_generator_leaves_special_orientations_unmoved(self, monkeypatch, theta):
-        p = params(theta, TanhRamp(3.0, 2.0, 4.0))
-        grid = TimeGrid(-8.0, 16.0, 30)
-        real = [fixed_step_propagators(p, grid, Frame.LAB, 4, order) for order in (2, 4)]
-        monkeypatch.setattr(propagators, "hamiltonian_batch",
-                            lambda p, times: hamiltonian_batch(p, times).astype(complex))
-        for order, nodes in zip((2, 4), real):
-            assert nodes.tobytes() == fixed_step_propagators(
-                p, grid, Frame.LAB, 4, order).tobytes()
 
 
 def ck_pair(u):
@@ -737,6 +728,27 @@ def test_gapless_lab_reference_runs_without_a_frame():
     # and picks up exp(-i int (-a_par + omega (1 - zeta) / 2) dt), where the
     # field omega = -2 + t integrates to 0 over [0, 4]
     np.testing.assert_allclose(traj.states[-1], np.exp(4.0j) * E2, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("theta", [0.0, THETA_PERPENDICULAR], ids=["parallel", "perpendicular"])
+@pytest.mark.parametrize("drive", [TanhRamp(3.0, 2.0, 4.0), Harmonic(2.0, 1.0, 0.7, 0.3),
+                                   LinearRamp(-2.0, 1.0)], ids=["tanh", "harmonic", "linear"])
+def test_reference_is_continuous_across_the_orientation_switch(theta, drive):
+    """An angle eps away from a special orientation runs the 4x4 midpoint
+    path, the special orientation the block path with its own constants.  The
+    Hamiltonian moves by O(eps), so the certified node propagators differ by
+    at most both targets plus 10 eps (measured: at most 2.3 eps)."""
+    grid = TimeGrid(0.0, 4.0, 40)
+    target = 1e-8
+    special = reference_propagate(params(theta, drive), grid, E2,
+                                  tol_per_time=target / grid.duration)
+    for eps in (1e-6, 1e-8):
+        near = eps if theta == 0.0 else THETA_PERPENDICULAR - eps
+        general = reference_propagate(params(near, drive), grid, E2,
+                                      tol_per_time=target / grid.duration)
+        assert general.scheme == "midpoint" and special.scheme == "magnus4"
+        change = np.max(np.abs(general.propagators - special.propagators))
+        assert change <= 2.0 * target + 10.0 * eps
 
 
 @pytest.mark.parametrize("theta, substeps, levels", [

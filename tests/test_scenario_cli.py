@@ -663,6 +663,45 @@ class TestCli:
         assert message.count("\n") == 1 and message.endswith("\n")
         assert not out.exists()
 
+    def test_overflowing_step_norm_exits_3(self, tmp_path, capsys):
+        # a finite a_par whose 4x4 step norm overflows the squaring count:
+        # the level is not finite, which the reference reports as its error
+        config = json.loads((SCENARIOS / "oblique_propagate.json").read_text())
+        config["system"]["a_par"] = 1.7e308
+        config["grid"]["n_steps"] = 1
+        config["integrator"] = {"max_halvings": 2}
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["propagate", "--config", str(self.write(tmp_path, config)),
+                         "--out", str(out), "--quiet"])
+        assert code == 3
+        message = capsys.readouterr().err
+        assert message.startswith("compute error [spinpair.errors.ToleranceNotMet]")
+        assert message.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change", [
+        {"system": {"a_par": 1.0, "a_perp": 1.7e308, "zeta": 0.1,
+                    "orientation": "perpendicular"}},
+        {"profile": {"kind": "linear", "omega_start": 1.7e308, "rate": 1e308}},
+    ], ids=["hyperfine", "field"])
+    def test_validate_on_overflowing_values_fails_its_checks_quietly(self, tmp_path,
+                                                                     capsys, change):
+        # every check whose value is not finite fails; numpy does not warn
+        config = dict(json.loads((SCENARIOS / "tanh_compare.json").read_text()), **change)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["validate", "--config", str(self.write(tmp_path, config)),
+                         "--out", str(out), "--quiet"])
+        assert code == 3
+        assert capsys.readouterr().err == ""
+        report = json.loads((out / "validation.json").read_text())
+        assert not report["all_pass"]
+        assert report["checks"]["spectrum_closure"] == {
+            "pass": False, "threshold": 1e-11, "value": None}
+
     def test_grid_too_large_to_allocate_exits_3(self, tmp_path, capsys):
         # 10**15 steps pass the config check, but no machine holds their
         # times: numpy refuses the allocation before taking any memory
@@ -853,7 +892,8 @@ class TestCli:
 
 def test_shipped_scenarios_parse():
     for name in ("lz_sweep.json", "constant_parallel.json", "tanh_compare.json",
-                 "tabulated_compare.json", "rate_sweep.json", "oblique_propagate.json"):
+                 "tabulated_compare.json", "rate_sweep.json", "oblique_propagate.json",
+                 "lab_perpendicular.json"):
         cfg = load_config(SCENARIOS / name)
         assert cfg.grid.n_steps >= 1
 
