@@ -8,6 +8,7 @@ the rate exactly, not through finite differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,9 +72,12 @@ class TanhRamp(FieldProfile):
     def __post_init__(self):
         if not self.tau > 0.0:
             raise ValueError("tanh ramp timescale tau must be positive")
+        if not math.isfinite(self.amplitude / self.tau):
+            raise ValueError("tanh ramp peak rate amplitude / tau overflows")
 
     def _values(self, t):
-        x = t / self.tau
+        with np.errstate(over="ignore"):  # x = +-inf gives the exact limits below
+            x = t / self.tau
         # sech(x) assembled from decaying exponentials so large |x| cannot overflow
         e = np.exp(-np.abs(x))
         sech = 2.0 * e / (1.0 + e * e)
@@ -141,7 +145,7 @@ class Tabulated(FieldProfile):
             raise ValueError("tabulated profile needs at least two samples")
         if not (np.all(np.isfinite(times)) and np.all(np.isfinite(omegas))):
             raise ValueError("tabulated samples must be finite")
-        if not np.all(np.diff(times) > 0.0):
+        if not np.all(times[1:] > times[:-1]):  # a difference could overflow
             raise ValueError("tabulated sample times must be strictly increasing")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "omegas", omegas)
@@ -211,5 +215,6 @@ def adiabaticity_profile(w, wdot) -> np.ndarray:
     wdot = np.atleast_1d(np.asarray(wdot, dtype=float))
     out = np.full(w.shape, np.inf)
     ok = np.abs(w) >= OMEGA_SINGULAR
-    out[ok] = wdot[ok] / w[ok] ** 2
+    with np.errstate(over="ignore"):  # a ratio beyond the largest float is inf
+        out[ok] = wdot[ok] / w[ok] ** 2
     return out

@@ -16,9 +16,11 @@ A block is addressed by its index on a leading block axis, in the order of
 ``hamiltonian.BLOCK_SLOTS``: 0 the central pair, 1 the corner pair.
 ``hamiltonian.block_constants`` gives each block's coupling ``c``, detuning
 factor and diagonal offset along that axis, and every array function here
-returns both blocks stacked on it.  The frame readers of those constants
-(``block_splitting_and_rate``, ``mixing_angle_arrays``) need a gap and raise
-``DegenerateGap`` for the one gapless pair, a_perp = 0 along the axis.
+returns both blocks stacked on it.  The frame is defined for every pair: a
+block whose coupling vanishes (the corner pair along the axis, the central
+pair at a_perp = 0 along it or a_par = -a_perp across it) keeps its bare
+basis, with its angle pinned to zero and a zero rate, even where its
+splitting crosses zero.
 
 Branch convention: each doubled angle is ``atan2(2c, w)`` folded into
 ``[0, pi)``, where ``c`` is the block coupling and ``w`` the block detuning,
@@ -36,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGap
 from .hamiltonian import SystemParams, block_constants, block_matrices, build_hamiltonian
 from .linalg import dagger
 
@@ -62,18 +63,6 @@ class FrameSnapshot:
     effective_h: np.ndarray
 
 
-def _gapped_constants(params: SystemParams):
-    """Each block's coupling and detuning factor as Python floats (numpy
-    scalar arithmetic is slower), for a pair whose frame is defined."""
-    coupling, zeta_factor, _ = block_constants(params).tolist()
-    if params.is_parallel and params.a_perp == 0.0:
-        raise DegenerateGap(
-            "a_perp = 0 with the field along the axis leaves the central "
-            "pair gapless at zero field"
-        )
-    return coupling, zeta_factor
-
-
 def block_splitting_and_rate(params: SystemParams, w, wdot):
     """Each block's signed level splitting and the exact rate of its mixing
     angle, from the field ``w`` and its rate ``wdot``; both of shape
@@ -81,23 +70,27 @@ def block_splitting_and_rate(params: SystemParams, w, wdot):
 
     The splitting is the gap between the block's upper and lower frame levels:
     ``sign(c) * sqrt(4 c^2 + w^2 zfac^2)`` for a coupled block and the bare
-    detuning ``w * zfac`` (with a zero rate) when the coupling vanishes
-    (corner pair with the field along the axis), so the sign convention
-    always matches the branch of the mixing angles.
+    detuning ``w * zfac`` (with a zero rate) when the coupling vanishes (the
+    corner pair with the field along the axis, for one), so the sign
+    convention always matches the branch of the mixing angles.
     """
-    coupling, zeta_factor = _gapped_constants(params)
+    coupling, zeta_factor, _ = block_constants(params).tolist()
     w = np.asarray(w, dtype=float)
     wdot = np.asarray(wdot, dtype=float)
     splitting = np.empty((2,) + w.shape)
     rate = np.zeros((2,) + w.shape)
-    for k, (c, zfac) in enumerate(zip(coupling, zeta_factor)):
-        detuning = w * zfac
-        if c == 0.0:
-            splitting[k] = detuning
-            continue
-        gap_sq = 4.0 * c * c + detuning * detuning
-        splitting[k] = math.copysign(1.0, c) * np.sqrt(gap_sq)
-        rate[k] = -(c * zfac) * wdot / gap_sq
+    # a gap whose square over- or underflows gives a rate that is not finite,
+    # which the reference's and the quadrature's checks reject: numpy need
+    # not warn of it too
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k, (c, zfac) in enumerate(zip(coupling, zeta_factor)):
+            detuning = w * zfac
+            if c == 0.0:
+                splitting[k] = detuning
+                continue
+            gap_sq = 4.0 * c * c + detuning * detuning
+            splitting[k] = math.copysign(1.0, c) * np.sqrt(gap_sq)
+            rate[k] = -(c * zfac) * wdot / gap_sq
     return splitting, rate
 
 
@@ -105,7 +98,7 @@ def mixing_angle_arrays(params: SystemParams, w) -> np.ndarray:
     """Central and corner mixing angles ``(theta1, theta2)`` at field values
     ``w``, stacked on the block axis: shape ``(2, size(w))``."""
     w = np.atleast_1d(np.asarray(w, dtype=float))
-    coupling, zeta_factor = _gapped_constants(params)
+    coupling, zeta_factor, _ = block_constants(params).tolist()
     angles = np.zeros((2,) + w.shape)
     for k, (c, zfac) in enumerate(zip(coupling, zeta_factor)):
         if c != 0.0:

@@ -20,12 +20,18 @@ Two independent routes to the same dynamics live here.
   orientation propagates the full 4x4 generator.  The step is the
   fourth-order Gauss Magnus step at the special orientations when the budget
   allows two halvings, else the second-order exponential midpoint rule.  One
-  ladder rule serves both: a scheme of order p cannot certify before halving
-  p/2, so its first p/2 + 1 levels come from one
-  ``fixed_step_propagators(..., levels=p/2 + 1)`` call and each later halving
-  makes one call.  The block stack shares one generator and one ``su2_exp``
-  call, one scan and one 4x4 assembly; the 4x4 stack runs each level on its
-  own.  Either way each level is bit for bit its own pass.
+  regime rule serves both: a level of a scheme of order p certifies only once
+  the previous level change is at least ``2**(p - 1)`` times its own, or sits
+  at the round-off floor, so each ladder opens with three levels.  The
+  Magnus ladder takes 1, 2 and 4 steps per cell from one fused
+  ``fixed_step_propagators(..., 4, levels=3)`` pass: the block stack shares
+  one generator and one ``su2_exp`` call, one scan and one 4x4 assembly, and
+  each level is bit for bit its own pass.  The midpoint ladder steps once per
+  cell over the cells merged four and two at a time (``_coarsen``, never
+  across a knot) and over the cells themselves, three single-level passes,
+  and compares each pair of levels on the grid nodes they share.  Each later
+  halving makes one call, and ``halvings`` is log2 of the kept level's steps
+  per cell.
 
 * ``full_propagator_paths`` is the block route: the unperturbed propagator
   of each 2x2 block is its offset's factor times a pair of accumulated
@@ -44,6 +50,7 @@ so a tabulated drive's rate kinks only on cell edges, never inside a step.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -51,7 +58,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import DegenerateGap, NonNormalizedInput, ToleranceNotMet
+from .errors import NonNormalizedInput, ToleranceNotMet
 from .frames import (
     block_splitting_and_rate,
     effective_h_batch,
@@ -68,8 +75,6 @@ _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 # a level change up to this much per step is round-off (measured: about
 # 0.5 eps for the closed-form 2x2 step, at most 0.7 eps for the 4x4 Taylor step)
 _ROUNDOFF_PER_STEP = 4.0 * np.finfo(float).eps
-# successive changes of a fourth-order scheme shrink 16-fold in its regime
-_REGIME_RATIO = 8.0
 # the certificate a reference run asks for unless its caller says otherwise
 DEFAULT_TOL_PER_TIME = 1e-10
 DEFAULT_MAX_HALVINGS = 12
@@ -119,9 +124,8 @@ class Trajectory:
     ``omega_rate`` hold the field and its rate; for the two special
     orientations the frame amplitudes are carried alongside, with the node
     frame rotations ``T(t_k)`` that relate the two (``states[k] = rotations[k]
-    @ adiabatic_states[k]``); both are ``None`` at any other orientation and
-    for a gapless frame.  ``propagators`` are in the frame the run was
-    integrated in.
+    @ adiabatic_states[k]``); both are ``None`` at any other orientation.
+    ``propagators`` are in the frame the run was integrated in.
     """
 
     grid: TimeGrid
@@ -141,18 +145,39 @@ class Trajectory:
 
 
 def _cells(params: SystemParams, grid: TimeGrid):
-    """``(edges, widths, on_grid)``: the grid nodes merged with the profile's
-    interior knots, each cell's width (``grid.dt`` itself for a cell no knot
-    cuts) and a mask of the edges that are grid nodes."""
+    """``(edges, widths, on_grid, at_knot)``: the grid nodes merged with the
+    profile's interior knots, each cell's width (``grid.dt`` itself for a cell
+    no knot cuts), a mask of the edges that are grid nodes and one of the
+    edges that are knots, a grid node included."""
     times = grid.times()
     knots = params.profile.knots
     knots = knots[(knots > times[0]) & (knots < times[-1])]
     if knots.size == 0:
-        return times, np.full(grid.n_steps, grid.dt), np.ones(times.size, dtype=bool)
+        return (times, np.full(grid.n_steps, grid.dt), np.ones(times.size, dtype=bool),
+                np.zeros(times.size, dtype=bool))
     edges = np.union1d(times, knots)
     on_grid = np.isin(edges, times)
     widths = np.where(on_grid[:-1] & on_grid[1:], grid.dt, np.diff(edges))
-    return edges, widths, on_grid
+    at_knot = np.zeros(edges.size, dtype=bool)
+    at_knot[np.searchsorted(edges, knots)] = True  # every knot is an edge
+    return edges, widths, on_grid, at_knot
+
+
+def _coarsen(cells):
+    """The cell set ``cells`` with its cells merged two at a time inside each
+    knot interval, a leftover cell joining the step before it, in the same
+    form; ``None`` when a knot interval holds a single cell, which no coarse
+    step can cover without crossing a knot."""
+    edges, widths, on_grid, at_knot = cells
+    bounds = np.concatenate([[0], np.flatnonzero(at_knot), [widths.size]])
+    counts = np.diff(bounds)
+    if np.min(counts) < 2:
+        return None
+    position = np.arange(widths.size) - np.repeat(bounds[:-1], counts)
+    starts = (position % 2 == 0) & (position != np.repeat(counts, counts) - 1)
+    keep = np.append(starts, True)
+    return (edges[keep], np.add.reduceat(widths, np.flatnonzero(starts)), on_grid[keep],
+            at_knot[keep])
 
 
 def _block_propagators(params: SystemParams, times: np.ndarray, a: np.ndarray,
@@ -188,7 +213,7 @@ def full_propagator_paths(params: SystemParams, grid: TimeGrid):
     non-dyadic position would stall the quadrature's refinement.
     """
     params.require_special_orientation()
-    edges, _, on_grid = _cells(params, grid)
+    edges, _, on_grid, _ = _cells(params, grid)
     times = edges[on_grid]
     coupled = (block_constants(params)[0] != 0.0).tolist()
 
@@ -314,7 +339,7 @@ def _block_nodes(params: SystemParams, cells, frame: Frame, m: int, order: int,
     operation acts element by element, so a level's values are those of its
     own single-level call, whatever the chunk size.
     """
-    edges, widths, _ = cells
+    edges, widths = cells[:2]
     ms = [m >> k for k in range(levels - 1, -1, -1)]
     cell_a = np.empty((2, levels, widths.size), dtype=complex)
     cell_b = np.empty((2, levels, widths.size), dtype=complex)
@@ -350,23 +375,23 @@ def _block_nodes(params: SystemParams, cells, frame: Frame, m: int, order: int,
 def fixed_step_propagators(params: SystemParams, grid: TimeGrid, frame: Frame,
                            substeps: int = 1, order: int = 2, *,
                            cells=None, levels: int | None = None) -> np.ndarray:
-    """Node propagators from ``substeps`` steps per knot-cut cell.
+    """Node propagators from ``substeps`` steps per cell.
 
     ``order=2`` is the exponential midpoint rule ``exp(-i h H(t_mid))``;
     ``order=4`` (special orientations only) the two-point Gauss Magnus step
     ``exp(-i h Hbar)``, ``Hbar = (H1 + H2)/2 - i (sqrt(3)/12) h [H2, H1]`` with
     ``H1,2`` the generator at ``t_mid -+ (sqrt(3)/6) h``.  ``substeps`` must be
-    a power of two.  Returns the rows at the grid nodes, shape ``(n_steps + 1,
-    4, 4)``, with the identity at the first node.  At the two special
-    orientations the central and corner 2x2 blocks are propagated on their own
-    and the entries off the blocks are exact zeros; any other ``theta``
-    propagates the full 4x4 generator.  ``cells``, the cell set
-    ``_cells(params, grid)`` when the caller already has it, is used as given.
-    ``levels``, when given, returns the stack of the ``levels`` refinement
-    levels ``substeps / 2**(levels - 1), ..., substeps``, shape ``(levels,
-    n_steps + 1, 4, 4)``, each level equal to its own call to the bit: the
-    blocks run as one pass, the 4x4 generator one level at a time, since
-    ``_expm4`` takes its squaring count from the largest norm in its batch.
+    a power of two.  At the two special orientations the central and corner
+    2x2 blocks are propagated on their own and the entries off the blocks are
+    exact zeros; any other ``theta`` propagates the full 4x4 generator.
+
+    The cells are the knot-cut grid cells ``_cells(params, grid)`` unless
+    ``cells`` gives a set, such as one from ``_coarsen``.  Returns the rows at
+    the grid nodes among the cell edges, with the identity at the first node:
+    shape ``(n_steps + 1, 4, 4)`` on the grid's own cells.  ``levels``
+    (special orientations only), when given, returns the stack of the
+    ``levels`` refinement levels ``substeps / 2**(levels - 1), ...,
+    substeps`` from one pass, each level equal to its own call to the bit.
     """
     stack = 1 if levels is None else levels
     if substeps < 1 or substeps & (substeps - 1):
@@ -377,16 +402,16 @@ def fixed_step_propagators(params: SystemParams, grid: TimeGrid, frame: Frame,
         raise ValueError("order must be 2 (midpoint) or 4 (Gauss Magnus)")
     if frame is Frame.ADIABATIC:
         params.require_special_orientation()
-    edges, widths, on_grid = cells = _cells(params, grid) if cells is None else cells
+    edges, widths, on_grid, _ = cells = _cells(params, grid) if cells is None else cells
     if params.is_special_orientation:
         a, b = _block_nodes(params, cells, frame, substeps, order, stack)
         nodes = _block_propagators(params, edges[on_grid], a[..., on_grid], b[..., on_grid])
-    elif order == 4:
+        return nodes if levels is not None else nodes[0]
+    if order == 4:
         raise ValueError("the fourth-order step needs a special orientation")
-    else:
-        nodes = [_full_nodes(params, edges, widths, substeps >> k)[on_grid]
-                 for k in range(stack - 1, -1, -1)]
-    return np.asarray(nodes) if levels is not None else nodes[0]
+    if levels is not None:
+        raise ValueError("stacked levels need a special orientation")
+    return _full_nodes(params, edges, widths, substeps)[on_grid]
 
 
 def check_budget(tol_per_time: float, max_halvings: int) -> None:
@@ -404,20 +429,24 @@ def reference_propagate(params: SystemParams, grid: TimeGrid, psi0: np.ndarray,
                         max_halvings: int = DEFAULT_MAX_HALVINGS) -> Trajectory:
     """Brute-force trajectory with certified accuracy.
 
-    The substep count per knot-cut cell doubles until the Richardson estimate
-    of the remaining error, the largest node-propagator change between
-    consecutive levels over ``2**order - 1``, drops below
-    ``tol_per_time * duration``.  The fourth-order Magnus step serves at the
-    special orientations when the budget allows two halvings; it certifies
-    once the previous change is ``_REGIME_RATIO`` times the current one or at
-    the round-off floor.  General ``theta`` uses the midpoint rule.  A scheme
-    of order p cannot certify before halving p/2, so its first p/2 + 1 levels
-    come from one ``fixed_step_propagators`` call; each later halving makes
-    one call.  A change at the round-off floor raises ``ToleranceNotMet`` at
-    once when the floor over ``2**order - 1`` is above target, and so does a
-    change that is not finite.  ``psi0`` is interpreted in ``frame``.  A
-    budget that ``check_budget`` rejects raises ``ValueError`` before the
-    first level.
+    The steps per cell double until the Richardson estimate of the remaining
+    error, the largest node-propagator change between consecutive levels
+    over ``2**order - 1``, drops below ``tol_per_time * duration``, with the
+    level changes in the scheme's regime: the previous change at least
+    ``2**(order - 1)`` times the current one, or at the round-off floor.  The
+    fourth-order Magnus step serves at the special orientations when the
+    budget allows two halvings, its first three levels (1, 2 and 4 steps per
+    cell) from one ``fixed_step_propagators`` call.  Otherwise the midpoint
+    rule opens on one step per cell over the cells merged four and two at a
+    time (``_coarsen``; a merge that would cross a knot is left out) and over
+    the cells themselves, each pair of levels compared on the grid nodes they
+    share.  Each later halving makes one call.  ``halvings`` is log2 of the
+    kept level's steps per cell, 0 on the grid's own cells, and at most
+    ``max_halvings``.  From that level on, a change at the round-off floor
+    raises ``ToleranceNotMet`` at once when the floor over ``2**order - 1``
+    is above target, and so does a change that is not finite.  ``psi0`` is
+    interpreted in ``frame``.  A budget that ``check_budget`` rejects raises
+    ``ValueError`` before the first level.
     """
     check_budget(tol_per_time, max_halvings)
     psi0 = np.asarray(psi0, dtype=complex).reshape(4)
@@ -428,43 +457,60 @@ def reference_propagate(params: SystemParams, grid: TimeGrid, psi0: np.ndarray,
     order = 4 if params.is_special_orientation and max_halvings >= 2 else 2
     cells = _cells(params, grid)
     target = tol_per_time * grid.duration
+    ratio = 2 ** (order - 1)
     # an overflowing step makes a level inf or nan, which the non-finite
     # check below turns into ToleranceNotMet: numpy need not warn of it too
     with np.errstate(over="ignore", invalid="ignore"):
-        # a scheme of order p cannot certify before halving p/2, so its first
-        # p/2 + 1 levels come from one call
-        first = order // 2
-        ladder = fixed_step_propagators(params, grid, frame, 1 << first, order=order,
-                                        cells=cells, levels=first + 1)
-        previous = ladder[0]
-        last_change, last_floor = math.inf, 0.0
-        for halvings in range(1, max_halvings + 1):
-            substeps = 1 << halvings
-            current = ladder[halvings] if halvings <= first else fixed_step_propagators(
-                params, grid, frame, substeps, order=order, cells=cells)
-            change = float(np.max(np.abs(current - previous)))
-            estimate = change / (2 ** order - 1)
-            floor = _ROUNDOFF_PER_STEP * cells[1].size * substeps
-            in_regime = halvings >= first and (
-                order == 2 or last_change >= _REGIME_RATIO * change or last_change <= last_floor)
-            # a change within the floor is round-off: it certifies no estimate
-            # below the floor's own, even when it happens to vanish
-            if change <= floor and floor / (2 ** order - 1) > target:
-                raise ToleranceNotMet(
-                    f"refinement stalled at the round-off floor after {halvings} "
-                    f"halvings: level change {change:.3e} within the floor "
-                    f"{floor:.3e}, which certifies no estimate below "
-                    f"{floor / (2 ** order - 1):.3e} against target {target:.3e}"
-                )
-            if estimate <= target and in_regime:
-                break
-            # a change that is not finite stays so at every finer level
-            if halvings == max_halvings or not math.isfinite(change):
-                raise ToleranceNotMet(
-                    f"estimate {estimate:.3e} above target {target:.3e} after "
-                    f"{halvings} halvings"
-                )
-            previous, last_change, last_floor = current, change, floor
+        if order == 4:
+            top, rungs = 2, [cells] * 3
+            first = fixed_step_propagators(params, grid, frame, 4, order=4, cells=cells,
+                                           levels=3)
+        else:
+            top, rungs = 0, [cells]
+            while len(rungs) < 3 and (coarse := _coarsen(rungs[0])) is not None:
+                rungs.insert(0, coarse)
+            first = [fixed_step_propagators(params, grid, frame, cells=rung) for rung in rungs]
+        # (halvings, node rows, cell set) of each level, coarsest first
+        ladder = itertools.chain(
+            zip(range(top + 1 - len(rungs), top + 1), first, rungs),
+            ((halvings, fixed_step_propagators(params, grid, frame, 1 << halvings,
+                                               order=order, cells=cells), cells)
+             for halvings in range(top + 1, max_halvings + 1)))
+        previous = last_change = None
+        for halvings, current, level in ladder:
+            floor = _ROUNDOFF_PER_STEP * level[1].size * (1 << max(halvings, 0))
+            if previous is not None:
+                shared = current
+                if level is not previous_level:
+                    # the coarser level's grid nodes are edges of the finer one
+                    shared = current[np.searchsorted(level[0][level[2]],
+                                                     previous_level[0][previous_level[2]])]
+                change = float(np.max(np.abs(shared - previous)))
+                estimate = change / (2 ** order - 1)
+                in_regime = last_change is not None and (
+                    last_change >= ratio * change or last_change <= last_floor)
+                # a change within the floor is round-off: it certifies no
+                # estimate below the floor's own, even when it happens to vanish
+                if halvings >= 0 and change <= floor and floor / (2 ** order - 1) > target:
+                    raise ToleranceNotMet(
+                        f"refinement stalled at the round-off floor after {halvings} "
+                        f"halvings: level change {change:.3e} within the floor "
+                        f"{floor:.3e}, which certifies no estimate below "
+                        f"{floor / (2 ** order - 1):.3e} against target {target:.3e}"
+                    )
+                if estimate <= target and in_regime:
+                    break
+                # a change that is not finite stays so at every finer level
+                if halvings == max_halvings or (halvings >= 0 and not math.isfinite(change)):
+                    raise ToleranceNotMet(
+                        f"estimate {estimate:.3e} above target {target:.3e} after "
+                        f"{halvings} halvings" if not estimate <= target else
+                        f"estimate {estimate:.3e} within target {target:.3e} after "
+                        f"{halvings} halvings, but the level changes show no "
+                        f"{ratio}-fold shrink"
+                    )
+                last_change, last_floor = change, floor
+            previous, previous_level = current, level
 
     times = grid.times()
     omega, omega_rate = params.profile.evaluate(times)
@@ -472,20 +518,12 @@ def reference_propagate(params: SystemParams, grid: TimeGrid, psi0: np.ndarray,
     lab_states = native_states
     adiabatic_states = rotations = None
     if params.is_special_orientation:
-        try:
-            rotations = frame_rotations(params, times, omega)
-        except DegenerateGap:
-            # gapless frame (a_perp = 0 along the axis): a lab-frame oracle
-            # run is still meaningful, it just has no frame companion
-            rotations = None
-        if rotations is not None:
-            if frame is Frame.LAB:
-                adiabatic_states = np.einsum(
-                    "nji,nj->ni", np.conj(rotations), lab_states
-                )
-            else:
-                adiabatic_states = native_states
-                lab_states = np.einsum("nij,nj->ni", rotations, adiabatic_states)
+        rotations = frame_rotations(params, times, omega)
+        if frame is Frame.LAB:
+            adiabatic_states = np.einsum("nji,nj->ni", np.conj(rotations), lab_states)
+        else:
+            adiabatic_states = native_states
+            lab_states = np.einsum("nij,nj->ni", rotations, adiabatic_states)
 
     return Trajectory(
         grid=grid,

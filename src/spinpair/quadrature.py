@@ -109,16 +109,19 @@ def cumulative_integral(f, edges: np.ndarray) -> np.ndarray:
     """
     edges = np.asarray(edges, dtype=float)
     m = 1
-    values, coarse = _level(f, edges, m)
-    tail = np.abs(values[..., 0, :] @ _legendre_coefficients(DEFAULT_ORDER)[-2:].T)
-    if np.max(0.5 * np.diff(edges) * np.sum(tail, axis=-1)) <= DEFAULT_TOL:
-        return _cumulative(coarse)
-    for _ in range(REFINE_LIMIT):
-        m *= 2
-        _, fine = _level(f, edges, m)
-        if np.max(np.abs(fine - coarse)) <= DEFAULT_TOL:
-            return _cumulative(fine)
-        coarse = fine
+    # an integrand or a sum that overflows is not finite, so it never passes
+    # the checks below and ends in QuadratureFailure: numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, coarse = _level(f, edges, m)
+        tail = np.abs(values[..., 0, :] @ _legendre_coefficients(DEFAULT_ORDER)[-2:].T)
+        if np.max(0.5 * np.diff(edges) * np.sum(tail, axis=-1)) <= DEFAULT_TOL:
+            return _cumulative(coarse)
+        for _ in range(REFINE_LIMIT):
+            m *= 2
+            _, fine = _level(f, edges, m)
+            if np.max(np.abs(fine - coarse)) <= DEFAULT_TOL:
+                return _cumulative(fine)
+            coarse = fine
     raise QuadratureFailure(
         f"cell integrals did not stabilize to {DEFAULT_TOL:.1e} after "
         f"{REFINE_LIMIT} refinements"

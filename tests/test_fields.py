@@ -67,6 +67,18 @@ def test_tanh_no_overflow_far_out():
     assert wdot == 0.0
 
 
+def test_tanh_extreme_timescale_takes_its_limits_quietly():
+    # t / tau overflows to +-inf, where tanh and sech take their exact limits
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, wdot = TanhRamp(3.0, 2.0, 2.2e-308).evaluate(np.array([-12.0, 0.0, 24.0]))
+    assert np.array_equal(w, [1.0, 3.0, 5.0])
+    assert np.array_equal(wdot, [0.0, 2.0 / 2.2e-308, 0.0])
+    # a peak rate amplitude / tau beyond the largest float is no ramp
+    with pytest.raises(ValueError, match="peak rate"):
+        TanhRamp(3.0, -1e8, 5e-324)
+
+
 def test_vector_evaluation_matches_scalar():
     profile = Harmonic(2.0, 0.5, 0.9, 0.2)
     ts = np.linspace(-3.0, 3.0, 11)
@@ -125,6 +137,13 @@ class TestTabulated:
         with pytest.raises(ValueError):
             Tabulated.from_csv(bad)
 
+
+    def test_sample_span_beyond_the_largest_float_is_checked_quietly(self):
+        # the span overflows: the order check compares the times themselves
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="strictly increasing"):
+                Tabulated(np.array([-1.7e308, 1.7e308, 0.0]), np.array([1.0, 2.0, 3.0]))
 
     def test_two_samples_are_a_straight_line(self):
         profile = Tabulated(np.array([1.0, 3.0]), np.array([2.0, -1.0]))
@@ -211,6 +230,12 @@ class TestAdiabaticity:
     def test_constant_field_is_zero(self):
         field = Constant(3.0).evaluate(np.array([0.0, 12.0]))
         assert np.all(adiabaticity_profile(*field) == 0.0)
+
+    def test_a_field_whose_square_overflows_reads_zero_quietly(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eta = adiabaticity_profile(np.array([1e300, -1e200]), np.array([2.0, 1.0]))
+        assert np.array_equal(eta, [0.0, 0.0])
 
     def test_profile_variant_masks_instead(self):
         field = LinearRamp(-1.0, 0.5).evaluate(np.array([0.0, 2.0, 4.0]))

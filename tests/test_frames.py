@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from split_quad import splitting_and_rate
 
-from spinpair.errors import DegenerateGap, UnsupportedOrientation
+from spinpair.errors import UnsupportedOrientation
 from spinpair.fields import Constant, Harmonic, LinearRamp, TanhRamp
 from spinpair.frames import (
     AdiabaticAngles,
@@ -85,13 +86,37 @@ class TestMixingAngles:
         pneg = params(0.0, Constant(-1e6))
         assert mixing_angles(pneg, 0.0).theta1 == pytest.approx(math.pi / 2, abs=1e-5)
 
-    def test_degenerate_gap_rejected(self):
-        with pytest.raises(DegenerateGap):
-            mixing_angles(params(0.0, Constant(1.0), a_perp=0.0), 0.0)
+    @pytest.mark.parametrize("theta, a_par, a_perp", [
+        (0.0, 1.0, 0.0), (THETA_PERPENDICULAR, -0.5, 0.5)], ids=["along", "across"])
+    def test_uncoupled_central_pair_keeps_the_bare_basis(self, theta, a_par, a_perp):
+        # the central coupling vanishes on both sides of the axis: the block's
+        # angle is pinned to zero with a zero rate, even where its splitting
+        # omega (1 - zeta) crosses zero
+        p = params(theta, LinearRamp(-2.0, 1.0), a_par=a_par, a_perp=a_perp)
+        assert block_constants(p)[0][0] == 0.0
+        for t in (0.0, 2.0, 4.0):
+            angles = mixing_angles(p, t)
+            assert (angles.theta1, angles.theta1_rate) == (0.0, 0.0)
+        splitting, rate = block_splitting_and_rate(p, np.array([-1.0, 0.0, 1.0]),
+                                                   np.ones(3))
+        assert np.array_equal(splitting[0], np.array([-0.9, 0.0, 0.9]))
+        assert np.all(rate[0] == 0.0)
 
     def test_unsupported_orientation(self):
         with pytest.raises(UnsupportedOrientation):
             mixing_angles(params(0.5, Constant(1.0)), 0.0)
+
+
+def test_gap_below_the_smallest_float_gives_an_infinite_rate_quietly():
+    # 4 c^2 underflows to zero with the field at zero: the rate is not finite,
+    # which the reference and the quadrature reject, and numpy does not warn
+    p = params(0.0, Constant(0.0), a_perp=2.2e-308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        splitting, rate = block_splitting_and_rate(p, np.array([0.0, 1.0]),
+                                                   np.array([1.0, 1.0]))
+    assert splitting[0, 0] == 0.0 and np.isinf(rate[0, 0])
+    assert np.isfinite(rate[0, 1])
 
 
 class TestFrameUnitary:
@@ -313,8 +338,8 @@ def test_block_axis_matches_per_block_formulas(theta, a_perp, anisotropy, zeta, 
     """Both special orientations, a_par on either side of a_perp (a negative
     corner coupling across the axis) and the uncoupled corner along it: the
     block-axis arrays are the per-block formulas, bit for bit.  A general
-    angle is rejected everywhere; a gapless pair along the axis keeps its
-    constants, and only the frame readers reject it."""
+    angle is rejected everywhere; an uncoupled central pair (a_perp = 0 along
+    the axis) takes the uncoupled formulas, as the corner pair does."""
     p = params(theta, Constant(0.0), a_par=a_perp + anisotropy, a_perp=a_perp, zeta=zeta)
     w, wdot = np.array(field).T
     readers = (lambda: block_splitting_and_rate(p, w, wdot),
@@ -328,11 +353,6 @@ def test_block_axis_matches_per_block_formulas(theta, a_perp, anisotropy, zeta, 
     for k in range(2):
         assert all(same_bits(got[k], x)
                    for got, x in zip(constants, written_out_block(p, k)))
-    if p.is_parallel and a_perp == 0.0:
-        for call in readers:
-            with pytest.raises(DegenerateGap):
-                call()
-        return
     splitting, rate = block_splitting_and_rate(p, w, wdot)
     angles = mixing_angle_arrays(p, w)
     assert splitting.shape == rate.shape == angles.shape == (2, w.size)
@@ -345,7 +365,8 @@ def test_block_axis_matches_per_block_formulas(theta, a_perp, anisotropy, zeta, 
         else:
             gap_sq = 4.0 * c * c + detuning * detuning
             expected_splitting = math.copysign(1.0, c) * np.sqrt(gap_sq)
-            expected_rate = -(c * zfac) * wdot / gap_sq
+            with np.errstate(divide="ignore", invalid="ignore"):  # a gap square that underflows
+                expected_rate = -(c * zfac) * wdot / gap_sq
             doubled = np.arctan2(2.0 * c, detuning)
             expected_angle = 0.5 * np.where(doubled < 0.0, doubled + np.pi, doubled)
         assert same_bits(splitting[k], expected_splitting)

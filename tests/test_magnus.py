@@ -31,19 +31,54 @@ BLOCK_MASK = np.array([[1, 0, 0, 1],
                        [1, 0, 0, 1]], dtype=bool)
 
 
+def merged_cells(p, grid, cells):
+    """``cells`` with consecutive cells merged in pairs inside each knot
+    interval, an odd interval's last three cells as one, written out cell by
+    cell; ``None`` when an interval holds a single cell."""
+    edges, widths = cells[:2]
+    knots = p.profile.knots
+    breaks = [0, *[k for k, t in enumerate(edges) if t in knots], widths.size]
+    kept, merged = [], []
+    for lo, hi in zip(breaks, breaks[1:]):
+        if hi - lo < 2:
+            return None
+        starts = list(range(lo, hi, 2))
+        if (hi - lo) % 2:
+            starts.pop()
+        for start, stop in zip(starts, starts[1:] + [hi]):
+            kept.append(edges[start])
+            merged.append(sum(widths[start:stop]))
+    kept = np.array(kept + [edges[-1]])
+    return kept, np.array(merged), np.isin(kept, grid.times()), np.isin(kept, knots)
+
+
 def midpoint_reference(p, grid, frame, target, max_halvings=12):
-    """The midpoint-only certification loop: ``(propagators, halvings,
-    estimate)`` once a third of the level change is within ``target``."""
-    substeps, halvings = 1, 0
-    previous = fixed_step_propagators(p, grid, frame, substeps)
-    while True:
-        substeps *= 2
-        halvings += 1
-        current = fixed_step_propagators(p, grid, frame, substeps)
-        estimate = float(np.max(np.abs(current - previous))) / 3.0
-        if estimate <= target or halvings >= max_halvings:
-            return current, halvings, estimate
-        previous = current
+    """The midpoint certification ladder from its definition: one step per
+    cell over the cells merged four and two at a time, where each merge
+    exists, then 1, 2, 4, ... steps per cell.  A level is accepted once a
+    third of its change from the previous level, on the grid nodes both hold,
+    is within ``target`` and the previous change is at least twice as large
+    or within its round-off floor; the last level of the budget is returned
+    regardless.  ``(propagators, halvings, estimate)``."""
+    cells = propagators._cells(p, grid)
+    rungs = [cells]
+    while len(rungs) < 3 and (coarse := merged_cells(p, grid, rungs[0])) is not None:
+        rungs.insert(0, coarse)
+    ladder = [(1 - len(rungs) + k, rung, 1) for k, rung in enumerate(rungs)]
+    ladder += [(halvings, cells, 1 << halvings) for halvings in range(1, max_halvings + 1)]
+    previous = last = None
+    for halvings, rung, substeps in ladder:
+        current = fixed_step_propagators(p, grid, frame, substeps, cells=rung)
+        nodes = rung[0][rung[2]]
+        if previous is not None:
+            shared = np.isin(nodes, previous_nodes)
+            change = float(np.max(np.abs(current[shared] - previous)))
+            estimate = change / 3.0
+            in_regime = last is not None and (last[0] >= 2.0 * change or last[0] <= last[1])
+            if (estimate <= target and in_regime) or halvings == max_halvings:
+                return current, halvings, estimate
+            last = (change, propagators._ROUNDOFF_PER_STEP * rung[1].size * substeps)
+        previous, previous_nodes = current, nodes
 
 
 @pytest.mark.parametrize("theta", [0.0, THETA_PERPENDICULAR])
@@ -107,6 +142,41 @@ def test_regime_gate_defers_a_pre_asymptotic_level():
     assert np.max(np.abs(traj.propagators - levels[64])) <= target
 
 
+def test_midpoint_regime_gate_defers_a_pre_asymptotic_level():
+    # eight cells against a fast drive at a general angle: the changes from
+    # the cells merged four at a time to those merged two at a time and on to
+    # the cells themselves do not yet halve, and the second estimate would
+    # pass the target while understating the true error of that level
+    p = SystemParams(1.0, 0.5, 0.1, 0.7, Harmonic(2.0, 1.0, 3.0, 0.3))
+    grid = TimeGrid(0.0, 10.0, 8)
+    target = 0.5
+    cells = propagators._cells(p, grid)
+    half = merged_cells(p, grid, cells)
+    quarter = merged_cells(p, grid, half)
+    levels = [fixed_step_propagators(p, grid, Frame.LAB, cells=rung)
+              for rung in (quarter, half, cells)]
+    d1 = np.max(np.abs(levels[1][::2] - levels[0]))
+    d2 = np.max(np.abs(levels[2][::2] - levels[1]))
+    deep = fixed_step_propagators(p, grid, Frame.LAB, 256)
+    assert d1 / d2 < 2.0 and d2 / 3.0 <= target
+    assert np.max(np.abs(levels[2] - deep)) > target
+
+    traj = reference_propagate(p, grid, E2, tol_per_time=target / grid.duration)
+    assert traj.scheme == "midpoint"
+    assert traj.halvings >= 1
+    assert np.max(np.abs(traj.propagators - deep)) <= target
+
+
+def test_a_budget_too_small_to_show_a_shrink_certifies_nothing():
+    # one cell cannot merge, so a one-halving budget makes two levels and one
+    # change: its estimate is within the generous target, but no level
+    # certifies without a previous change to compare
+    p = SystemParams(1.0, 0.5, 0.1, 0.7, Harmonic(2.0, 0.3, 0.5, 0.3))
+    with pytest.raises(ToleranceNotMet, match="show no 2-fold shrink") as info:
+        reference_propagate(p, TimeGrid(0.0, 4.0, 1), E2, tol_per_time=0.1, max_halvings=1)
+    assert halvings_reached(info.value) == 1
+
+
 def test_roundoff_floor_certifies_a_long_constant_field():
     # level changes of a constant field are pure round-off, ~0.5 eps per step,
     # so their ratio shows no regime; a small budget keeps a miss cheap
@@ -141,19 +211,41 @@ def test_midpoint_stall_stops_early():
 
 
 def test_roundoff_change_certifies_no_target_below_the_floor():
-    # a constant field: the coarse level squares its step once and the fine
-    # level multiplies the same two half steps, so the levels agree bit for bit
+    # a constant field: the cells merged four and two at a time and the cells
+    # themselves give levels that differ by round-off only, so the level on
+    # the grid's own cells is the first that can certify, or stall
     p = SystemParams(1.0, 0.5, 0.1, 0.7, Constant(2.0))
     grid = TimeGrid(0.0, 10.0, 100)
-    coarse, fine = (fixed_step_propagators(p, grid, Frame.LAB, m) for m in (1, 2))
-    assert np.array_equal(coarse, fine)
-    floor_estimate = propagators._ROUNDOFF_PER_STEP * grid.n_steps * 2 / 3.0
+    rungs = [propagators._cells(p, grid)]
+    for _ in range(2):
+        rungs.insert(0, merged_cells(p, grid, rungs[0]))
+    quarter, half, own = (fixed_step_propagators(p, grid, Frame.LAB, cells=rung)
+                          for rung in rungs)
+    first, second = (float(np.max(np.abs(fine[::2] - coarse)))
+                     for coarse, fine in ((quarter, half), (half, own)))
+    floors = [propagators._ROUNDOFF_PER_STEP * steps for steps in (50, 100)]
+    assert first <= floors[0] and second <= floors[1]
+    floor_estimate = floors[1] / 3.0
+    with pytest.raises(ToleranceNotMet, match="round-off floor") as info:
+        reference_propagate(p, grid, E2, tol_per_time=0.5 * floor_estimate / grid.duration)
+    assert halvings_reached(info.value) == 0
+    traj = reference_propagate(p, grid, E2, tol_per_time=2.0 * floor_estimate / grid.duration)
+    assert (traj.scheme, traj.halvings, traj.error_estimate) == ("midpoint", 0, second / 3.0)
+    assert traj.propagators.tobytes() == own.tobytes()
+
+
+def test_roundoff_stall_holds_when_the_change_vanishes():
+    # a constant field on one cell, which has nothing to merge with: the
+    # levels of 1 and 2 steps per cell agree bit for bit, and a vanishing
+    # change still certifies nothing below the floor's own estimate
+    p = SystemParams(1.0, 0.5, 0.1, 0.7, Constant(2.0))
+    grid = TimeGrid(0.0, 10.0, 1)
+    one, two = (fixed_step_propagators(p, grid, Frame.LAB, m) for m in (1, 2))
+    assert np.array_equal(one, two)
+    floor_estimate = propagators._ROUNDOFF_PER_STEP * 2 / 3.0
     with pytest.raises(ToleranceNotMet, match="round-off floor") as info:
         reference_propagate(p, grid, E2, tol_per_time=0.5 * floor_estimate / grid.duration)
     assert halvings_reached(info.value) == 1
-    traj = reference_propagate(p, grid, E2, tol_per_time=2.0 * floor_estimate / grid.duration)
-    assert (traj.scheme, traj.halvings, traj.error_estimate) == ("midpoint", 1, 0.0)
-    assert traj.propagators.tobytes() == fine.tobytes()
 
 
 def assert_midpoint_fallback(p, grid, frame, tol_per_time, max_halvings):
@@ -259,12 +351,15 @@ def test_magnus_reference_within_midpoint_certificate(theta, zeta, a_par, a_perp
        zeta=st.floats(-0.5, 0.5),
        a_par=st.floats(0.2, 2.0),
        a_perp=st.floats(0.2, 2.0),
-       profile=tabulated_profiles(CERTIFICATE_GRID) | smooth_profiles())
-def test_midpoint_reference_within_its_certificate(theta, zeta, a_par, a_perp, profile):
-    # the general-angle ladder: its accepted level is within the target of a
-    # fixed-step run two halvings deeper
+       n_steps=st.sampled_from([60, 7, 13, 59, 61]),
+       data=st.data())
+def test_midpoint_reference_within_its_certificate(theta, zeta, a_par, a_perp, n_steps,
+                                                   data):
+    # the general-angle ladder, on even and odd cell counts: its accepted
+    # level is within the target of a fixed-step run two halvings deeper
+    grid = TimeGrid(CERTIFICATE_GRID.t_start, CERTIFICATE_GRID.t_end, n_steps)
+    profile = data.draw(tabulated_profiles(grid) | smooth_profiles())
     p = SystemParams(a_par, a_perp, zeta, theta, profile)
-    grid = CERTIFICATE_GRID
     tol_per_time = 1e-8
     midpoint = reference_propagate(p, grid, E2, tol_per_time=tol_per_time)
     assert midpoint.scheme == "midpoint"

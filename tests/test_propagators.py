@@ -39,6 +39,7 @@ from spinpair.propagators import (
     _block_generators,
     _block_nodes,
     _cells,
+    _coarsen,
     _matrix_scan,
     _pair_scan,
     fixed_step_propagators,
@@ -439,8 +440,6 @@ def test_block_generators_property(theta, a_par, a_perp, zeta, profile, times):
         for blocks, pair in zip(lab, ((eps[1], eps[2]), (eps[0], eps[3]))):
             np.testing.assert_allclose(np.linalg.eigvalsh(blocks[k]), np.sort(pair),
                                        rtol=0, atol=1e-11)
-    if p.is_parallel and a_perp == 0.0:
-        return  # gapless at zero field: the frame is not defined
     frame = block_generator_matrices(p, _block_generators(p, Frame.ADIABATIC, times))
     for k, t in enumerate(times):
         snap = effective_hamiltonian(p, float(t))
@@ -655,27 +654,19 @@ def knotted_drive(knots, grid):
     return Tabulated(samples, 3.0 + 0.8 * np.sin(1.3 * samples))
 
 
-_STACK_SETUPS = st.one_of(
-    st.tuples(st.sampled_from([0.0, THETA_PERPENDICULAR]),
-              st.sampled_from([Frame.LAB, Frame.ADIABATIC]), st.sampled_from([2, 4]),
-              st.sampled_from([1, 5, 24, 1 << 17])),
-    # a general angle exponentiates the 4x4 generator with ``_expm4``, which
-    # takes its squaring count from the largest 1-norm in its batch: a level
-    # run in other chunks may differ in the last bits, so only the default
-    # chunk size is compared there
-    st.tuples(st.floats(0.1, 1.4), st.just(Frame.LAB), st.just(2),
-              st.just(propagators._CHUNK_SUBSTEPS)),
-)
+_STACK_SETUPS = st.tuples(st.sampled_from([0.0, THETA_PERPENDICULAR]),
+                          st.sampled_from([Frame.LAB, Frame.ADIABATIC]),
+                          st.sampled_from([2, 4]), st.sampled_from([1, 5, 24, 1 << 17]))
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(setup=_STACK_SETUPS, levels=st.integers(1, 3), substeps=st.sampled_from([4, 8]),
        n_steps=st.integers(1, 6), drive=st.one_of(_ANALYTIC_PROFILES, _TABULATED_KNOTS))
 def test_fused_levels_match_single_level_calls(setup, levels, substeps, n_steps, drive):
-    """The levels of one stacked call, at the special orientations run in
-    chunks small enough to cut the fused pass anywhere, equal the single-level
-    calls at the default chunk size bit for bit, so the reference certifies
-    exactly what a ladder of single levels would."""
+    """The levels of one stacked call, run in chunks small enough to cut the
+    fused pass anywhere, equal the single-level calls at the default chunk
+    size bit for bit, so the reference certifies exactly what a ladder of
+    single levels would."""
     theta, frame, order, chunk = setup
     grid = TimeGrid(0.0, 4.0, n_steps)
     if isinstance(drive, list):
@@ -716,18 +707,30 @@ def test_block_determinant_is_the_closed_form_phase(theta, frame, order, levels,
         assert np.max(np.abs(det - np.exp(-2j * d * t))) <= 64 * 4 * np.finfo(float).eps
 
 
-def test_gapless_lab_reference_runs_without_a_frame():
-    """a_perp = 0 with the field along the axis closes the central gap at zero
-    field: the frame is undefined, but the lab blocks and their phases need no
-    gap, so the lab reference runs and carries no frame companion."""
-    p = params(0.0, LinearRamp(-2.0, 1.0), a_perp=0.0)
-    traj = reference_propagate(p, TimeGrid(0.0, 4.0, 40), E2)
-    assert traj.rotations is None and traj.adiabatic_states is None
-    assert traj.scheme == "magnus4"
-    # the central block is diagonal with a_perp = 0: |+-> keeps its population
-    # and picks up exp(-i int (-a_par + omega (1 - zeta) / 2) dt), where the
-    # field omega = -2 + t integrates to 0 over [0, 4]
-    np.testing.assert_allclose(traj.states[-1], np.exp(4.0j) * E2, rtol=0, atol=1e-12)
+@pytest.mark.parametrize("theta, a_par, a_perp", [
+    (0.0, 1.0, 0.0), (THETA_PERPENDICULAR, -0.5, 0.5)], ids=["along", "across"])
+def test_uncoupled_central_pair_runs_with_its_frame(theta, a_par, a_perp):
+    """The central coupling vanishes at a_perp = 0 along the axis and at
+    a_par = -a_perp across it, and the central splitting omega (1 - zeta)
+    crosses zero with the field in both.  The uncoupled block keeps its bare
+    basis, so both runs carry their frame companion: |+-> keeps its
+    population and picks up exp(-i int (d + omega (1 - zeta) / 2) dt), where
+    the field omega = -2 + t integrates to 0 over [0, 4] and the offset d is
+    -a_par along the axis and -a_perp across it."""
+    p = params(theta, LinearRamp(-2.0, 1.0), a_par=a_par, a_perp=a_perp)
+    assert block_constants(p)[0][0] == 0.0
+    grid = TimeGrid(0.0, 4.0, 40)
+    lab = reference_propagate(p, grid, E2)
+    frame = reference_propagate(p, grid, E2, Frame.ADIABATIC)
+    assert lab.scheme == frame.scheme == "magnus4"
+    offset = block_constants(p)[2][0]
+    for traj in (lab, frame):
+        assert traj.rotations is not None
+        np.testing.assert_array_equal(traj.rotations[:, 1:3, 1:3],
+                                      np.broadcast_to(np.eye(2), (41, 2, 2)))
+        np.testing.assert_allclose(traj.states[-1], np.exp(-4.0j * offset) * E2,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(traj.adiabatic_states, traj.states, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("theta", [0.0, THETA_PERPENDICULAR], ids=["parallel", "perpendicular"])
@@ -752,7 +755,7 @@ def test_reference_is_continuous_across_the_orientation_switch(theta, drive):
 
 
 @pytest.mark.parametrize("theta, substeps, levels", [
-    (0.0, 2, 3), (0.0, 2, 0)], ids=["deeper", "empty"])
+    (0.0, 2, 3), (0.0, 2, 0), (0.7, 2, 2)], ids=["deeper", "empty", "general"])
 def test_fused_levels_reject_a_stack_they_cannot_run(theta, substeps, levels):
     p = params(theta, TanhRamp(3.0, 2.0, 4.0))
     with pytest.raises(ValueError, match="levels"):
@@ -760,22 +763,114 @@ def test_fused_levels_reject_a_stack_they_cannot_run(theta, substeps, levels):
 
 
 @pytest.mark.parametrize("theta, tol_per_time, halvings, first_pass", [
-    (0.7, 1e-3, 1, (2, 2)), (0.0, 1e-6, 2, (4, 3))], ids=["midpoint", "magnus4"])
-def test_first_pass_is_one_stacked_call(monkeypatch, theta, tol_per_time, halvings,
-                                        first_pass):
-    """A scheme of order p takes its first p/2 + 1 levels from one call."""
+    (0.7, 1e-3, 0, [(1, None, 10), (1, None, 20), (1, None, 40)]),
+    (0.0, 1e-6, 2, [(4, 3, 40)])], ids=["midpoint", "magnus4"])
+def test_first_pass_makes_three_levels(monkeypatch, theta, tol_per_time, halvings,
+                                       first_pass):
+    """The Magnus ladder takes its first three levels from one fused call, the
+    midpoint ladder from one call on each of its three cell sets: the cells
+    merged four and two at a time, then the cells themselves."""
     calls = []
     original = propagators.fixed_step_propagators
 
     def counting(p, grid, frame, substeps=1, order=2, **kwargs):
-        calls.append((substeps, kwargs.get("levels")))
+        calls.append((substeps, kwargs.get("levels"), kwargs["cells"][1].size))
         return original(p, grid, frame, substeps, order, **kwargs)
 
     monkeypatch.setattr(propagators, "fixed_step_propagators", counting)
     traj = reference_propagate(params(theta, TanhRamp(3.0, 2.0, 4.0)),
                                TimeGrid(0.0, 4.0, 40), E2, tol_per_time=tol_per_time)
     assert traj.halvings == halvings
-    assert calls == [first_pass]
+    assert calls == first_pass
+
+
+def knot_grid(n_steps, on_nodes, inside):
+    """A tabulated drive over ``[0, n_steps]`` with knots on the grid nodes
+    ``on_nodes`` and at the times ``inside`` (within the cells), and its grid."""
+    grid = TimeGrid(0.0, float(n_steps), n_steps)
+    knots = np.union1d(grid.times()[list(on_nodes)], inside)
+    samples = np.concatenate([[0.0], knots, [float(n_steps)]])
+    return Tabulated(samples, 3.0 + 0.8 * np.sin(1.3 * samples)), grid
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(n_steps=st.integers(1, 13), data=st.data())
+def test_coarsen_merges_inside_each_knot_interval(n_steps, data):
+    """Odd cell counts and knot intervals of one to three cells among them:
+    a coarse cell spans two consecutive cells of one knot interval, or three
+    as the last of an odd one, so every knot and both ends stay edges and the
+    widths sum to the cells' own; one single-cell interval leaves no set."""
+    on_nodes = data.draw(st.lists(st.integers(1, max(1, n_steps - 1)), max_size=3,
+                                  unique=True)) if n_steps > 1 else []
+    inside = data.draw(st.lists(st.integers(0, n_steps - 1).map(lambda k: k + 0.4),
+                                max_size=3, unique=True))
+    drive, grid = knot_grid(n_steps, on_nodes, inside)
+    p = params(0.7, drive)
+    cells = _cells(p, grid)
+    edges, widths, on_grid, at_knot = cells
+    breaks = [0, *np.flatnonzero(at_knot), widths.size]
+    assert np.array_equal(edges[at_knot], drive.knots)
+    coarse = _coarsen(cells)
+    if min(np.diff(breaks)) < 2:
+        assert coarse is None
+        return
+    coarse_edges, coarse_widths, coarse_on_grid, coarse_at_knot = coarse
+    starts = np.searchsorted(edges, coarse_edges)
+    assert np.array_equal(edges[starts], coarse_edges)
+    assert set(breaks) <= set(starts.tolist())
+    spans = np.diff(starts)
+    assert np.all((spans == 2) | (spans == 3))
+    # a three-cell step closes an odd knot interval
+    ends = starts[1:][spans == 3]
+    assert set(ends.tolist()) <= set(breaks)
+    for k, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
+        total = 0.0
+        for w in widths[lo:hi]:
+            total += w
+        assert coarse_widths[k] == total
+    assert math.fsum(coarse_widths) == pytest.approx(math.fsum(widths), rel=1e-15)
+    assert np.array_equal(coarse_on_grid, on_grid[starts])
+    assert np.array_equal(coarse_at_knot, at_knot[starts])
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.7, THETA_PERPENDICULAR])
+def test_coarse_cells_step_once_per_merged_cell(theta):
+    """A level on the merged cells is one midpoint step per merged cell, with
+    the rows at the grid nodes among its edges."""
+    drive, grid = knot_grid(13, [4], [8.4])
+    p = params(theta, drive)
+    for cells in (_coarsen(_cells(p, grid)), _coarsen(_coarsen(_cells(p, grid)))):
+        nodes = fixed_step_propagators(p, grid, Frame.LAB, cells=cells)
+        expected = expm_nodes(p, grid, cells[0], Frame.LAB, 1, 2)
+        assert nodes.shape == (np.count_nonzero(cells[2]), 4, 4)
+        assert np.max(np.abs(nodes - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_steps, inside, rungs", [
+    (1, [], 0), (2, [], 1), (3, [], 1), (1, [0.3, 0.6], 0), (4, [1.3, 1.6], 0)],
+    ids=["1", "2", "3", "1-two-knots", "4-two-knots"])
+def test_rungs_that_cannot_coarsen_never_certify_from_a_zero_change(n_steps, inside,
+                                                                    rungs):
+    """Without a merge there is no coarse rung, so no level repeats another
+    and no change is zero by construction.  A level certifies only with a
+    previous change to compare, so the ladder's fourth level, halving ``2 -
+    rungs``, is the first that can pass.  Even against a generous target the
+    accepted level has a nonzero estimate and lies within the target of a run
+    four halvings deeper."""
+    grid = TimeGrid(0.0, 4.0, n_steps)
+    samples = np.concatenate([[0.0], inside, [4.0]])
+    p = params(0.7, Tabulated(samples, 2.0 + 0.3 * np.sin(samples)) if inside
+               else Harmonic(2.0, 0.3, 0.5, 0.3))
+    cells = _cells(p, grid)
+    half = _coarsen(cells)
+    assert (half is not None) + (half is not None and _coarsen(half) is not None) == rungs
+    target = 1e-2
+    traj = reference_propagate(p, grid, E2, tol_per_time=target / grid.duration)
+    assert traj.scheme == "midpoint"
+    assert traj.halvings >= 2 - rungs
+    assert traj.error_estimate > 0.0
+    deeper = fixed_step_propagators(p, grid, Frame.LAB, 16 << traj.halvings)
+    assert np.max(np.abs(traj.propagators - deeper)) <= target
 
 
 def test_roundoff_stall_at_the_first_halving_keeps_its_message():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -86,6 +88,20 @@ def test_kink_off_dyadic_points_fails_after_refine_limit():
     with pytest.raises(QuadratureFailure):
         cumulative_integral(kink, np.array([0.0, 0.5, 1.0]))
     assert levels == [2 ** k for k in range(REFINE_LIMIT + 1)]
+
+
+def test_overflowing_integrand_fails_quietly():
+    # running phases over a span near the largest float overflow, and their
+    # sines are nan: no level stabilizes, and numpy does not warn of it
+    edges = np.array([0.0, 1e308, 1.7e308])
+
+    def phase_sine(nodes):
+        return np.sin(1e10 * nodes * nodes)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureFailure):
+            cumulative_integral(phase_sine, edges)
 
 
 @pytest.mark.parametrize("n_steps", [2, 4])

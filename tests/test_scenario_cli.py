@@ -1,5 +1,7 @@
+import contextlib
 import copy
 import dataclasses
+import io
 import json
 import math
 import os
@@ -16,7 +18,7 @@ import spinpair.scenario
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from split_quad import first_order_block
 
@@ -581,6 +583,27 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "out" / "comparison.csv").exists()
 
+    @pytest.mark.parametrize("command", ["compare", "validate"])
+    def test_uncoupled_central_pair_runs_on_either_side_of_the_axis(self, tmp_path,
+                                                                   command):
+        # the central coupling 2 a_perp + delta is 0 in both systems: one gap
+        # rule gives them the same exit and a report each
+        runs = {}
+        for name, system in (("along", {"a_par": 1.0, "a_perp": 0.0,
+                                        "orientation": "parallel"}),
+                             ("across", {"a_par": -0.5, "a_perp": 0.5,
+                                         "orientation": "perpendicular"})):
+            config = base_config(system=dict(system, zeta=0.1),
+                                 profile={"kind": "linear", "omega_start": -2.0,
+                                          "rate": 1.0},
+                                 grid={"t_start": 0.0, "t_end": 4.0, "n_steps": 40})
+            out = tmp_path / name
+            code = main([command, "--config", str(self.write(tmp_path, config)),
+                         "--out", str(out), "--quiet"])
+            runs[name] = (code, sorted(path.name for path in out.iterdir()))
+        assert runs["along"] == runs["across"]
+        assert runs["along"][0] == 0
+
     def test_compare_requires_comparison_output(self, tmp_path):
         path = self.write(tmp_path, base_config(outputs=["trajectory"]))
         code = main(["compare", "--config", str(path),
@@ -952,6 +975,92 @@ def test_parse_config_fuzz(name, data, value):
     if isinstance(cfg.params.profile, Tabulated):
         assert np.all(np.isfinite(cfg.params.profile.times))
         assert np.all(np.isfinite(cfg.params.profile.omegas))
+
+
+# finite magnitudes from the largest double down to the smallest subnormal
+_MAGNITUDES = st.sampled_from([0.0, 5e-324, 2.2e-308, 1e-150, 1e-8, 0.5, 1.0, 3.0,
+                               1e8, 1e150, 1e300, 1.7e308]) | st.floats(0.0, 1e3)
+_FINITE = st.tuples(_MAGNITUDES, st.booleans()).map(lambda x: -x[0] if x[1] else x[0])
+
+
+@st.composite
+def run_documents(draw):
+    """A shipped scenario with some of its numbers replaced by finite values
+    of extreme magnitude, a numeric angle now and then, a grid of 1-60 steps
+    and a budget of 1-5 halvings."""
+    doc = copy.deepcopy(draw(st.sampled_from(list(FUZZ_BASES.values()))))
+    for path in list(_value_paths(doc)):
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if (path and not isinstance(parent[path[-1]], bool)
+                and isinstance(parent[path[-1]], (int, float))
+                and path[-1] not in ("n_steps", "seed") and draw(st.booleans())):
+            parent[path[-1]] = draw(_FINITE)
+    if draw(st.booleans()):
+        doc["system"]["orientation"] = draw(_FINITE | st.floats(0.0, math.pi))
+    doc["grid"]["n_steps"] = draw(st.integers(1, 60))
+    doc["integrator"] = {"max_halvings": draw(st.integers(1, 5)),
+                         "tol_per_time": draw(st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3]))}
+    return doc
+
+
+def _fuzz_found(name, system=None, profile=None, grid=None, **top):
+    """The shipped scenario ``name`` with the given sections replaced."""
+    doc = copy.deepcopy(SHIPPED[f"{name}.json"])
+    for key, value in (("system", system), ("profile", profile), ("grid", grid)):
+        if value is not None:
+            doc[key] = dict(doc[key], **value)
+    return dict(doc, **top)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(doc=run_documents())
+# documents the search found numpy warnings on, one per site
+@example(doc=_fuzz_found(  # a ramp timescale whose t / tau overflows
+    "oblique_propagate", profile={"amplitude": 2.2e-308, "tau": 2.2e-308},
+    grid={"n_steps": 2}, integrator={"max_halvings": 2, "tol_per_time": 1e-3}))
+@example(doc=_fuzz_found(  # a ramp whose peak rate amplitude / tau overflows
+    "oblique_propagate", system={"orientation": "perpendicular"},
+    profile={"amplitude": -1e8, "tau": 5e-324}, grid={"n_steps": 21},
+    integrator={"max_halvings": 1, "tol_per_time": 1e-12}))
+@example(doc=_fuzz_found(  # running phases over a span near the largest float
+    "constant_parallel", profile={"omega0": 2.2e-308}, system={"a_par": 2.2e-308},
+    grid={"t_end": 1.7e308, "n_steps": 51},
+    integrator={"max_halvings": 1, "tol_per_time": 1e-9}))
+@example(doc=_fuzz_found(  # sample times whose differences overflow
+    "tabulated_compare", profile={"times": [0.0, 2.0, 1e-150, -1.7e308, 1.7e308, 5.0,
+                                            1.7e308]},
+    grid={"n_steps": 2}, integrator={"max_halvings": 2, "tol_per_time": 1e-9}))
+@example(doc=_fuzz_found(  # a field whose square overflows in max_eta
+    "oblique_propagate", profile={"omega_mid": 1e300}, grid={"t_end": -3.0, "n_steps": 30},
+    integrator={"max_halvings": 5, "tol_per_time": 1e-9}))
+@example(doc=_fuzz_found(  # a central coupling whose square underflows at zero field
+    "lz_sweep", system={"a_perp": 2.2e-308}, grid={"n_steps": 1},
+    integrator={"max_halvings": 1, "tol_per_time": 1e-12}))
+def test_run_path_fuzz(tmp_path_factory, doc):
+    """Every subcommand on a finite document ends in a documented exit (0, 2,
+    3 or 4) with at most one line on stderr and no numpy warning; a failed
+    run leaves no output directory, except the report of a validation whose
+    checks fail."""
+    root = tmp_path_factory.mktemp("fuzz")
+    path = root / "scenario.json"
+    path.write_text(json.dumps(doc))
+    for command in ("propagate", "compare", "sweep", "validate"):
+        out = root / command
+        stderr = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("error")
+            code = main([command, "--config", str(path), "--out", str(out), "--quiet"])
+        message = stderr.getvalue()
+        assert code in (0, 2, 3, 4), (command, code, message)
+        assert message.count("\n") <= 1, (command, message)
+        if code != 0 and out.exists():
+            # failed checks: the report says which, and the exit says so
+            report = json.loads((out / "validation.json").read_text())
+            assert command == "validate" and code == 3 and not report["all_pass"]
+        elif code != 0:
+            assert message.endswith("\n"), (command, code)
 
 
 class TestScipyFreeRuntime:
