@@ -126,6 +126,12 @@ class Trajectory:
     frame rotations ``T(t_k)`` that relate the two (``states[k] = rotations[k]
     @ adiabatic_states[k]``); both are ``None`` at any other orientation.
     ``propagators`` are in the frame the run was integrated in.
+    ``error_estimate`` is the Richardson estimate the accepted level
+    certified on: the largest change of the node propagators from the level
+    before, over ``2**order - 1``, taken on the grid nodes both levels hold.
+    At ``halvings`` 0 the level before steps over merged cells, so that is
+    every other node, or fewer next to a three-cell step; the rows at the
+    other nodes are not compared.
     """
 
     grid: TimeGrid
@@ -440,13 +446,16 @@ def reference_propagate(params: SystemParams, grid: TimeGrid, psi0: np.ndarray,
     rule opens on one step per cell over the cells merged four and two at a
     time (``_coarsen``; a merge that would cross a knot is left out) and over
     the cells themselves, each pair of levels compared on the grid nodes they
-    share.  Each later halving makes one call.  ``halvings`` is log2 of the
-    kept level's steps per cell, 0 on the grid's own cells, and at most
-    ``max_halvings``.  From that level on, a change at the round-off floor
-    raises ``ToleranceNotMet`` at once when the floor over ``2**order - 1``
-    is above target, and so does a change that is not finite.  ``psi0`` is
-    interpreted in ``frame``.  A budget that ``check_budget`` rejects raises
-    ``ValueError`` before the first level.
+    share (``Trajectory.error_estimate``).  A grid with no merge, one cell or
+    a knot interval of one cell, gets no coarse rung, so ``max_halvings`` 1
+    leaves it two levels, too few to certify: that raises ``ToleranceNotMet``
+    before the first level.  Each later halving makes one call.
+    ``halvings`` is log2 of the kept level's steps per cell, 0 on the grid's
+    own cells, and at most ``max_halvings``.  From that level on, a change at
+    the round-off floor raises ``ToleranceNotMet`` at once when the floor
+    over ``2**order - 1`` is above target, and so does a change that is not
+    finite.  ``psi0`` is interpreted in ``frame``.  A budget that
+    ``check_budget`` rejects raises ``ValueError`` before the first level.
     """
     check_budget(tol_per_time, max_halvings)
     psi0 = np.asarray(psi0, dtype=complex).reshape(4)
@@ -469,6 +478,13 @@ def reference_propagate(params: SystemParams, grid: TimeGrid, psi0: np.ndarray,
             top, rungs = 0, [cells]
             while len(rungs) < 3 and (coarse := _coarsen(rungs[0])) is not None:
                 rungs.insert(0, coarse)
+            if len(rungs) + max_halvings < 3:
+                raise ToleranceNotMet(
+                    f"max_halvings {max_halvings} gives the midpoint rule two levels "
+                    f"on a grid without a coarse rung (a single cell, or a knot "
+                    f"interval of one cell), one change, which cannot show its "
+                    f"{ratio}-fold shrink: such a grid needs max_halvings >= 2"
+                )
             first = [fixed_step_propagators(params, grid, frame, cells=rung) for rung in rungs]
         # (halvings, node rows, cell set) of each level, coarsest first
         ladder = itertools.chain(
@@ -476,7 +492,7 @@ def reference_propagate(params: SystemParams, grid: TimeGrid, psi0: np.ndarray,
             ((halvings, fixed_step_propagators(params, grid, frame, 1 << halvings,
                                                order=order, cells=cells), cells)
              for halvings in range(top + 1, max_halvings + 1)))
-        previous = last_change = None
+        previous, last_change, last_floor = None, math.inf, 0.0
         for halvings, current, level in ladder:
             floor = _ROUNDOFF_PER_STEP * level[1].size * (1 << max(halvings, 0))
             if previous is not None:
@@ -487,7 +503,9 @@ def reference_propagate(params: SystemParams, grid: TimeGrid, psi0: np.ndarray,
                                                      previous_level[0][previous_level[2]])]
                 change = float(np.max(np.abs(shared - previous)))
                 estimate = change / (2 ** order - 1)
-                in_regime = last_change is not None and (
+                # the first change has none before it, and a change that is
+                # not finite, such as a coarse rung's overflow, shows no shrink
+                in_regime = math.isfinite(last_change) and (
                     last_change >= ratio * change or last_change <= last_floor)
                 # a change within the floor is round-off: it certifies no
                 # estimate below the floor's own, even when it happens to vanish

@@ -167,14 +167,33 @@ def test_midpoint_regime_gate_defers_a_pre_asymptotic_level():
     assert np.max(np.abs(traj.propagators - deep)) <= target
 
 
-def test_a_budget_too_small_to_show_a_shrink_certifies_nothing():
-    # one cell cannot merge, so a one-halving budget makes two levels and one
-    # change: its estimate is within the generous target, but no level
-    # certifies without a previous change to compare
-    p = SystemParams(1.0, 0.5, 0.1, 0.7, Harmonic(2.0, 0.3, 0.5, 0.3))
-    with pytest.raises(ToleranceNotMet, match="show no 2-fold shrink") as info:
-        reference_propagate(p, TimeGrid(0.0, 4.0, 1), E2, tol_per_time=0.1, max_halvings=1)
-    assert halvings_reached(info.value) == 1
+@pytest.mark.parametrize("theta, profile, n_steps", [
+    (0.7, Harmonic(2.0, 0.3, 0.5, 0.3), 1),
+    (0.0, Tabulated(np.linspace(0.0, 4.0, 13), 2.0 + 0.3 * np.sin(np.linspace(0.0, 4.0, 13))),
+     6),
+    (THETA_PERPENDICULAR, Tabulated([0.0, 0.3, 0.6, 4.0], [2.0, 2.1, 2.3, 2.2]), 8)],
+    ids=["one-cell", "parallel-dense-samples", "perpendicular-two-knots-in-a-cell"])
+def test_a_budget_too_small_to_show_a_shrink_is_rejected_before_the_first_level(
+        monkeypatch, theta, profile, n_steps):
+    """A grid the midpoint ladder cannot coarsen (one cell, or a knot interval
+    of one cell) and a one-halving budget make two levels and one change,
+    which no target certifies: the run says so before it steps, at the special
+    orientations too, where that budget selects the midpoint rule.  The
+    default budget certifies it against the same generous target."""
+    p = SystemParams(1.0, 0.5, 0.1, theta, profile)
+    grid = TimeGrid(0.0, 4.0, n_steps)
+    assert propagators._coarsen(propagators._cells(p, grid)) is None
+
+    def no_level(*args, **kwargs):
+        raise AssertionError("a level was computed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(propagators, "fixed_step_propagators", no_level)
+        with pytest.raises(ToleranceNotMet, match=r"max_halvings 1 .* one change, .* "
+                                                  r"2-fold shrink: .* max_halvings >= 2"):
+            reference_propagate(p, grid, E2, tol_per_time=0.1, max_halvings=1)
+    traj = reference_propagate(p, grid, E2, tol_per_time=0.1)
+    assert traj.scheme == ("midpoint" if theta == 0.7 else "magnus4")
 
 
 def test_roundoff_floor_certifies_a_long_constant_field():

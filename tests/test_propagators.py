@@ -873,6 +873,52 @@ def test_rungs_that_cannot_coarsen_never_certify_from_a_zero_change(n_steps, ins
     assert np.max(np.abs(traj.propagators - deeper)) <= target
 
 
+@pytest.mark.parametrize("theta, drive, grid", [
+    (0.7, *knot_grid(13, [4], [8.4])),
+    (0.7, Harmonic(2.0, 0.5, 0.7, 0.3), TimeGrid(0.0, 20.0, 61)),
+    (1.2, Harmonic(2.0, 0.5, 0.7, 0.3), TimeGrid(0.0, 20.0, 61)),
+    (0.7, TanhRamp(3.0, 2.0, 4.0), TimeGrid(-10.0, 10.0, 60)),
+    (1.2, TanhRamp(3.0, 2.0, 4.0), TimeGrid(-10.0, 10.0, 60))],
+    ids=["knots-13", "harmonic-0.7", "harmonic-1.2", "tanh-0.7", "tanh-1.2"])
+def test_grid_cell_certificate_holds_at_the_nodes_it_does_not_compare(theta, drive, grid):
+    """At 0 halvings the change is taken only on the nodes the half rung
+    keeps.  With the target at the estimate itself, the rows at the other
+    nodes, next to a three-cell step too, are within it of a run four
+    halvings deeper."""
+    p = params(theta, drive)
+    estimate = reference_propagate(p, grid, E2, tol_per_time=1.0).error_estimate
+    target = estimate * (1.0 + 1e-9)
+    traj = reference_propagate(p, grid, E2, tol_per_time=target / grid.duration)
+    half = _coarsen(_cells(p, grid))
+    unshared = ~np.isin(grid.times(), half[0][half[2]])
+    assert traj.halvings == 0 and traj.error_estimate == estimate
+    assert np.count_nonzero(unshared) >= grid.n_steps // 2
+    deeper = fixed_step_propagators(p, grid, Frame.LAB, 16)
+    assert np.max(np.abs(traj.propagators - deeper)[unshared]) <= target
+
+
+def test_a_coarse_rung_that_overflows_shows_no_shrink(monkeypatch):
+    """A coarse rung whose steps overflow, stood in for by rows of inf, makes
+    the first change infinite, which shows no shrink: the grid's own cells do
+    not certify off it however close they are to the half rung, and the
+    first halving, with two finite changes to compare, does."""
+    p = params(0.7, Harmonic(2.0, 0.3, 0.5, 0.3))
+    grid = TimeGrid(0.0, 4.0, 8)
+    original = propagators.fixed_step_propagators
+
+    def overflowing(p, grid, frame, substeps=1, order=2, **kwargs):
+        nodes = original(p, grid, frame, substeps, order, **kwargs)
+        if kwargs["cells"][1].size == 2:  # the quarter rung
+            nodes[1:] = np.inf
+        return nodes
+
+    assert reference_propagate(p, grid, E2, tol_per_time=1.0).halvings == 0
+    monkeypatch.setattr(propagators, "fixed_step_propagators", overflowing)
+    traj = reference_propagate(p, grid, E2, tol_per_time=1.0)
+    assert traj.halvings == 1
+    assert math.isfinite(traj.error_estimate)
+
+
 def test_roundoff_stall_at_the_first_halving_keeps_its_message():
     # a constant field: the Magnus levels differ by round-off only, so the
     # fused first pass stalls at halving 1 and reports the two levels it compared

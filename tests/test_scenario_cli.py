@@ -704,6 +704,31 @@ class TestCli:
         assert message.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["propagate", "compare"])
+    def test_one_halving_budget_on_a_grid_without_a_coarse_rung_exits_3(
+            self, tmp_path, capsys, command):
+        # samples denser than the grid leave knot intervals of one cell, so
+        # the midpoint ladder that a one-halving budget selects has two
+        # levels: the run names the budget it needs before it steps
+        config = base_config(
+            profile={"kind": "tabulated", "times": [0.0, 0.3, 0.6, 0.9, 5.0],
+                     "omegas": [2.0, 2.1, 2.3, 2.2, 2.6]},
+            grid={"t_start": 0.0, "t_end": 5.0, "n_steps": 10},
+            integrator={"max_halvings": 1, "tol_per_time": 1e-3})
+        out = tmp_path / "out"
+        code = main([command, "--config", str(self.write(tmp_path, config)),
+                     "--out", str(out), "--quiet"])
+        assert code == 3
+        message = capsys.readouterr().err
+        assert message.startswith("compute error [spinpair.errors.ToleranceNotMet]")
+        assert "needs max_halvings >= 2" in message
+        assert message.count("\n") == 1
+        assert not out.exists()
+        config["integrator"]["max_halvings"] = 2
+        code = main([command, "--config", str(self.write(tmp_path, config)),
+                     "--out", str(out), "--quiet"])
+        assert code == 0
+
     @pytest.mark.parametrize("change", [
         {"system": {"a_par": 1.0, "a_perp": 1.7e308, "zeta": 0.1,
                     "orientation": "perpendicular"}},
