@@ -4,7 +4,9 @@ Usage: ``spinpair <subcommand> --config <path> --out <dir> [--format csv|json]
 [--quiet]``; ``validate`` writes JSON only.  Physics lives in the config file;
 flags only select paths and formats.  No environment variables are consulted.
 
-Exit codes: 0 success, 2 config error, 3 compute error, 4 I/O error.
+Exit codes: 0 success, 2 config error, 3 compute error (a failed validation
+check included), 4 I/O error.  Once the flags parse, every non-zero exit
+prints one line to stderr.
 """
 
 from __future__ import annotations
@@ -67,7 +69,11 @@ def main(argv=None) -> int:
             if args.out:
                 write_outputs(Path(args.out), "json", report,
                               name="validation.json")
-            return EXIT_OK if report["all_pass"] else EXIT_COMPUTE
+            if report["all_pass"]:
+                return EXIT_OK
+            failed = [name for name, entry in report["checks"].items() if not entry["pass"]]
+            print(f"validation failed: {', '.join(failed)}", file=sys.stderr)
+            return EXIT_COMPUTE
         if args.command == "sweep":
             run_sweep(config, Path(args.out), fmt=args.format, quiet=args.quiet)
             return EXIT_OK

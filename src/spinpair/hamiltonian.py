@@ -151,18 +151,41 @@ def static_matrix(params: SystemParams) -> np.ndarray:
     return k.real.copy()
 
 
+# (P, K) of the most recently used system constants, oldest first, keyed by
+# the exact bits of (a_par, a_perp, zeta, theta): 0.0 and -0.0 differ
+_CONSTANT_MATRICES: dict = {}
+_CONSTANT_MATRICES_KEPT = 32
+
+
+def constant_matrices(params: SystemParams) -> tuple:
+    """``(field_coupling_matrix(params), static_matrix(params))``, built once
+    per set of system constants and read-only."""
+    key = tuple(map(float.hex, (params.a_par, params.a_perp, params.zeta, params.theta)))
+    pair = _CONSTANT_MATRICES.pop(key, None)
+    if pair is None:
+        pair = (field_coupling_matrix(params), static_matrix(params))
+        for matrix in pair:
+            matrix.flags.writeable = False
+        if len(_CONSTANT_MATRICES) >= _CONSTANT_MATRICES_KEPT:
+            del _CONSTANT_MATRICES[next(iter(_CONSTANT_MATRICES))]
+    _CONSTANT_MATRICES[key] = pair
+    return pair
+
+
 def build_hamiltonian(params: SystemParams, t) -> np.ndarray:
     """H(t) = omega(t) * P + K in the product basis; real symmetric by
     construction."""
     w, _ = params.profile.evaluate(t)
-    return w * field_coupling_matrix(params) + static_matrix(params)
+    coupling, static = constant_matrices(params)
+    return w * coupling + static
 
 
 def hamiltonian_batch(params: SystemParams, times: np.ndarray) -> np.ndarray:
     """Stacked H(t_k) for an array of times, shape ``(len(times), 4, 4)``."""
     w, _ = params.profile.evaluate(np.asarray(times, dtype=float))
     w = np.atleast_1d(np.asarray(w, dtype=float))
-    return w[:, None, None] * field_coupling_matrix(params) + static_matrix(params)
+    coupling, static = constant_matrices(params)
+    return w[:, None, None] * coupling + static
 
 
 def closed_eigenvalues(params: SystemParams, t) -> tuple:

@@ -62,9 +62,9 @@ _INTEGRATOR_KEYS = {"tol_per_time", "max_halvings"}
 _SWEEP_KEYS = {"parameter", "values"}
 _OUTPUT_KINDS = ("trajectory", "comparison", "propagator")
 _CSV_BLOCK = 1 << 12  # values the CSV writer formats at once
-# the decimal exponents X = floor(log10 |v|) of the finite doubles, and the
-# powers 10^k, k = 16 - X, that scale them to 17 digits
-_CSV_EXPONENTS, _CSV_POWERS = (-324, 309), (-292, 341)
+# the decimal exponents X = floor(log10 |v|) of the finite doubles, which
+# index the CSV writer's tables
+_CSV_EXPONENTS = (-324, 309)
 # summary entries a sweep tabulates per point, those a point has
 _SWEEP_COLUMNS = ("survival_probability", "max_eta", "final_infidelity_zeroth",
                   "final_infidelity_first", "final_beta_sq_central", "lz_prediction")
@@ -342,16 +342,29 @@ def _write_csv_tables(out_dir: Path, tables: dict, stacks: dict) -> None:
 
 @functools.cache
 def _csv_tables() -> dict:
-    """The CSV writer's lookup tables, built on first use: ``powers``, 10^k
-    * 2^7 for k in ``_CSV_POWERS`` rounded to 64 significant bits (None where
-    ``np.longdouble`` has fewer); ``groups``, each 4-digit group as 8 bytes,
-    every digit followed by a 0xFF point slot; ``last``, the place (1-4) of
-    each group's last nonzero digit, 0 for 0000; ``templates``, for X in
-    -4..16 and the place (0-16) of the last nonzero digit, the AND mask of a
-    value's 48 byte slots; ``exponents``, the last 8 slots for each X."""
+    """The CSV writer's lookup tables, built on first use.  A table over the
+    decimal exponents X is indexed by X itself, a negative X counting from
+    the end as a Python index does.
+
+    ``powers``: 10^(16 - X) * 2^7 rounded to 64 significant bits, None where
+    ``np.longdouble`` has fewer.  ``decides``: at X * 128 + f, whether a
+    truncated fraction of f/128 settles the rounding of the digits.
+    ``heads``: at 2 X + p, slots 0-7 of a value: an empty sign slot, the
+    "0.000" prefix of X in -4..-1, a "0" lead digit, and a point if p for X
+    = 0 and exponent notation, always for X in 1..15 (to be moved or
+    dropped).  ``exponents``: slots 24-31,
+    the exponent of X outside -4..16 and a ",".  ``groups``: each 4-digit
+    group as the low 4 bytes of a word, and from row 10000 on without its
+    trailing zeros; ``groups_high``, the same in the high 4 bytes.  For X in
+    1..16: ``units``, 10^(16 - X), the place value of digit X;
+    ``point_moves``, at 2 X + p, the source slot of each slot, with a point
+    after digit X if p; ``integer_zeros``, a "0" in each slot that then
+    holds a digit before the point.
+    """
     extended = np.finfo(np.longdouble).nmant == 63
+    exponents = np.roll(np.arange(*_CSV_EXPONENTS), _CSV_EXPONENTS[0])
     mants, shifts = [], []
-    for k in range(*_CSV_POWERS):
+    for k in (16 - exponents).tolist():
         num, den = (10 ** k << 7, 1) if k >= 0 else (1 << 7, 10 ** -k)
         cut = num.bit_length() - den.bit_length() - 64
         num, den = (num, den << cut) if cut >= 0 else (num << -cut, den)
@@ -361,53 +374,75 @@ def _csv_tables() -> dict:
         shifts.append(cut)
     powers = (np.ldexp(np.array(mants, np.uint64).astype(np.longdouble), shifts)
               if extended else None)
+    # fractions in doubt (see _format_rows): 64 where 10^k * 2^7 = 5^k *
+    # 2^(k + 7) is exact (5^k < 2^64 for k = 16 - X in 0..27), else 63-65
+    exact = (exponents >= -11) & (exponents <= 16)
+    decides = np.abs(np.arange(128) - 64) > np.where(exact, 0, 1)[:, None]
+    # heads of X in -4..16; the exponent notation takes that of X = 0
+    heads = []
+    for x in range(-4, 17):
+        prefix = "0." + "0" * (-1 - x) if x < 0 else ""
+        for point in (False, True):
+            dot = "." if (point and x == 0) or 1 <= x <= 15 else "\0"
+            heads.append("\0" + prefix.rjust(5, "\0") + "0" + dot)
+    heads = np.frombuffer("".join(heads).encode(), "<u8").reshape(-1, 2)
+    fixed = (exponents >= -4) & (exponents <= 16)
+    tails = "".join(("" if x else f"e{e:+03d}").ljust(5, "\0") + ",\0\0"
+                    for e, x in zip(exponents.tolist(), fixed.tolist()))
     chars = np.arange(10000, dtype=np.uint16)[:, None] // np.uint16([1000, 100, 10, 1])
     chars = (chars % 10 + ord("0")).astype(np.uint8)
-    groups = np.full((10000, 4, 2), 0xFF, np.uint8)
-    groups[:, :, 0] = chars
+    # the bare group keeps the digits up to its last one that is not "0"
     nonzero = chars != ord("0")
     last = np.where(nonzero.any(axis=1), 4 - np.argmax(nonzero[:, ::-1], axis=1), 0)
-    last = last.astype(np.uint8)
-    # slots: sign, "0.000" prefix, 17 digit-and-point pairs, exponent,
-    # separator, 2 spare; the point follows digit p unless the digits end there
-    digit, point = np.arange(17), np.arange(-1, 17)[:, None, None]
-    last_digit = digit[:, None]
-    keep = np.zeros((18, 17, 48), np.uint8)
-    keep[..., 0] = 0xFF
-    keep[..., 6:40:2] = 0xFF * (digit <= np.maximum(point, last_digit))
-    keep[..., 7:41:2] = ord(".") * ((digit == point) & (last_digit > point))
-    # X in -4..16 prints in fixed notation, from a "0.000" prefix where X < 0;
-    # any other X prints as X = 0 does, with its exponent
-    fixed = np.arange(-4, 17)
-    prefixes = "".join(("\0" + "0." + "0" * (-1 - x) if x < 0 else "").ljust(48, "\0")
-                       for x in fixed)
-    templates = keep[np.maximum(fixed, -1) + 1]
-    templates |= np.frombuffer(prefixes.encode(), np.uint8).reshape(-1, 1, 48)
-    exponents = "".join(("" if -4 <= x <= 16 else f"e{x:+03d}").ljust(8, "\0")
-                        for x in range(*_CSV_EXPONENTS))
-    return dict(extended=extended, powers=powers, last=last,
-                groups=groups.reshape(-1, 8).view("<u8").ravel(),
-                templates=templates.reshape(-1, 8).view("<u8").reshape(-1, 6),
-                exponents=np.frombuffer(exponents.encode(), "<u8"))
+    bare = chars * (np.arange(4) < last[:, None])
+    groups = np.concatenate([chars, bare]).view("<u4").ravel().astype(np.uint64)
+    # X in 1..15: digits 1..X move from slots 8..7 + X to 7..6 + X, and slot
+    # 7 + X takes the point (slot 7) or nothing (slot 31); X = 16 stays
+    slot, places = np.arange(32), np.arange(17)[:, None]
+    point_moves = np.tile(slot, (17, 2, 1))
+    for x in range(1, 16):
+        point_moves[x, :, 7:7 + x] = np.arange(8, 8 + x)
+        point_moves[x, :, 7 + x] = [31, 7]
+    first = np.where(places < 16, 7, 8)
+    integer_zeros = ord("0") * ((slot >= first) & (slot < first + places))
+    return dict(extended=extended, powers=powers, decides=decides.ravel(),
+                heads=heads[np.where(fixed, exponents + 4, 4)].ravel(),
+                exponents=np.frombuffer(tails.encode(), "<u8"),
+                groups=groups, groups_high=groups << np.uint64(32),
+                units=np.array([10 ** (16 - x) for x in range(17)], np.uint64),
+                point_moves=point_moves.reshape(34, 32),
+                integer_zeros=integer_zeros.astype(np.uint8))
 
 
 def _format_rows(rows: np.ndarray) -> bytes:
     """The CSV lines of ``rows``, a C-contiguous ``(n, width)`` float64
     block: each value as ``'%.17g' % v``, comma-separated.
 
-    |v| * 10^(16 - X) * 2^7, X = floor(log10 |v|), is formed in the extended
-    type and truncated: its top bits are the 17 significant digits D, its
-    low 7 the fraction in 128ths (fixed-precision Ryu printf, Adams, PLDI
-    2019).  The power and the product round once each, by at most 2^-64, so
-    the product is within 1.39/128 of exact and D rounds half-even unless
-    the fraction is 62-65/128.  Such a near tie, a product outside [10^16,
-    10^17) (an X off by one, or a rounding that carries) and a non-finite
-    value take ``'%.17g' % v`` itself (the exact fallback of Grisu3, Loitsch,
-    PLDI 2010); without a 64-bit extended type the whole block is one ``%``
-    call.  A zero prints as 1.0 does with the digit 0.  Each value fills 48
-    byte slots from its digit groups and its ``templates`` mask, or from its
-    text padded with spaces; the zero bytes of unused slots and the spaces
-    are deleted.
+    The extended product C of |v| and 10^(16 - X) * 2^7, X = floor(log10
+    |v|), is truncated: its top bits are the 17 significant digits D, its
+    low 7 the fraction f in 128ths (fixed-precision Ryu printf, Adams, PLDI
+    2019).  C is T, the exact value, rounded once to a multiple of its last
+    place u <= 1, so |C - T| <= u/2, plus T * 2^-64 < 0.7 where the power
+    itself is rounded (X outside -11..16; for k = 16 - X in 0..27, 10^k *
+    2^7 = 5^k * 2^(k + 7) is exact).  With an exact power f = 63 gives C <=
+    64 - u and T < 64, and f = 65 gives T >= 64.5: D rounds half-even by f
+    unless f = 64 (63-65 with a rounded power).  Such a near tie, a product
+    outside [10^16, 10^17) * 2^7 (an X off by one, or a rounding that
+    carries) and a non-finite value take ``'%.17g' % v`` itself (the exact
+    fallback of Grisu3, Loitsch, PLDI 2010); without a 64-bit extended type
+    the whole block is one ``%`` call.  A zero prints as 1.0 does with the
+    digit 0.
+
+    D splits by ``//`` into its lead digit and two 8-digit halves, held as
+    one ``(2, n)`` array so each step is one contiguous pass, and each half
+    into two 4-digit groups.  A value fills 32 byte slots: sign, prefix,
+    lead digit and point from ``heads``; the 16 digits after the lead from
+    ``groups``, a group without its trailing zeros where all later groups
+    are 0000; exponent and separator.  For X in 1..16 the digits up to digit
+    X keep their zeros and, for X <= 15, move one slot toward the lead, with
+    the point after them if a later digit is not zero.  A value that falls
+    back fills slots 0-28 with its text padded with spaces.  The zero bytes
+    of unused slots and the spaces are deleted.
     """
     tables = _csv_tables()
     values = rows.ravel()
@@ -419,40 +454,51 @@ def _format_rows(rows: np.ndarray) -> bytes:
     decided = np.isfinite(x)
     x[zero | ~decided] = 1.0
     exponent = np.floor(np.log10(x)).astype(np.intp)
-    x = x.astype(np.longdouble)
-    scaled = (x * tables["powers"][16 - _CSV_POWERS[0] - exponent]).astype(np.uint64)
-    fraction = scaled & np.uint64(127)
-    digits = ((scaled >> np.uint64(7)) + (fraction >= 64)).astype(np.intp)
-    decided &= ((fraction < 62) | (fraction > 65)) & (scaled >= 10 ** 16 << 7)
-    decided &= digits < 10 ** 17
+    product = tables["powers"][exponent]
+    product *= x
+    scaled = product.astype(np.uint64)
+    decided &= tables["decides"][exponent * 128 + (scaled.view(np.intp) & 127)]
+    # scaled in [10^16, 10^17 - 1/2) * 2^7: D has 17 digits after rounding
+    decided &= scaled - (10 ** 16 << 7) < (9 * 10 ** 16 << 7) - 64
+    digits = (scaled + 64) >> 7
     digits[zero] = 0
-    # D as its lead digit and four 4-digit groups
-    high, low = np.divmod(digits, 10 ** 8)
-    lead, high = np.divmod(high, 10 ** 8)
-    quads = np.empty((len(values), 4), np.intp)
-    quads[:, 0], quads[:, 1] = np.divmod(high, 10000)
-    quads[:, 2], quads[:, 3] = np.divmod(low, 10000)
-    last = 12 + np.take(tables["last"], quads[:, 3])
-    short = np.flatnonzero(last == 12)  # the last group is 0000
-    if short.size:
-        places = np.take(tables["last"], quads[short, :3])
-        last[short] = np.max((places > 0) * (places + [0, 4, 8]), axis=1)
-    fixed = np.where((exponent >= -4) & (exponent <= 16), exponent, 0)
-    words = np.take(tables["templates"], (fixed + 4) * 17 + last, axis=0)
-    words[:, 5] = np.take(tables["exponents"], exponent - _CSV_EXPONENTS[0])
-    words[:, 1:5] &= np.take(tables["groups"], quads)
-    # slots 0-7: the sign, five prefix slots, the lead digit, its point slot
-    words[:, 0] &= (((lead.astype(np.uint64) + np.uint64(0xFF30)) << np.uint64(48))
-                    | np.uint64(0xFFFFFFFFFF00) | np.signbit(values) * np.uint64(ord("-")))
-    text = words.view(np.uint8).reshape(len(values), 48)
+    # D as its lead digit and two 8-digit halves, each two 4-digit groups
+    high = digits // 10 ** 8
+    lead = high // 10 ** 8
+    halves = np.empty((2, len(values)), np.uint64)
+    np.subtract(high, lead * 10 ** 8, out=halves[0])
+    np.subtract(digits, high * 10 ** 8, out=halves[1])
+    upper = (halves // 10 ** 4).view(np.intp)  # groups 1 and 3
+    lower = halves.view(np.intp) - upper * 10 ** 4  # groups 2 and 4
+    # a group loses its trailing zeros (rows 10000 on) when every later
+    # group is 0000
+    lower[1] += 10000
+    lower[0] += (halves[1] == 0) * 10000
+    upper += (lower == 10000) * 10000
+    words = np.empty((len(values), 4), np.uint64)
+    np.bitwise_or(tables["groups"][upper], tables["groups_high"][lower],
+                  out=words[:, 1:3].T)
+    # group 1 is bare 0000 exactly when no digit follows the lead
+    head = tables["heads"][exponent * 2 + (upper[0] != 10000)]
+    head |= lead << 48
+    np.bitwise_or(head, np.signbit(values) * np.uint64(ord("-")), out=words[:, 0])
+    words[:, 3] = tables["exponents"][exponent]
+    words.reshape(*rows.shape, 4)[:, -1, 3] ^= (ord(",") ^ ord("\n")) << 40
+    text = words.view(np.uint8)
+    # X in 1..16 (fixed notation past the lead digit): digits 1..X keep
+    # their zeros and move one slot toward the lead, and the point follows
+    # them if a later digit is not zero
+    fixed = np.flatnonzero((exponent - 1).view(np.uintp) < 16)
+    if fixed.size:
+        places = exponent[fixed]
+        point = digits[fixed] % tables["units"][places] != 0
+        moves = tables["point_moves"][places * 2 + point] + 32 * fixed[:, None]
+        text[fixed] = text.ravel()[moves] | tables["integer_zeros"][places]
     fallback = np.flatnonzero(~decided)
     if fallback.size:
-        texts = "%-48.17g" * fallback.size % tuple(values[fallback].tolist())
-        text[fallback] = np.frombuffer(texts.encode(), np.uint8).reshape(-1, 48)
-    slots = text.reshape(*rows.shape, 48)
-    slots[:, :, 45] = ord(",")
-    slots[:, -1, 45] = ord("\n")
-    return text.tobytes().translate(None, b"\0 ")
+        texts = "%-29.17g" * fallback.size % tuple(values[fallback].tolist())
+        text[fallback, :29] = np.frombuffer(texts.encode(), np.uint8).reshape(-1, 29)
+    return words.tobytes().translate(None, b"\0 ")
 
 
 def _amplitude_columns(prefix: str, states: np.ndarray) -> dict:

@@ -12,6 +12,7 @@ from spinpair.hamiltonian import (
     SystemParams,
     build_hamiltonian,
     closed_eigenvalues,
+    constant_matrices,
     field_coupling_matrix,
     hamiltonian_batch,
     static_matrix,
@@ -154,6 +155,33 @@ def test_generator_is_real_symmetric(theta, a_par, a_perp, zeta):
               hamiltonian_batch(p, np.linspace(-5.0, 5.0, 6))):
         assert h.dtype == np.float64
         assert np.array_equal(h, np.swapaxes(h, -1, -2))
+
+
+_CONSTANT_SETS = st.tuples(
+    st.sampled_from([1.0, 0.0, -0.0, 2.5]), st.sampled_from([0.5, 0.0, -0.0]),
+    st.sampled_from([0.1, 0.0, -0.0]),
+    st.sampled_from([0.0, 0.7, THETA_PERPENDICULAR]))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(sets=st.lists(_CONSTANT_SETS, min_size=2, max_size=6))
+def test_constant_matrices_are_built_once_per_set_of_constants(sets):
+    # interleaved calls over sets that may differ only in the sign of a
+    # zero: each batch is bit for bit the direct build of its own set, the
+    # same set returns the same cached pair, and no two sets share one
+    times = np.linspace(-5.0, 5.0, 6)
+    seen = {}
+    for constants in sets + sets[::-1]:
+        p = SystemParams(*constants, TanhRamp(3.0, 2.0, 4.0))
+        w, _ = p.profile.evaluate(times)
+        direct = w[:, None, None] * field_coupling_matrix(p) + static_matrix(p)
+        assert hamiltonian_batch(p, times).tobytes() == direct.tobytes()
+        assert hamiltonian_batch(p, times).tobytes() == direct.tobytes()
+        pair = constant_matrices(p)
+        assert not any(matrix.flags.writeable for matrix in pair)
+        key = np.array(constants).tobytes()
+        assert seen.setdefault(key, pair) is pair
+        assert all(other is not pair for k, other in seen.items() if k != key)
 
 
 def test_params_validation():

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from split_quad import first_order_block
+import writer_values
 
 from spinpair.cli import main
 from spinpair.errors import ConfigError, IoError
@@ -227,11 +228,13 @@ class TestRunScenario:
                 (tmp_path / "b" / name).read_bytes()
 
     def test_table_writer_matches_per_value_format(self, tmp_path):
-        # 2^-25 is a decimal tie at 17 digits, and log10(1e-304) rounds up
-        # to the next decade
+        # 2^-25 and (2^52 + 1) / 8 = 562949953421312.125 are decimal ties at
+        # 17 digits (the second prints as ...12, its neighbours 1/8 away as
+        # ...312 and ...312.25), and log10(1e-304) rounds up to the next decade
         special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -1e300, 0.1,
                    1.0 / 3.0, 2.0 ** 53 + 2.0, -7.0, 2.0 ** -25, 1e-304,
-                   1.7976931348623157e308]
+                   1.7976931348623157e308, (2 ** 52 + 1) / 8, (2 ** 52) / 8,
+                   (2 ** 52 + 2) / 8]
         # enough rows that the table crosses a block boundary of the writer;
         # column j repeats the special values from special[j]
         width = len(special) + 1
@@ -274,17 +277,44 @@ class TestRunScenario:
         assert lines[0] == ",".join(header)
         assert lines[1:] == [",".join("%.17g" % v for v in row) for row in rows.tolist()]
 
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1), width=st.integers(1, 33))
+    def test_table_writer_matches_per_value_format_at_and_beside_ties(self, seed, width):
+        # exact 18-digit ties and their two neighbours, values within
+        # 60-67/128 of a 17-digit tie at every decade from -12 to 17,
+        # 3-digit exponents, subnormals and signed zeros, in rows of any width
+        families = writer_values.families(np.random.default_rng(seed), 48)
+        # the generator selects near ties with the extended product, if any
+        extended = spinpair.scenario._csv_tables()["extended"]
+        for value in families["near_ties"].tolist() if extended else []:
+            exact = abs(Fraction(value))
+            decade = math.floor(math.log10(exact))
+            decade += (exact >= Fraction(10) ** (decade + 1)) - (exact < Fraction(10) ** decade)
+            assert -12 <= decade <= 17
+            assert 60 <= math.floor(exact * Fraction(10) ** (16 - decade) * 128) % 128 <= 67
+        values = np.concatenate(list(families.values()))
+        rows = np.resize(np.random.default_rng(seed).permuted(values),
+                         (-(-len(values) // width), width))
+        lines = spinpair.scenario._format_rows(rows).decode().split("\n")
+        assert lines.pop() == ""
+        assert lines == [",".join("%.17g" % v for v in row) for row in rows.tolist()]
+
     def test_writer_powers_are_rounded_to_nearest(self):
-        # each 10^k * 2^7 of the digit stage within half a unit in the last
-        # place of its 64-bit significand, checked in exact rational arithmetic
+        # each 10^k * 2^7, k = 16 - X, of the digit stage within half a unit
+        # in the last place of its 64-bit significand, checked in exact
+        # rational arithmetic
         tables = spinpair.scenario._csv_tables()
         if not tables["extended"]:
             pytest.skip("no 64-bit extended significand: every value falls back")
-        for k, power in zip(range(*spinpair.scenario._CSV_POWERS), tables["powers"]):
-            mantissa, exponent = np.frexp(power)
+        for x in range(*spinpair.scenario._CSV_EXPONENTS):
+            k = 16 - x
+            mantissa, exponent = np.frexp(tables["powers"][x])
             ulp = Fraction(2) ** (int(exponent) - 64)
             value = int(np.ldexp(mantissa, 64)) * ulp
             assert abs(value - Fraction(10) ** k * 128) <= ulp / 2, k
+            # 5^k < 2^64 for k in 0..27: the narrow tie band rests on these
+            # powers being exact
+            assert (value == Fraction(10) ** k * 128) == (0 <= k <= 27), k
 
     def test_writer_without_extended_type_formats_every_value_per_value(
             self, monkeypatch):
@@ -704,6 +734,31 @@ class TestCli:
         assert message.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("quiet", [True, False], ids=["quiet", "verbose"])
+    def test_failed_validation_names_its_checks_on_stderr(self, tmp_path, capsys, quiet):
+        # the same overflowing a_par fails validation: the exit, the report
+        # and one stderr line say so, with or without --quiet
+        config = json.loads((SCENARIOS / "oblique_propagate.json").read_text())
+        config["system"]["a_par"] = 1.7e308
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["validate", "--config", str(self.write(tmp_path, config)),
+                         "--out", str(out)] + ["--quiet"] * quiet)
+        assert code == 3
+        captured = capsys.readouterr()
+        report = json.loads((out / "validation.json").read_text())
+        failed = {name for name, entry in report["checks"].items() if not entry["pass"]}
+        assert "propagator_unitarity" in failed and not report["all_pass"]
+        assert captured.err.startswith("validation failed: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        named = captured.err[19:-1].split(", ")
+        assert set(named) == failed
+        # in the order the verbose lines list them
+        listed = [line.split()[1].rstrip(":") for line in captured.out.splitlines()
+                  if line.startswith("FAIL")]
+        assert listed == ([] if quiet else named)
+
     @pytest.mark.parametrize("command", ["propagate", "compare"])
     def test_one_halving_budget_on_a_grid_without_a_coarse_rung_exits_3(
             self, tmp_path, capsys, command):
@@ -736,7 +791,8 @@ class TestCli:
     ], ids=["hyperfine", "field"])
     def test_validate_on_overflowing_values_fails_its_checks_quietly(self, tmp_path,
                                                                      capsys, change):
-        # every check whose value is not finite fails; numpy does not warn
+        # every check whose value is not finite fails; numpy does not warn,
+        # and the one stderr line names the failed checks
         config = dict(json.loads((SCENARIOS / "tanh_compare.json").read_text()), **change)
         out = tmp_path / "out"
         with warnings.catch_warnings():
@@ -744,7 +800,9 @@ class TestCli:
             code = main(["validate", "--config", str(self.write(tmp_path, config)),
                          "--out", str(out), "--quiet"])
         assert code == 3
-        assert capsys.readouterr().err == ""
+        message = capsys.readouterr().err
+        assert message.startswith("validation failed: ") and message.count("\n") == 1
+        assert "spectrum_closure" in message
         report = json.loads((out / "validation.json").read_text())
         assert not report["all_pass"]
         assert report["checks"]["spectrum_closure"] == {
@@ -1065,9 +1123,10 @@ def _fuzz_found(name, system=None, profile=None, grid=None, **top):
     integrator={"max_halvings": 1, "tol_per_time": 1e-12}))
 def test_run_path_fuzz(tmp_path_factory, doc):
     """Every subcommand on a finite document ends in a documented exit (0, 2,
-    3 or 4) with at most one line on stderr and no numpy warning; a failed
-    run leaves no output directory, except the report of a validation whose
-    checks fail."""
+    3 or 4) with no numpy warning, nothing on stderr after a success and
+    exactly one line after a failure; a failed run leaves no output
+    directory, except the report of a validation whose checks fail, which
+    its stderr line names."""
     root = tmp_path_factory.mktemp("fuzz")
     path = root / "scenario.json"
     path.write_text(json.dumps(doc))
@@ -1079,13 +1138,17 @@ def test_run_path_fuzz(tmp_path_factory, doc):
             code = main([command, "--config", str(path), "--out", str(out), "--quiet"])
         message = stderr.getvalue()
         assert code in (0, 2, 3, 4), (command, code, message)
-        assert message.count("\n") <= 1, (command, message)
-        if code != 0 and out.exists():
-            # failed checks: the report says which, and the exit says so
+        if code == 0:
+            assert message == "", (command, message)
+            continue
+        assert message.count("\n") == 1 and message.endswith("\n"), (command, message)
+        if out.exists():
+            # failed checks: the report and the stderr line say which
             report = json.loads((out / "validation.json").read_text())
             assert command == "validate" and code == 3 and not report["all_pass"]
-        elif code != 0:
-            assert message.endswith("\n"), (command, code)
+            failed = {name for name, entry in report["checks"].items() if not entry["pass"]}
+            assert message.startswith("validation failed: "), message
+            assert set(message[19:-1].split(", ")) == failed, message
 
 
 class TestScipyFreeRuntime:
