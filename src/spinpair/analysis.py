@@ -121,7 +121,11 @@ def compare_solutions(params: SystemParams, grid: TimeGrid, initial_index: int,
     values.
     """
     params.require_special_orientation()
-    if initial_index not in (0, 1, 2, 3):
+    # a bool or a float would pass ``in (0, 1, 2, 3)`` and then index phi0
+    # wrongly or not at all
+    if (isinstance(initial_index, (bool, np.bool_))
+            or not isinstance(initial_index, (int, np.integer))
+            or initial_index not in (0, 1, 2, 3)):
         raise ValueError("initial_index must be one of 0..3")
 
     phi0 = np.zeros(4, dtype=complex)

@@ -5,8 +5,8 @@ Usage: ``spinpair <subcommand> --config <path> --out <dir> [--format csv|json]
 flags only select paths and formats.  No environment variables are consulted.
 
 Exit codes: 0 success, 2 config error, 3 compute error (a failed validation
-check included), 4 I/O error.  Once the flags parse, every non-zero exit
-prints one line to stderr.
+check included), 4 I/O error.  Every non-zero exit prints one line to
+stderr, a flag error (exit 2) included.
 """
 
 from __future__ import annotations
@@ -30,8 +30,16 @@ EXIT_COMPUTE = 3
 EXIT_IO = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """A flag error exits 2 with one stderr line and no usage text; the
+    subcommand parsers are built from this class too."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spinpair",
         description="Two coupled spins in a time-dependent magnetic field",
     )

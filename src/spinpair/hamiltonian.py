@@ -13,9 +13,11 @@ block-diagonal matrix of the package comes from it.
 
 The Hamiltonian is linear in the drive: ``H(t) = omega(t) * P + K`` with a
 constant field-coupling matrix ``P`` and a constant hyperfine matrix ``K``.
-That split is what the batched propagators rely on.  Both are real symmetric
-at every orientation (the field and the axis lie in the x-z plane, and
-``sigma_y (x) sigma_y`` is real), so every builder here returns ``float64``.
+That split is what the batched propagators rely on.  ``hamiltonian_batch``
+is its one builder, for times of any shape, and it builds P and K on every
+call.  Both are real symmetric at every orientation (the field and the axis
+lie in the x-z plane, and ``sigma_y (x) sigma_y`` is real), so every builder
+here returns ``float64``.
 """
 
 from __future__ import annotations
@@ -27,13 +29,15 @@ import numpy as np
 
 from .errors import UnsupportedOrientation
 from .fields import FieldProfile
-from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, kron2
 
 THETA_PARALLEL = 0.0
 THETA_PERPENDICULAR = math.pi / 2
 # the block layout: product-basis slots of the central (row 0) and corner
 # (row 1) 2x2 blocks, upper level first; every block axis follows this order
 BLOCK_SLOTS = np.array([[1, 2], [0, 3]])
+# sigma.sigma = sum of sigma_i (x) sigma_i: 1 on the triplet, -3 on the singlet
+SIGMA_DOT_SIGMA = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 2.0, 0.0],
+                            [0.0, 2.0, -1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -134,58 +138,34 @@ def static_matrix(params: SystemParams) -> np.ndarray:
 
     For theta in {0, pi/2} each block is its offset plus its coupling from
     ``block_constants``, written by ``block_matrices`` so the block-sparsity
-    zeros are exact; for general theta the matrix is assembled from Pauli
-    tensor products with the axis in the x-z plane (the azimuthal angle is
-    immaterial by axial symmetry).
+    zeros are exact; for general theta it is ``a_perp sigma.sigma + (a_par -
+    a_perp) (sigma.n) (x) (sigma.n)`` with the axis ``n`` in the x-z plane
+    (the azimuthal angle is immaterial by axial symmetry).
     """
     if params.is_special_orientation:
         coupling, _, offset = block_constants(params)
         return block_matrices([[[d, c], [c, d]] for c, d in zip(coupling, offset)])
+    cos, sin = math.cos(params.theta), math.sin(params.theta)
+    axis = np.array([[cos, sin], [sin, -cos]])  # sigma.n, real in the x-z plane
     a_par, a_perp = params.a_par, params.a_perp
-    axis = math.sin(params.theta) * SIGMA_X + math.cos(params.theta) * SIGMA_Z
-    k = a_perp * (
-        kron2(SIGMA_X, SIGMA_X) + kron2(SIGMA_Y, SIGMA_Y) + kron2(SIGMA_Z, SIGMA_Z)
-    )
-    k += (a_par - a_perp) * kron2(axis, axis)
-    # every imaginary part is an exact zero: i * i products of sigma_y only
-    return k.real.copy()
+    return a_perp * SIGMA_DOT_SIGMA + (a_par - a_perp) * np.kron(axis, axis)
 
 
-# (P, K) of the most recently used system constants, oldest first, keyed by
-# the exact bits of (a_par, a_perp, zeta, theta): 0.0 and -0.0 differ
-_CONSTANT_MATRICES: dict = {}
-_CONSTANT_MATRICES_KEPT = 32
-
-
-def constant_matrices(params: SystemParams) -> tuple:
-    """``(field_coupling_matrix(params), static_matrix(params))``, built once
-    per set of system constants and read-only."""
-    key = tuple(map(float.hex, (params.a_par, params.a_perp, params.zeta, params.theta)))
-    pair = _CONSTANT_MATRICES.pop(key, None)
-    if pair is None:
-        pair = (field_coupling_matrix(params), static_matrix(params))
-        for matrix in pair:
-            matrix.flags.writeable = False
-        if len(_CONSTANT_MATRICES) >= _CONSTANT_MATRICES_KEPT:
-            del _CONSTANT_MATRICES[next(iter(_CONSTANT_MATRICES))]
-    _CONSTANT_MATRICES[key] = pair
-    return pair
+def hamiltonian_batch(params: SystemParams, times) -> np.ndarray:
+    """H(t) = omega(t) * P + K at each of ``times``, of any shape: one 4x4
+    matrix for a scalar, a stack of shape ``times.shape + (4, 4)`` for an
+    array.  P and K are built on every call; real symmetric by construction.
+    """
+    w, _ = params.profile.evaluate(times)
+    h = np.asarray(w, dtype=float)[..., None, None] * field_coupling_matrix(params)
+    h += static_matrix(params)  # in place: one stack allocated, not two
+    return h
 
 
 def build_hamiltonian(params: SystemParams, t) -> np.ndarray:
-    """H(t) = omega(t) * P + K in the product basis; real symmetric by
-    construction."""
-    w, _ = params.profile.evaluate(t)
-    coupling, static = constant_matrices(params)
-    return w * coupling + static
-
-
-def hamiltonian_batch(params: SystemParams, times: np.ndarray) -> np.ndarray:
-    """Stacked H(t_k) for an array of times, shape ``(len(times), 4, 4)``."""
-    w, _ = params.profile.evaluate(np.asarray(times, dtype=float))
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    coupling, static = constant_matrices(params)
-    return w[:, None, None] * coupling + static
+    """H(t) = omega(t) * P + K in the product basis: ``hamiltonian_batch`` at
+    ``t``."""
+    return hamiltonian_batch(params, t)
 
 
 def closed_eigenvalues(params: SystemParams, t) -> tuple:

@@ -149,10 +149,19 @@ class TestCompareSolutions:
         pops = populations(traj.states)
         np.testing.assert_allclose(pops.sum(axis=1), 1.0, atol=1e-9)
 
-    def test_invalid_index(self):
+    @pytest.mark.parametrize("index", [4, -1, True, np.bool_(False), 1.0, "1"])
+    def test_invalid_index(self, index):
+        # a bool is an int and 1.0 == 1, yet neither names a basis state
         p = params(0.0, Constant(2.0))
-        with pytest.raises(ValueError):
-            compare_solutions(p, TimeGrid(0.0, 1.0, 10), 4)
+        with pytest.raises(ValueError, match="initial_index"):
+            compare_solutions(p, TimeGrid(0.0, 1.0, 10), index)
+
+    def test_numpy_integer_index_is_accepted(self):
+        p = params(0.0, Constant(2.0))
+        grid = TimeGrid(0.0, 1.0, 10)
+        report = compare_solutions(p, grid, np.int64(1))
+        assert np.array_equal(report.infidelity_first,
+                              compare_solutions(p, grid, 1).infidelity_first)
 
     def test_precomputed_reference_gives_identical_report(self):
         p = params(THETA_PERPENDICULAR, TanhRamp(3.0, 2.0, 4.0))

@@ -8,16 +8,17 @@ from hypothesis import strategies as st
 from spinpair.errors import UnsupportedOrientation
 from spinpair.fields import Constant, TanhRamp
 from spinpair.hamiltonian import (
+    BLOCK_SLOTS,
     THETA_PERPENDICULAR,
     SystemParams,
+    block_constants,
     build_hamiltonian,
     closed_eigenvalues,
-    constant_matrices,
     field_coupling_matrix,
     hamiltonian_batch,
     static_matrix,
 )
-from spinpair.linalg import hermiticity_defect
+from spinpair.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, hermiticity_defect, kron2
 
 HALF_GAP = 0.5 * math.sqrt(7.24)  # central pair at a_perp=0.5, zeta=0.1, omega=2
 
@@ -129,14 +130,6 @@ def test_spectrum_closure_random_draws(theta):
         assert np.max(np.abs(numeric - closed)) <= 1e-12
 
 
-def test_batch_matches_scalar():
-    p = params(0.0)
-    ts = np.linspace(0.0, 3.0, 7)
-    batch = hamiltonian_batch(p, ts)
-    for k, t in enumerate(ts):
-        np.testing.assert_array_equal(batch[k], build_hamiltonian(p, float(t)))
-
-
 @pytest.mark.parametrize("theta", [0.0, THETA_PERPENDICULAR])
 def test_closed_eigenvalues_batch_matches_scalar(theta):
     p = SystemParams(1.0, 0.5, 0.1, theta, TanhRamp(0.5, 2.0, 1.5))
@@ -157,31 +150,49 @@ def test_generator_is_real_symmetric(theta, a_par, a_perp, zeta):
         assert np.array_equal(h, np.swapaxes(h, -1, -2))
 
 
-_CONSTANT_SETS = st.tuples(
-    st.sampled_from([1.0, 0.0, -0.0, 2.5]), st.sampled_from([0.5, 0.0, -0.0]),
-    st.sampled_from([0.1, 0.0, -0.0]),
-    st.sampled_from([0.0, 0.7, THETA_PERPENDICULAR]))
+def reference_static_matrix(p):
+    """K built independently of the module: the block entries of
+    ``block_constants`` at 0 and pi/2, complex Pauli products elsewhere."""
+    if p.is_special_orientation:
+        k = np.zeros((4, 4))
+        coupling, _, offset = block_constants(p)
+        for (i, j), c, d in zip(BLOCK_SLOTS, coupling, offset):
+            k[i, i], k[i, j], k[j, i], k[j, j] = d, c, c, d
+        return k
+    axis = math.sin(p.theta) * SIGMA_X + math.cos(p.theta) * SIGMA_Z
+    k = p.a_perp * (kron2(SIGMA_X, SIGMA_X) + kron2(SIGMA_Y, SIGMA_Y)
+                    + kron2(SIGMA_Z, SIGMA_Z))
+    k += (p.a_par - p.a_perp) * kron2(axis, axis)
+    return k.real.copy()
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(sets=st.lists(_CONSTANT_SETS, min_size=2, max_size=6))
-def test_constant_matrices_are_built_once_per_set_of_constants(sets):
-    # interleaved calls over sets that may differ only in the sign of a
-    # zero: each batch is bit for bit the direct build of its own set, the
-    # same set returns the same cached pair, and no two sets share one
-    times = np.linspace(-5.0, 5.0, 6)
-    seen = {}
-    for constants in sets + sets[::-1]:
-        p = SystemParams(*constants, TanhRamp(3.0, 2.0, 4.0))
-        w, _ = p.profile.evaluate(times)
-        direct = w[:, None, None] * field_coupling_matrix(p) + static_matrix(p)
-        assert hamiltonian_batch(p, times).tobytes() == direct.tobytes()
-        assert hamiltonian_batch(p, times).tobytes() == direct.tobytes()
-        pair = constant_matrices(p)
-        assert not any(matrix.flags.writeable for matrix in pair)
-        key = np.array(constants).tobytes()
-        assert seen.setdefault(key, pair) is pair
-        assert all(other is not pair for k, other in seen.items() if k != key)
+_CONSTANT = st.sampled_from([0.0, -0.0]) | st.floats(-3.0, 3.0)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(a_par=_CONSTANT, a_perp=_CONSTANT, zeta=_CONSTANT,
+       theta=st.sampled_from([0.0, THETA_PERPENDICULAR]) | st.floats(0.0, THETA_PERPENDICULAR),
+       times=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=5))
+def test_one_builder_for_every_time_shape(a_par, a_perp, zeta, theta, times):
+    # bit for bit omega(t) P + K from an independent P and K, signed zeros
+    # included; build_hamiltonian is that batch at any time shape (a length
+    # 4 array must not broadcast against P's columns)
+    p = SystemParams(a_par, a_perp, zeta, theta, TanhRamp(3.0, 2.0, 4.0))
+    times = np.array(times)
+    w, _ = p.profile.evaluate(times)
+    up, um = 0.5 * (1.0 + zeta), 0.5 * (1.0 - zeta)
+    expected = w[:, None, None] * np.diag([up, um, -um, -up]) + reference_static_matrix(p)
+    batch = hamiltonian_batch(p, times)
+    assert batch.shape == times.shape + (4, 4)
+    assert batch.tobytes() == expected.tobytes()
+    for k, t in enumerate(times):
+        single = build_hamiltonian(p, float(t))
+        assert single.shape == (4, 4)
+        assert single.tobytes() == batch[k].tobytes()
+    for shape in (times.shape, (1, times.size)):
+        h = build_hamiltonian(p, times.reshape(shape))
+        assert h.shape == shape + (4, 4)
+        assert h.tobytes() == batch.tobytes()
 
 
 def test_params_validation():

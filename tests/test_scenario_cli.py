@@ -913,13 +913,27 @@ class TestCli:
                               sort_keys=True) + "\n"
         assert (tmp_path / "out" / "validation.json").read_bytes() == expected.encode()
 
-    def test_validate_rejects_format(self, tmp_path):
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate"], "argument command: invalid choice: 'simulate'"),
+        (["propagate", "--config", "{config}"],
+         "the following arguments are required: --out"),
         # validate always writes JSON, so a format flag would be ignored
-        path = self.write(tmp_path, base_config(outputs=["trajectory"]))
+        (["validate", "--config", "{config}", "--format", "csv", "--quiet",
+          "--out", "{out}"], "unrecognized arguments: --format csv"),
+        (["compare", "--config", "{config}", "--out", "{out}", "--format", "xml"],
+         "argument --format: invalid choice: 'xml'"),
+    ], ids=["unknown-subcommand", "missing-flag", "validate-rejects-format", "bad-choice"])
+    def test_flag_error_prints_one_line_and_exits_2(self, tmp_path, capsys, argv,
+                                                    message):
+        config = self.write(tmp_path, base_config())
+        argv = [arg.format(config=config, out=tmp_path / "out") for arg in argv]
         with pytest.raises(SystemExit) as info:
-            main(["validate", "--config", str(path), "--format", "csv", "--quiet",
-                  "--out", str(tmp_path / "out")])
+            main(argv)
         assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert message in captured.err
         assert not (tmp_path / "out").exists()
 
     def test_validate_unwritable_out_is_io_error(self, tmp_path):
