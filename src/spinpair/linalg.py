@@ -6,7 +6,20 @@ assembled: ``expm_unitary`` evaluates a Taylor exponential with scaling and
 squaring in the input's own arithmetic.  Functions accept stacked inputs
 (leading batch dimensions) wherever the propagators benefit from it; scalar
 inputs come back as scalars.  All returned values are freshly allocated, so
-results can be shared freely between threads.
+results can be shared freely between threads; ``complex_form`` alone returns
+a view of its input.
+
+Products of unitary 4x4 stacks run in real 8x8 arithmetic: ``real_form``
+writes each entry ``r + is`` as the block ``[[r, s], [-s, r]]``, so the form
+of a product is the product of the forms, and numpy runs a stack of real 8x8
+products about four times faster than the same stack of complex 4x4 ones (one
+BLAS call per matrix either way).  Row ``2j`` of the form is row ``j`` of the
+matrix itself, read as real pairs, and row ``2j + 1`` is ``1j`` times it, so
+the form is written in two operations and read back as a view
+(``complex_form``).  ``product4`` multiplies complex stacks this way and is
+the one product of the squarings in ``expm_unitary`` and of the propagators'
+within-cell trees; ``multiply_into`` multiplies stacks of forms in place, as
+the propagators' scan over the cells does.
 
 A traceless 2x2 generator is carried as its real Pauli vector ``c`` and an
 SU(2) element as its Cayley-Klein pair ``(a, b)``, the matrix ``[[a, -b*],
@@ -35,6 +48,9 @@ _SINC_COEFFS = [(-1) ** k / math.factorial(2 * k + 1) for k in range(6)]
 # largest 1-norm at which the first omitted term x^12/12! is one unit
 # roundoff; the rest of the tail adds under 2% to it
 _TAYLOR_THETA = (0.5 * np.finfo(float).eps * math.factorial(12)) ** (1.0 / 12.0)
+# matrices per block of the Taylor series and of ``multiply_into``: their
+# temporaries stay near 0.5 MB whatever the batch
+_BLOCK = 512
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -111,17 +127,67 @@ def su2_product(later, earlier):
     return a2 * a1 - np.conj(b2) * b1, b2 * a1 + np.conj(a2) * b1
 
 
+def real_form(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Real 8x8 form of complex 4x4 matrices ``z`` (leading batch dimensions
+    allowed), written into ``out`` when given: entry ``r + is`` becomes the
+    block ``[[r, s], [-s, r]]``, so ``real_form(a @ b) == real_form(a) @
+    real_form(b)`` up to rounding."""
+    if out is None:
+        out = np.empty(z.shape[:-2] + (8, 8))
+    pairs = out.view(complex)  # shape (..., 8, 4): row k holds entries 2k and 2k + 1
+    pairs[..., 0::2, :] = z
+    np.multiply(z, 1j, out=pairs[..., 1::2, :])
+    return out
+
+
+def complex_form(e: np.ndarray) -> np.ndarray:
+    """The complex 4x4 matrices whose ``real_form`` is ``e``, read from its
+    even rows: a view of ``e``, not a copy."""
+    return e[..., 0::2, :].view(complex)
+
+
+def product4(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    """``later @ earlier`` of complex 4x4 stacks in real 8x8 arithmetic: the
+    even rows of ``real_form(later) @ real_form(earlier)``, which depend on
+    the complex operands alone."""
+    later = np.ascontiguousarray(later, dtype=complex)
+    return (later.view(float) @ real_form(earlier)).view(complex)
+
+
+def multiply_into(later: np.ndarray, earlier: np.ndarray) -> None:
+    """``later[...] = later @ earlier[:len(later)]`` for stacks of (real)
+    matrices, over blocks of ``_BLOCK`` matrices, so that no temporary holds
+    more than one block."""
+    earlier = earlier[:len(later)]
+    for start in range(0, len(later), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        later[block] = later[block] @ earlier[block]
+
+
 def _expm4(h: np.ndarray, s: np.ndarray) -> np.ndarray:
     """``exp(-iX) = cos X - i sin X`` for ``X = s h``: both series are
     evaluated in ``Y = X^2`` by Paterson-Stockmeyer (6 matmuls) on ``X`` scaled
     by ``2^-q``, with ``q`` set by the batch's largest 1-norm, and the result
-    is squared ``q`` times.  A norm whose ratio to ``_TAYLOR_THETA`` is not
-    finite takes no squaring: the result is then not finite either, which the
-    caller's checks see."""
+    is squared ``q`` times (``product4``).  The series and the squarings run
+    over blocks of ``_BLOCK`` matrices, every operation matrix by matrix, so
+    the blocks change no value and bound the temporaries.  A norm whose ratio
+    to ``_TAYLOR_THETA`` is not finite takes no squaring: the result is then
+    not finite either, which the caller's checks see."""
     x = s[..., None, None] * h
     ratio = np.max(np.sum(np.abs(x), axis=-2), initial=0.0) / _TAYLOR_THETA
     squarings = max(0, math.ceil(math.log2(ratio))) if ratio and math.isfinite(ratio) else 0
     x *= 0.5 ** squarings
+    u = np.empty(x.shape, dtype=complex)
+    xs, us = x.reshape(-1, 4, 4), u.reshape(-1, 4, 4)
+    for start in range(0, xs.shape[0], _BLOCK):
+        block = slice(start, start + _BLOCK)
+        us[block] = _taylor(xs[block], squarings)
+    return u
+
+
+def _taylor(x: np.ndarray, squarings: int) -> np.ndarray:
+    """The series of ``_expm4`` on a stack of scaled ``X``, squared
+    ``squarings`` times."""
     eye = np.eye(4)
     y = x @ x
     y2 = y @ y
@@ -134,7 +200,7 @@ def _expm4(h: np.ndarray, s: np.ndarray) -> np.ndarray:
     u = np.multiply(x @ series(_SINC_COEFFS), -1j)
     u += series(_COS_COEFFS)
     for _ in range(squarings):
-        u = u @ u
+        u = product4(u, u)
     return u
 
 

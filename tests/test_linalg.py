@@ -4,16 +4,21 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinpair import linalg
 from spinpair.errors import NonHermitianInput, NonNormalizedInput
 from spinpair.linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    complex_form,
     dagger,
     expm_unitary,
     fidelity,
     hermiticity_defect,
     kron2,
+    multiply_into,
+    product4,
+    real_form,
     su2_exp,
     unitarity_defect,
 )
@@ -181,6 +186,47 @@ def test_expm4_matches_scipy(seed, is_complex, log_scales, stacked):
     assert np.all(np.max(np.abs(u - expected), axis=(-2, -1)) <= bound)
     defects = [unitarity_defect(uk) for uk in u]
     assert np.all(np.array(defects) <= bound)
+
+
+class TestRealForm:
+    """The real 8x8 form that every 4x4 product of the propagators runs in."""
+
+    def test_form_is_the_block_matrix_of_each_entry(self):
+        rng = np.random.default_rng(3)
+        z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        blocks = np.block([[np.array([[w.real, w.imag], [-w.imag, w.real]]) for w in row]
+                           for row in z])
+        np.testing.assert_array_equal(real_form(z), blocks)
+        np.testing.assert_array_equal(complex_form(real_form(z)), z)
+
+    @pytest.mark.parametrize("unitary", [True, False])
+    def test_product_matches_complex_matmul(self, unitary):
+        rng = np.random.default_rng(4)
+        a, b = (rng.standard_normal((2, 500, 4, 4)) + 1j * rng.standard_normal((2, 500, 4, 4)))
+        if unitary:
+            a, b = np.linalg.qr(a)[0], np.linalg.qr(b)[0]
+        expected = a @ b
+        scale = np.abs(a) @ np.abs(b)  # bounds every entry's rounding
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(product4(a, b) - expected) <= 4 * eps * scale)
+        assert np.all(np.abs(complex_form(real_form(a) @ real_form(b)) - expected)
+                      <= 4 * eps * scale)
+        assert product4(a, b).shape == (500, 4, 4)
+
+    def test_blocks_change_no_value(self, monkeypatch):
+        # blocked and whole-stack runs make the same per-matrix products
+        rng = np.random.default_rng(5)
+        m = rng.standard_normal((50, 4, 4))
+        h = m + np.swapaxes(m, -1, -2)
+        s = rng.uniform(0.1, 30.0, 50)  # squarings too
+        later, earlier = rng.standard_normal((2, 50, 8, 8))
+        whole_u = expm_unitary(h, s)
+        whole_p = later @ earlier
+        monkeypatch.setattr(linalg, "_BLOCK", 7)
+        product = later.copy()
+        multiply_into(product, np.concatenate([earlier, earlier]))
+        assert np.array_equal(product, whole_p)
+        assert expm_unitary(h, s).tobytes() == whole_u.tobytes()
 
 
 class TestFidelity:

@@ -1,4 +1,6 @@
 import math
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -917,6 +919,102 @@ def test_a_coarse_rung_that_overflows_shows_no_shrink(monkeypatch):
     traj = reference_propagate(p, grid, E2, tol_per_time=1.0)
     assert traj.halvings == 1
     assert math.isfinite(traj.error_estimate)
+
+
+class InPlaceThread:
+    """Stands in for ``threading.Thread``: ``start`` runs the target at once,
+    on the caller's thread."""
+
+    def __init__(self, target, args=()):
+        self.target, self.args = target, args
+
+    def start(self):
+        self.target(*self.args)
+
+    def join(self):
+        pass
+
+
+def recording_levels(monkeypatch):
+    """``(cells, on the main thread)`` of every general-angle level call."""
+    calls = []
+    original = propagators.fixed_step_propagators
+
+    def recording(p, grid, frame, substeps=1, order=2, **kwargs):
+        on_main = threading.current_thread() is threading.main_thread()
+        calls.append((kwargs["cells"][1].size, on_main))
+        return original(p, grid, frame, substeps, order, **kwargs)
+
+    monkeypatch.setattr(propagators, "fixed_step_propagators", recording)
+    return calls
+
+
+@pytest.mark.parametrize("n_steps, drive", [
+    (propagators._WORKER_MIN_CELLS, TanhRamp(3.0, 2.0, 4.0)),
+    (propagators._WORKER_MIN_CELLS + 1, Harmonic(2.0, 0.3, 0.5, 0.3))], ids=["floor", "odd"])
+def test_threaded_first_pass_matches_inline(monkeypatch, n_steps, drive):
+    """From ``_WORKER_MIN_CELLS`` grid cells on, the coarse rungs run on a
+    worker thread beside the grid's own cells, and the trajectory is that of
+    a run with every level on the caller's thread, to the bit.  Which thread
+    enters its first level first is not fixed, so the calls are compared as
+    a set."""
+    p = params(0.7, drive)
+    grid = TimeGrid(0.0, 4.0, n_steps)
+    calls = recording_levels(monkeypatch)
+    threaded = reference_propagate(p, grid, E2, tol_per_time=1e-6)
+    cells = [n_steps // 4, n_steps // 2, n_steps]
+    assert sorted(calls) == [(cells[0], False), (cells[1], False), (cells[2], True)]
+    calls.clear()
+    monkeypatch.setattr(threading, "Thread", InPlaceThread)
+    inline = reference_propagate(p, grid, E2, tol_per_time=1e-6)
+    assert calls == [(size, True) for size in cells]
+    assert (threaded.halvings, threaded.error_estimate) == (inline.halvings, inline.error_estimate)
+    assert threaded.propagators.tobytes() == inline.propagators.tobytes()
+    assert threaded.states.tobytes() == inline.states.tobytes()
+
+
+def test_first_pass_below_the_floor_stays_on_the_callers_thread(monkeypatch):
+    p = params(0.7, TanhRamp(3.0, 2.0, 4.0))
+    calls = recording_levels(monkeypatch)
+    reference_propagate(p, TimeGrid(0.0, 4.0, propagators._WORKER_MIN_CELLS - 1), E2,
+                        tol_per_time=1e-6)
+    assert len(calls) == 3 and all(on_main for _, on_main in calls)
+
+
+def test_overflowing_coarse_rungs_on_the_worker_raise_no_warning(monkeypatch):
+    """The worker runs in a copy of the caller's context, so numpy's error
+    state set around the ladder holds there too: levels whose steps overflow
+    (``h H`` beyond the largest float) end in ToleranceNotMet, and no
+    warning, raised as an error here, escapes the worker."""
+    p = params(0.7, TanhRamp(3.0, 2.0, 4.0), a_par=1.7e308)
+    n_steps = propagators._WORKER_MIN_CELLS
+    calls = recording_levels(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ToleranceNotMet, match="estimate nan"):
+            reference_propagate(p, TimeGrid(0.0, 2.0 * n_steps, n_steps), E2,
+                                tol_per_time=1e-6)
+    assert sorted(on_main for _, on_main in calls) == [False, False, True]
+
+
+def test_an_error_on_the_worker_is_raised_on_the_callers_thread(monkeypatch):
+    """The caller's level runs to its end, the worker is joined, and then the
+    worker's exception is raised on the caller's thread."""
+    p = params(0.7, TanhRamp(3.0, 2.0, 4.0))
+    original = propagators.fixed_step_propagators
+    workers = []
+
+    def failing(p, grid, frame, substeps=1, order=2, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            workers.append(threading.current_thread())
+            raise MemoryError("worker")
+        return original(p, grid, frame, substeps, order, **kwargs)
+
+    monkeypatch.setattr(propagators, "fixed_step_propagators", failing)
+    with pytest.raises(MemoryError, match="worker"):
+        reference_propagate(p, TimeGrid(0.0, 4.0, propagators._WORKER_MIN_CELLS), E2,
+                            tol_per_time=1e-6)
+    assert len(workers) == 1 and not workers[0].is_alive()
 
 
 def test_roundoff_stall_at_the_first_halving_keeps_its_message():
