@@ -49,8 +49,8 @@ from .frames import (
     initial_adiabatic_states,
     mixing_angles,
 )
-from .hamiltonian import SystemParams, build_hamiltonian, closed_eigenvalues
-from .linalg import expm_unitary, fidelity, kron2
+from .hamiltonian import SystemParams, closed_eigenvalues
+from .linalg import expm_unitary, fidelity
 from .propagators import (
     Frame,
     TimeGrid,

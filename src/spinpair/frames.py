@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import SystemParams, block_constants, block_matrices, build_hamiltonian
+from .hamiltonian import SystemParams, block_constants, block_matrices, hamiltonian_batch
 from .linalg import dagger
 
 
@@ -158,7 +158,7 @@ def effective_hamiltonian(params: SystemParams, t: float) -> FrameSnapshot:
     ang = mixing_angles(params, t)
     tmat = frame_unitary(ang)
     g = gauge_term(ang)
-    h = build_hamiltonian(params, t)
+    h = hamiltonian_batch(params, t)
     heff = dagger(tmat) @ h @ tmat - 1j * g
     return FrameSnapshot(
         t=float(t), angles=ang, frame_unitary=tmat, gauge=g, effective_h=heff
@@ -181,7 +181,7 @@ def initial_adiabatic_states(params: SystemParams, t0: float = 0.0):
 def diagonalization_residual(params: SystemParams, t: float) -> float:
     """Largest off-diagonal entry of ``T^dagger H T`` at time ``t``."""
     snap_t = frame_unitary(mixing_angles(params, t))
-    h = build_hamiltonian(params, t)
+    h = hamiltonian_batch(params, t)
     transformed = dagger(snap_t) @ h @ snap_t
     off = transformed - np.diag(np.diag(transformed))
     return float(np.max(np.abs(off)))

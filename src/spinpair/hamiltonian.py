@@ -162,12 +162,6 @@ def hamiltonian_batch(params: SystemParams, times) -> np.ndarray:
     return h
 
 
-def build_hamiltonian(params: SystemParams, t) -> np.ndarray:
-    """H(t) = omega(t) * P + K in the product basis: ``hamiltonian_batch`` at
-    ``t``."""
-    return hamiltonian_batch(params, t)
-
-
 def closed_eigenvalues(params: SystemParams, t) -> tuple:
     """Closed-form spectrum (eps1, eps2, eps3, eps4) at ``t`` for theta in {0, pi/2}.
 

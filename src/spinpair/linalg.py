@@ -71,19 +71,6 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.max(np.abs(dagger(u) @ u - eye)))
 
 
-def kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product lifting two single-spin operators into the pair space.
-
-    The output index convention is row-major: entry ``[2i+k, 2j+l]`` equals
-    ``a[i, j] * b[k, l]``, so the first factor acts on the first spin.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != (2, 2) or b.shape != (2, 2):
-        raise ValueError("kron2 expects two 2x2 matrices")
-    return np.kron(a, b)
-
-
 def _require_hermitian(h: np.ndarray) -> None:
     defect = hermiticity_defect(h)
     if not defect <= EXPM_HERMITIAN_TOL:
@@ -215,8 +202,3 @@ def fidelity(psi: np.ndarray, phi: np.ndarray) -> float:
                 f"{name} deviates from unit norm by {deviation:.3e}"
             )
     return float(abs(np.vdot(psi, phi)) ** 2)
-
-
-def infidelity(psi: np.ndarray, phi: np.ndarray) -> float:
-    """Phase-insensitive error measure ``1 - |<psi|phi>|**2``."""
-    return 1.0 - fidelity(psi, phi)

@@ -74,7 +74,7 @@ from .frames import (
 )
 from .hamiltonian import SystemParams, block_constants, block_matrices, hamiltonian_batch
 from .linalg import (STATE_NORM_TOL, complex_form, expm_unitary, multiply_into, product4,
-                     real_form, su2_exp, su2_product)
+                     real_form, su2_exp, su2_product, unitarity_defect)
 from .quadrature import cumulative_integral, running_integral
 
 _CHUNK_SUBSTEPS = 1 << 17
@@ -315,15 +315,6 @@ def _scan(prefix: np.ndarray) -> np.ndarray:
     return prefix
 
 
-def _matrix_scan(steps: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Running products ``steps[j] ... steps[0] @ start`` of stacked complex
-    4x4 matrices: ``_scan`` over their real 8x8 forms, read back once."""
-    prefix = np.empty((steps.shape[0] + 1, 8, 8))
-    real_form(start, out=prefix[0])
-    real_form(steps, out=prefix[1:])
-    return complex_form(_scan(prefix)[1:])
-
-
 def _full_nodes(params: SystemParams, edges: np.ndarray, widths: np.ndarray,
                 m: int) -> np.ndarray:
     """Node propagators of ``m`` midpoint steps per cell.  Each cell's product
@@ -529,8 +520,9 @@ def reference_propagate(params: SystemParams, grid: TimeGrid, psi0: np.ndarray,
     own cells, and at most ``max_halvings``.  From that level on, a change at
     the round-off floor raises ``ToleranceNotMet`` at once when the floor
     over ``2**order - 1`` is above target, and so does a change that is not
-    finite.  ``psi0`` is interpreted in ``frame``.  A budget that
-    ``check_budget`` rejects raises ``ValueError`` before the first level.
+    finite; so does a kept level whose last node is further from unitary than
+    its certificate allows.  ``psi0`` is interpreted in ``frame``.  A budget
+    that ``check_budget`` rejects raises ``ValueError`` before the first level.
     """
     check_budget(tol_per_time, max_halvings)
     psi0 = np.asarray(psi0, dtype=complex).reshape(4)
@@ -604,6 +596,23 @@ def reference_propagate(params: SystemParams, grid: TimeGrid, psi0: np.ndarray,
                     )
                 last_change, last_floor = change, floor
             previous, previous_level = current, level
+
+    # Every step is unitary in exact arithmetic, so the certificate puts the
+    # kept level's last node U within d = target + floor (truncation plus
+    # round-off) of a unitary V in every entry.  With U = V + E, U^dagger U - 1
+    # = V^dagger E + E^dagger V + E^dagger E, whose entries are at most 2 d +
+    # 2 d + 4 d^2, since a unit 4-vector has 1-norm at most 2.  A larger
+    # defect refutes the certificate: squarings whose round-off drove every
+    # step to zeros give levels that agree exactly and a defect of 1.
+    reach = target + float(floor)  # a Python float: a bound past the largest is inf
+    allowed = 4.0 * reach * (1.0 + reach)
+    defect = unitarity_defect(current[-1])
+    if not defect <= allowed:
+        raise ToleranceNotMet(
+            f"the last node's unitarity defect {defect:.3e} after {halvings} halvings "
+            f"exceeds the {allowed:.3e} its certificate allows: round-off has "
+            f"swamped the steps"
+        )
 
     times = grid.times()
     omega, omega_rate = params.profile.evaluate(times)

@@ -15,8 +15,8 @@ from spinpair.frames import diagonalization_residual, mixing_angles
 from spinpair.hamiltonian import (
     THETA_PERPENDICULAR,
     SystemParams,
-    build_hamiltonian,
     closed_eigenvalues,
+    hamiltonian_batch,
 )
 from spinpair.linalg import dagger, unitarity_defect
 from spinpair.propagators import (
@@ -56,7 +56,7 @@ def random_draws(n=200, seed=2024):
 def test_criterion_1_spectrum_closure():
     worst = 0.0
     for p in random_draws():
-        numeric = np.sort(np.linalg.eigvalsh(build_hamiltonian(p, 0.0)))
+        numeric = np.sort(np.linalg.eigvalsh(hamiltonian_batch(p, 0.0)))
         closed = np.sort(closed_eigenvalues(p, 0.0))
         worst = max(worst, float(np.max(np.abs(numeric - closed))))
     report(1, "numeric spectrum matches closed forms to 1e-12", worst <= 1e-12,

@@ -26,8 +26,8 @@ from spinpair.hamiltonian import (
     THETA_PERPENDICULAR,
     SystemParams,
     block_constants,
-    build_hamiltonian,
     closed_eigenvalues,
+    hamiltonian_batch,
 )
 from spinpair.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, unitarity_defect
 
@@ -204,7 +204,7 @@ class TestDiagonalization:
                 profile=Constant(rng.uniform(0.0, 10.0)),
             )
             tmat = frame_unitary(mixing_angles(p, 0.0))
-            transformed = dagger(tmat) @ build_hamiltonian(p, 0.0) @ tmat
+            transformed = dagger(tmat) @ hamiltonian_batch(p, 0.0) @ tmat
             diag = np.real(np.diag(transformed))
             closed = np.array(closed_eigenvalues(p, 0.0))
             if not block_constants(p)[0][1] >= 0.0:
@@ -277,7 +277,7 @@ class TestInitialStates:
         assert abs(states[0][0]) == pytest.approx(B_PLUS, abs=1e-12)
         assert abs(states[0][3]) == pytest.approx(B_MINUS, abs=1e-12)
         # cross-check against the corner eigenvector of the lab Hamiltonian
-        h = build_hamiltonian(p, 0.0)
+        h = hamiltonian_batch(p, 0.0)
         corner = np.array([[h[0, 0], h[0, 3]], [h[3, 0], h[3, 3]]])
         w, v = np.linalg.eigh(np.real(corner))
         upper = v[:, 1]  # larger eigenvalue column

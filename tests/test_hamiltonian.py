@@ -12,13 +12,12 @@ from spinpair.hamiltonian import (
     THETA_PERPENDICULAR,
     SystemParams,
     block_constants,
-    build_hamiltonian,
     closed_eigenvalues,
     field_coupling_matrix,
     hamiltonian_batch,
     static_matrix,
 )
-from spinpair.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, hermiticity_defect, kron2
+from spinpair.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, hermiticity_defect
 
 HALF_GAP = 0.5 * math.sqrt(7.24)  # central pair at a_perp=0.5, zeta=0.1, omega=2
 
@@ -28,7 +27,7 @@ def params(theta, omega=2.0, a_par=1.0, a_perp=0.5, zeta=0.1):
 
 
 def test_parallel_matrix_entries():
-    h = build_hamiltonian(params(0.0), 0.0)
+    h = hamiltonian_batch(params(0.0), 0.0)
     assert h[0, 0] == pytest.approx(2.1, abs=1e-15)
     assert h[1, 1] == pytest.approx(-0.1, abs=1e-15)
     assert h[2, 2] == pytest.approx(-1.9, abs=1e-15)
@@ -39,7 +38,7 @@ def test_parallel_matrix_entries():
 
 
 def test_parallel_zero_field_limit():
-    h = build_hamiltonian(params(0.0, omega=0.0), 0.0)
+    h = hamiltonian_batch(params(0.0, omega=0.0), 0.0)
     np.testing.assert_allclose(
         h[1:3, 1:3], np.array([[-1.0, 1.0], [1.0, -1.0]]), atol=1e-15
     )
@@ -47,7 +46,7 @@ def test_parallel_zero_field_limit():
 
 
 def test_perpendicular_isotropic_corner_decouples():
-    h = build_hamiltonian(params(THETA_PERPENDICULAR, a_par=0.7, a_perp=0.7, zeta=0.0), 0.0)
+    h = hamiltonian_batch(params(THETA_PERPENDICULAR, a_par=0.7, a_perp=0.7, zeta=0.0), 0.0)
     assert h[0, 3] == 0.0 and h[3, 0] == 0.0
     assert h[1, 2] == pytest.approx(1.4, abs=1e-15)
 
@@ -56,20 +55,20 @@ def test_general_theta_matches_special_cases():
     # force the generic tensor-product assembly path via adjacent angles
     nudged = {0.0: 5e-324, THETA_PERPENDICULAR: np.nextafter(THETA_PERPENDICULAR, 0.0)}
     for theta in (0.0, THETA_PERPENDICULAR):
-        special = build_hamiltonian(params(theta), 1.3)
-        generic = build_hamiltonian(params(nudged[theta]), 1.3)
+        special = hamiltonian_batch(params(theta), 1.3)
+        generic = hamiltonian_batch(params(nudged[theta]), 1.3)
         assert np.max(np.abs(special - generic)) <= 1e-12
 
 
 def test_general_theta_not_block_sparse():
-    h = build_hamiltonian(params(0.7), 0.0)
+    h = hamiltonian_batch(params(0.7), 0.0)
     assert abs(h[0, 1]) > 0.01  # axis cross terms appear away from 0 and pi/2
     assert hermiticity_defect(h) <= 1e-15
 
 
 def test_hermitian_and_traceless():
     for theta in (0.0, 0.4, THETA_PERPENDICULAR):
-        h = build_hamiltonian(params(theta), 0.6)
+        h = hamiltonian_batch(params(theta), 0.6)
         assert hermiticity_defect(h) <= 1e-15
         assert abs(np.trace(h)) <= 1e-12
 
@@ -125,7 +124,7 @@ def test_spectrum_closure_random_draws(theta):
             theta=theta,
             profile=Constant(rng.uniform(0.0, 10.0)),
         )
-        numeric = np.sort(np.linalg.eigvalsh(build_hamiltonian(p, 0.0)))
+        numeric = np.sort(np.linalg.eigvalsh(hamiltonian_batch(p, 0.0)))
         closed = np.sort(closed_eigenvalues(p, 0.0))
         assert np.max(np.abs(numeric - closed)) <= 1e-12
 
@@ -144,7 +143,7 @@ def test_closed_eigenvalues_batch_matches_scalar(theta):
        a_par=st.floats(-3.0, 3.0), a_perp=st.floats(-3.0, 3.0), zeta=st.floats(-1.0, 1.0))
 def test_generator_is_real_symmetric(theta, a_par, a_perp, zeta):
     p = SystemParams(a_par, a_perp, zeta, theta, TanhRamp(3.0, 2.0, 4.0))
-    for h in (field_coupling_matrix(p), static_matrix(p), build_hamiltonian(p, 0.7),
+    for h in (field_coupling_matrix(p), static_matrix(p), hamiltonian_batch(p, 0.7),
               hamiltonian_batch(p, np.linspace(-5.0, 5.0, 6))):
         assert h.dtype == np.float64
         assert np.array_equal(h, np.swapaxes(h, -1, -2))
@@ -160,9 +159,9 @@ def reference_static_matrix(p):
             k[i, i], k[i, j], k[j, i], k[j, j] = d, c, c, d
         return k
     axis = math.sin(p.theta) * SIGMA_X + math.cos(p.theta) * SIGMA_Z
-    k = p.a_perp * (kron2(SIGMA_X, SIGMA_X) + kron2(SIGMA_Y, SIGMA_Y)
-                    + kron2(SIGMA_Z, SIGMA_Z))
-    k += (p.a_par - p.a_perp) * kron2(axis, axis)
+    k = p.a_perp * (np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y)
+                    + np.kron(SIGMA_Z, SIGMA_Z))
+    k += (p.a_par - p.a_perp) * np.kron(axis, axis)
     return k.real.copy()
 
 
@@ -175,8 +174,8 @@ _CONSTANT = st.sampled_from([0.0, -0.0]) | st.floats(-3.0, 3.0)
        times=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=5))
 def test_one_builder_for_every_time_shape(a_par, a_perp, zeta, theta, times):
     # bit for bit omega(t) P + K from an independent P and K, signed zeros
-    # included; build_hamiltonian is that batch at any time shape (a length
-    # 4 array must not broadcast against P's columns)
+    # included, at any time shape: a scalar gives one matrix, and a length 4
+    # array must not broadcast against P's columns
     p = SystemParams(a_par, a_perp, zeta, theta, TanhRamp(3.0, 2.0, 4.0))
     times = np.array(times)
     w, _ = p.profile.evaluate(times)
@@ -186,13 +185,12 @@ def test_one_builder_for_every_time_shape(a_par, a_perp, zeta, theta, times):
     assert batch.shape == times.shape + (4, 4)
     assert batch.tobytes() == expected.tobytes()
     for k, t in enumerate(times):
-        single = build_hamiltonian(p, float(t))
+        single = hamiltonian_batch(p, float(t))
         assert single.shape == (4, 4)
         assert single.tobytes() == batch[k].tobytes()
-    for shape in (times.shape, (1, times.size)):
-        h = build_hamiltonian(p, times.reshape(shape))
-        assert h.shape == shape + (4, 4)
-        assert h.tobytes() == batch.tobytes()
+    h = hamiltonian_batch(p, times.reshape(1, times.size))
+    assert h.shape == (1, times.size, 4, 4)
+    assert h.tobytes() == batch.tobytes()
 
 
 def test_params_validation():

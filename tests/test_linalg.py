@@ -9,13 +9,11 @@ from spinpair.errors import NonHermitianInput, NonNormalizedInput
 from spinpair.linalg import (
     SIGMA_X,
     SIGMA_Y,
-    SIGMA_Z,
     complex_form,
     dagger,
     expm_unitary,
     fidelity,
     hermiticity_defect,
-    kron2,
     multiply_into,
     product4,
     real_form,
@@ -24,53 +22,9 @@ from spinpair.linalg import (
 )
 
 
-def kron_oracle(a, b):
-    """Elementwise tensor product, independent of numpy.kron."""
-    out = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    out[2 * i + k, 2 * j + l] = a[i, j] * b[k, l]
-    return out
-
-
 def random_hermitian(rng, n):
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return m + dagger(m)
-
-
-class TestKron2:
-    def test_sigma_z_identity_is_diagonal(self):
-        np.testing.assert_array_equal(
-            kron2(SIGMA_Z, np.eye(2)), np.diag([1.0, 1.0, -1.0, -1.0])
-        )
-
-    def test_identity_identity(self):
-        np.testing.assert_array_equal(kron2(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_xx_is_antidiagonal_ones(self):
-        expected = np.fliplr(np.eye(4)).astype(complex)
-        np.testing.assert_array_equal(kron2(SIGMA_X, SIGMA_X), expected)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_elementwise_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        np.testing.assert_allclose(kron2(a, b), kron_oracle(a, b), atol=1e-15)
-
-    def test_bilinear(self):
-        rng = np.random.default_rng(3)
-        a, a2, b = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-                    for _ in range(3))
-        np.testing.assert_allclose(
-            kron2(a + a2, b), kron2(a, b) + kron2(a2, b), atol=1e-15
-        )
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            kron2(np.eye(3), np.eye(2))
 
 
 def su2_matrix(c, s):

@@ -30,7 +30,9 @@ from spinpair.linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    complex_form,
     dagger,
+    real_form,
     su2_exp,
     su2_product,
     unitarity_defect,
@@ -42,8 +44,8 @@ from spinpair.propagators import (
     _block_nodes,
     _cells,
     _coarsen,
-    _matrix_scan,
     _pair_scan,
+    _scan,
     fixed_step_propagators,
     frame_rotations,
     full_propagator_paths,
@@ -148,6 +150,15 @@ class TestReferencePropagate:
         with pytest.raises(ToleranceNotMet):
             reference_propagate(p, TimeGrid(0.0, 10.0, 4), E2,
                                 tol_per_time=1e-18, max_halvings=2)
+
+    @pytest.mark.parametrize("a_par, n_steps", [(1e100, 1600), (1e200, 40)])
+    def test_all_zero_propagators_are_not_certified(self, a_par, n_steps):
+        # each step's exponential takes hundreds of squarings, whose round-off
+        # leaves every step all zeros: the levels agree exactly, and the last
+        # node's unitarity defect of 1 refutes their certificate
+        p = params(0.7, TanhRamp(3.0, 2.0, 4.0), a_par=a_par)
+        with pytest.raises(ToleranceNotMet, match=r"unitarity defect 1\.000e\+00"):
+            reference_propagate(p, TimeGrid(0.0, 4.0, n_steps), E2, tol_per_time=1e-6)
 
     @pytest.mark.parametrize("key, value", [
         ("max_halvings", 0), ("max_halvings", -3), ("max_halvings", 2.0),
@@ -547,19 +558,19 @@ class TestBlockNativePropagation:
 
 
 class TestFullGeneratorPropagation:
-    def test_matrix_scan_matches_sequential_product(self):
+    def test_scan_matches_sequential_product(self):
         rng = np.random.default_rng(5)
-        start, *steps = np.linalg.qr(rng.standard_normal((71, 4, 4))
-                                     + 1j * rng.standard_normal((71, 4, 4)))[0]
-        steps = np.array(steps)
-        for length in range(1, 71):  # 1, 2, primes and perfect squares among them
-            expected, u = [], start
-            for step in steps[:length]:
+        for length in range(1, 18):  # powers of two, their neighbours and the rest
+            units = np.linalg.qr(rng.standard_normal((length, 4, 4))
+                                 + 1j * rng.standard_normal((length, 4, 4)))[0]
+            expected, u = [], np.eye(4)
+            for step in units:
                 u = step @ u
                 expected.append(u)
-            scanned = _matrix_scan(steps[:length], start)
-            assert scanned.shape == (length, 4, 4)
-            np.testing.assert_allclose(scanned, np.array(expected), rtol=0.0, atol=1e-13)
+            prefix = real_form(units)
+            assert _scan(prefix) is prefix  # in place
+            np.testing.assert_allclose(complex_form(prefix), np.array(expected),
+                                       rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize("chunk", [1 << 17, 12, 5])
     @pytest.mark.parametrize("substeps", [1, 2, 8])

@@ -734,6 +734,26 @@ class TestCli:
         assert message.count("\n") == 1
         assert not out.exists()
 
+    def test_all_zero_general_angle_run_exits_3(self, tmp_path, capsys):
+        # a finite a_par whose 4x4 steps take hundreds of squarings: their
+        # round-off leaves every step all zeros, so the levels agree exactly,
+        # and the last node's unitarity defect of 1 refutes that certificate
+        config = json.loads((SCENARIOS / "oblique_propagate.json").read_text())
+        config["system"]["a_par"] = 1e200
+        config["grid"] = {"t_start": 0.0, "t_end": 4.0, "n_steps": 40}
+        config["integrator"] = {"tol_per_time": 1e-6}
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["propagate", "--config", str(self.write(tmp_path, config)),
+                         "--out", str(out), "--quiet"])
+        assert code == 3
+        message = capsys.readouterr().err
+        assert message.startswith("compute error [spinpair.errors.ToleranceNotMet]")
+        assert "unitarity defect 1.000e+00" in message
+        assert message.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("quiet", [True, False], ids=["quiet", "verbose"])
     def test_failed_validation_names_its_checks_on_stderr(self, tmp_path, capsys, quiet):
         # the same overflowing a_par fails validation: the exit, the report
@@ -1135,12 +1155,19 @@ def _fuzz_found(name, system=None, profile=None, grid=None, **top):
 @example(doc=_fuzz_found(  # a central coupling whose square underflows at zero field
     "lz_sweep", system={"a_perp": 2.2e-308}, grid={"n_steps": 1},
     integrator={"max_halvings": 1, "tol_per_time": 1e-12}))
+# a general-angle run whose steps round to all zeros: its levels agree exactly,
+# which the grids drawn above miss, since there the steps overflow to nan
+@example(doc=_fuzz_found(
+    "oblique_propagate", system={"a_par": 1e200}, grid={"t_start": 0.0, "t_end": 4.0,
+                                                        "n_steps": 40},
+    integrator={"tol_per_time": 1e-6}))
 def test_run_path_fuzz(tmp_path_factory, doc):
     """Every subcommand on a finite document ends in a documented exit (0, 2,
     3 or 4) with no numpy warning, nothing on stderr after a success and
     exactly one line after a failure; a failed run leaves no output
     directory, except the report of a validation whose checks fail, which
-    its stderr line names."""
+    its stderr line names.  A successful ``propagate`` reports final
+    populations that sum to 1 within what its certificate allows."""
     root = tmp_path_factory.mktemp("fuzz")
     path = root / "scenario.json"
     path.write_text(json.dumps(doc))
@@ -1154,6 +1181,17 @@ def test_run_path_fuzz(tmp_path_factory, doc):
         assert code in (0, 2, 3, 4), (command, code, message)
         if code == 0:
             assert message == "", (command, message)
+            if command == "propagate":
+                # the reference allows its last node U a unitarity defect of
+                # 4 d (1 + d) per entry, with d the target plus round-off, and
+                # the populations sum to 1 + psi0^dagger (U^dagger U - 1) psi0,
+                # off 1 by at most 4 times that; 1e-7 covers the round-off and
+                # the initial state's norm tolerance (1e-8)
+                d = doc["integrator"]["tol_per_time"] * (doc["grid"]["t_end"]
+                                                         - doc["grid"]["t_start"])
+                total = sum(json.loads((out / "report.json").read_text())
+                            ["summary"]["final_populations"])
+                assert abs(total - 1.0) <= 16.0 * d * (1.0 + d) + 1e-7, (doc, total)
             continue
         assert message.count("\n") == 1 and message.endswith("\n"), (command, message)
         if out.exists():
