@@ -558,19 +558,21 @@ class TestBlockNativePropagation:
 
 
 class TestFullGeneratorPropagation:
-    def test_scan_matches_sequential_product(self):
-        rng = np.random.default_rng(5)
-        for length in range(1, 18):  # powers of two, their neighbours and the rest
-            units = np.linalg.qr(rng.standard_normal((length, 4, 4))
-                                 + 1j * rng.standard_normal((length, 4, 4)))[0]
-            expected, u = [], np.eye(4)
-            for step in units:
-                u = step @ u
-                expected.append(u)
-            prefix = real_form(units)
-            assert _scan(prefix) is prefix  # in place
-            np.testing.assert_allclose(complex_form(prefix), np.array(expected),
-                                       rtol=0.0, atol=1e-13)
+    # powers of two, their neighbours and the rest: each length sweeps its
+    # own set of up- and down-sweep strides, so each is a case of its own
+    @pytest.mark.parametrize("length", range(1, 18))
+    def test_scan_matches_sequential_product(self, length):
+        rng = np.random.default_rng(length)
+        units = np.linalg.qr(rng.standard_normal((length, 4, 4))
+                             + 1j * rng.standard_normal((length, 4, 4)))[0]
+        expected, u = [], np.eye(4)
+        for step in units:
+            u = step @ u
+            expected.append(u)
+        prefix = real_form(units)
+        assert _scan(prefix) is prefix  # in place
+        np.testing.assert_allclose(complex_form(prefix), np.array(expected),
+                                   rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize("chunk", [1 << 17, 12, 5])
     @pytest.mark.parametrize("substeps", [1, 2, 8])
