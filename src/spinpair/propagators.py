@@ -522,7 +522,9 @@ def reference_propagate(params: SystemParams, grid: TimeGrid, psi0: np.ndarray,
     over ``2**order - 1`` is above target, and so does a change that is not
     finite; so does a kept level whose last node is further from unitary than
     its certificate allows.  ``psi0`` is interpreted in ``frame``.  A budget
-    that ``check_budget`` rejects raises ``ValueError`` before the first level.
+    that ``check_budget`` rejects raises ``ValueError`` before the first level,
+    and a target ``tol_per_time * duration`` of 0.5 or more raises
+    ``ToleranceNotMet`` there: every entry of a 4x4 unitary can be 1/2.
     """
     check_budget(tol_per_time, max_halvings)
     psi0 = np.asarray(psi0, dtype=complex).reshape(4)
@@ -533,6 +535,12 @@ def reference_propagate(params: SystemParams, grid: TimeGrid, psi0: np.ndarray,
     order = 4 if params.is_special_orientation and max_halvings >= 2 else 2
     cells = _cells(params, grid)
     target = tol_per_time * grid.duration
+    if not target < 0.5:
+        # a 4x4 unitary can have every entry 1/2, so the zero matrix is within
+        # such a target of one: no certificate below can refute it
+        raise ToleranceNotMet(
+            f"target {target:.3e} (tol_per_time * duration) is 0.5 or more: a 4x4 "
+            f"unitary can have every entry 1/2, so no run can certify it")
     ratio = 2 ** (order - 1)
     # an overflowing step makes a level inf or nan, which the non-finite
     # check below turns into ToleranceNotMet: numpy need not warn of it too
@@ -601,17 +609,21 @@ def reference_propagate(params: SystemParams, grid: TimeGrid, psi0: np.ndarray,
     # kept level's last node U within d = target + floor (truncation plus
     # round-off) of a unitary V in every entry.  With U = V + E, U^dagger U - 1
     # = V^dagger E + E^dagger V + E^dagger E, whose entries are at most 2 d +
-    # 2 d + 4 d^2, since a unit 4-vector has 1-norm at most 2.  A larger
-    # defect refutes the certificate: squarings whose round-off drove every
-    # step to zeros give levels that agree exactly and a defect of 1.
+    # 2 d + 4 d^2, since a unit 4-vector has 1-norm at most 2.  Each column
+    # of E has 2-norm at most sqrt(4) d = 2 d, so each column of U has norm
+    # at least 1 - 2 d.  A larger defect or a shorter column refutes the
+    # certificate: squarings whose round-off drove every step to zeros give
+    # levels that agree exactly, a defect of 1 and columns of norm 0.
     reach = target + float(floor)  # a Python float: a bound past the largest is inf
     allowed = 4.0 * reach * (1.0 + reach)
     defect = unitarity_defect(current[-1])
-    if not defect <= allowed:
+    shortest = float(np.min(np.linalg.norm(current[-1], axis=0)))
+    if not (defect <= allowed and shortest >= 1.0 - 2.0 * reach):
         raise ToleranceNotMet(
-            f"the last node's unitarity defect {defect:.3e} after {halvings} halvings "
-            f"exceeds the {allowed:.3e} its certificate allows: round-off has "
-            f"swamped the steps"
+            f"the last node's unitarity defect {defect:.3e} and shortest column "
+            f"{shortest:.3e} after {halvings} halvings exceed what its certificate "
+            f"allows ({allowed:.3e}, at least {1.0 - 2.0 * reach:.3e}): round-off "
+            f"has swamped the steps"
         )
 
     times = grid.times()

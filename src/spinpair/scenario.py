@@ -8,9 +8,11 @@ are rejected and no physics parameter has a silent default.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
+import queue
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
@@ -48,6 +50,7 @@ from .propagators import (
     DEFAULT_TOL_PER_TIME,
     Frame,
     TimeGrid,
+    _beside,
     check_budget,
     fixed_step_propagators,
     frame_rotations,
@@ -61,7 +64,8 @@ _GRID_KEYS = {"t_start", "t_end", "n_steps"}
 _INTEGRATOR_KEYS = {"tol_per_time", "max_halvings"}
 _SWEEP_KEYS = {"parameter", "values"}
 _OUTPUT_KINDS = ("trajectory", "comparison", "propagator")
-_CSV_BLOCK = 1 << 12  # values the CSV writer formats at once
+_CSV_BLOCK = 1 << 14  # values stage 1 of the CSV writer formats at once
+_CSV_QUEUE = 1  # formatted blocks that may wait for the CSV writer's worker
 # the decimal exponents X = floor(log10 |v|) of the finite doubles, which
 # index the CSV writer's tables
 _CSV_EXPONENTS = (-324, 309)
@@ -325,19 +329,92 @@ def _write_json(path: Path, document) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_csv_tables(out_dir: Path, tables: dict, stacks: dict) -> None:
-    """Write each table, stacked as ``(n, width)`` floats in ``stacks``, as
-    ``<kind>.csv``, formatting about ``_CSV_BLOCK`` values at a time."""
-    for kind, rows in stacks.items():
-        path = out_dir / f"{kind}.csv"
-        step = max(1, _CSV_BLOCK // rows.shape[1])
+def _write_csv_tables(out_dir: Path, tables: dict) -> None:
+    """Write each table, a mapping from column name to column array, as
+    ``<kind>.csv`` in two stages.
+
+    Stage 1, on the calling thread (``_csv_items``), forms ``_CSV_BLOCK``
+    values at a time from a table's columns and lays each out in its 32-byte
+    slot (``_format_slots``).  Stage 2 (``_write_items``) deletes the unused
+    bytes (``_compact``) and writes the blocks in order.  Stage 1 makes about
+    40 short numpy calls per block and takes the interpreter lock between
+    them; stage 2 is two long calls that run without it.  So stage 2 runs on
+    one worker thread, fed through a queue of at most ``_CSV_QUEUE`` blocks,
+    and the two overlap.  A set of at most ``_CSV_BLOCK`` values runs both
+    stages inline, where a thread's start costs more than the overlap saves.
+    A write that fails raises ``IoError`` naming its file, once every file is
+    closed and the worker has returned; a worker that fails takes the rest
+    of the queue unwritten, so the caller never waits on a full queue.
+    """
+    items = _csv_items(out_dir, tables)
+    if sum(len(next(iter(table.values()))) * len(table)
+           for table in tables.values()) <= _CSV_BLOCK:
+        _write_items(items)
+        return
+    blocks = queue.Queue(_CSV_QUEUE)
+
+    def received():
+        while (item := blocks.get()) is not None:
+            yield item
+
+    def write():
+        queued = received()
         try:
-            with open(path, "wb") as fh:
-                fh.write((",".join(tables[kind]) + "\n").encode())
-                for start in range(0, len(rows), step):
-                    fh.write(_format_rows(rows[start:start + step]))
-        except OSError as exc:
-            raise IoError(f"cannot write {path}: {exc}") from exc
+            _write_items(queued)
+        except BaseException:
+            for _ in queued:  # up to the end mark, so that no put waits forever
+                pass
+            raise
+
+    def produce():
+        try:
+            for item in items:
+                blocks.put(item)
+        finally:
+            blocks.put(None)
+
+    _beside(write, produce)
+
+
+def _csv_items(out_dir: Path, tables: dict):
+    """Stage 1 of the CSV writer: for each table, its path and header line,
+    then the slots of its rows, ``_CSV_BLOCK`` values at a time."""
+    for kind, table in tables.items():
+        yield out_dir / f"{kind}.csv", (",".join(table) + "\n").encode()
+        columns = list(table.values())
+        n, step = len(columns[0]), max(1, _CSV_BLOCK // len(columns))
+        for start in range(0, n, step):
+            rows = np.empty((min(step, n - start), len(columns)))
+            for j, column in enumerate(columns):
+                rows[:, j] = column[start:start + step]
+            yield _format_slots(rows)
+
+
+def _write_items(items) -> None:
+    """Stage 2 of the CSV writer: a ``(path, header)`` of ``items`` closes
+    the file before and opens ``path`` with ``header``; the slots that follow
+    are compacted and appended to it."""
+    path = None
+    try:
+        with contextlib.ExitStack() as files:
+            for item in items:
+                if isinstance(item, tuple):
+                    files.close()
+                    path, header = item
+                    fh = files.enter_context(open(path, "wb"))
+                    fh.write(header)
+                else:
+                    fh.write(_compact(item))
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def _compact(slots: np.ndarray) -> np.ndarray:
+    """The text of ``slots``, C-contiguous, without its zero bytes (the
+    unused slots): a compare and a boolean compress, which numpy runs
+    without the interpreter lock."""
+    text = slots.view(np.uint8).reshape(-1)
+    return text[text != 0]
 
 
 @functools.cache
@@ -347,8 +424,9 @@ def _csv_tables() -> dict:
     the end as a Python index does.
 
     ``powers``: 10^(16 - X) * 2^7 rounded to 64 significant bits, None where
-    ``np.longdouble`` has fewer.  ``decides``: at X * 128 + f, whether a
-    truncated fraction of f/128 settles the rounding of the digits.
+    ``np.longdouble`` has fewer; ``exact``, whether no rounding was needed.
+    ``decides``: at X * 128 + f, whether a truncated fraction of f/128
+    settles the rounding of the digits.
     ``heads``: at 2 X + p, slots 0-7 of a value: an empty sign slot, the
     "0.000" prefix of X in -4..-1, a "0" lead digit, and a point if p for X
     = 0 and exponent notation, always for X in 1..15 (to be moved or
@@ -357,9 +435,9 @@ def _csv_tables() -> dict:
     group as the low 4 bytes of a word, and from row 10000 on without its
     trailing zeros; ``groups_high``, the same in the high 4 bytes.  For X in
     1..16: ``units``, 10^(16 - X), the place value of digit X;
-    ``point_moves``, at 2 X + p, the source slot of each slot, with a point
-    after digit X if p; ``integer_zeros``, a "0" in each slot that then
-    holds a digit before the point.
+    ``point_moves``, at 2 X + p, the source slot of each of slots 0-23, with
+    a point after digit X if p; ``integer_zeros``, a "0" in each slot that
+    then holds a digit before the point.
     """
     extended = np.finfo(np.longdouble).nmant == 63
     exponents = np.roll(np.arange(*_CSV_EXPONENTS), _CSV_EXPONENTS[0])
@@ -374,7 +452,7 @@ def _csv_tables() -> dict:
         shifts.append(cut)
     powers = (np.ldexp(np.array(mants, np.uint64).astype(np.longdouble), shifts)
               if extended else None)
-    # fractions in doubt (see _format_rows): 64 where 10^k * 2^7 = 5^k *
+    # fractions in doubt (see _format_slots): 64 where 10^k * 2^7 = 5^k *
     # 2^(k + 7) is exact (5^k < 2^64 for k = 16 - X in 0..27), else 63-65
     exact = (exponents >= -11) & (exponents <= 16)
     decides = np.abs(np.arange(128) - 64) > np.where(exact, 0, 1)[:, None]
@@ -397,26 +475,28 @@ def _csv_tables() -> dict:
     bare = chars * (np.arange(4) < last[:, None])
     groups = np.concatenate([chars, bare]).view("<u4").ravel().astype(np.uint64)
     # X in 1..15: digits 1..X move from slots 8..7 + X to 7..6 + X, and slot
-    # 7 + X takes the point (slot 7) or nothing (slot 31); X = 16 stays
-    slot, places = np.arange(32), np.arange(17)[:, None]
+    # 7 + X takes the point (slot 7) or nothing (slot 1, an empty prefix
+    # slot); X = 16 stays; slots 24-31 never move
+    slot, places = np.arange(24), np.arange(17)[:, None]
     point_moves = np.tile(slot, (17, 2, 1))
     for x in range(1, 16):
         point_moves[x, :, 7:7 + x] = np.arange(8, 8 + x)
-        point_moves[x, :, 7 + x] = [31, 7]
+        point_moves[x, :, 7 + x] = [1, 7]
     first = np.where(places < 16, 7, 8)
     integer_zeros = ord("0") * ((slot >= first) & (slot < first + places))
-    return dict(extended=extended, powers=powers, decides=decides.ravel(),
+    return dict(extended=extended, powers=powers, exact=exact, decides=decides.ravel(),
                 heads=heads[np.where(fixed, exponents + 4, 4)].ravel(),
                 exponents=np.frombuffer(tails.encode(), "<u8"),
                 groups=groups, groups_high=groups << np.uint64(32),
                 units=np.array([10 ** (16 - x) for x in range(17)], np.uint64),
-                point_moves=point_moves.reshape(34, 32),
+                point_moves=point_moves.reshape(34, 24),
                 integer_zeros=integer_zeros.astype(np.uint8))
 
 
-def _format_rows(rows: np.ndarray) -> bytes:
-    """The CSV lines of ``rows``, a C-contiguous ``(n, width)`` float64
-    block: each value as ``'%.17g' % v``, comma-separated.
+def _format_slots(rows: np.ndarray) -> np.ndarray:
+    """Each value of ``rows``, a C-contiguous ``(n, width)`` float64 block,
+    as ``'%.17g' % v`` and its separator, a comma or a line end, in 32 byte
+    slots, zero where unused: an ``(n * width, 4)`` array of words.
 
     The extended product C of |v| and 10^(16 - X) * 2^7, X = floor(log10
     |v|), is truncated: its top bits are the 17 significant digits D, its
@@ -426,12 +506,13 @@ def _format_rows(rows: np.ndarray) -> bytes:
     itself is rounded (X outside -11..16; for k = 16 - X in 0..27, 10^k *
     2^7 = 5^k * 2^(k + 7) is exact).  With an exact power f = 63 gives C <=
     64 - u and T < 64, and f = 65 gives T >= 64.5: D rounds half-even by f
-    unless f = 64 (63-65 with a rounded power).  Such a near tie, a product
-    outside [10^16, 10^17) * 2^7 (an X off by one, or a rounding that
-    carries) and a non-finite value take ``'%.17g' % v`` itself (the exact
-    fallback of Grisu3, Loitsch, PLDI 2010); without a 64-bit extended type
-    the whole block is one ``%`` call.  A zero prints as 1.0 does with the
-    digit 0.
+    unless f = 64 (63-65 with a rounded power).  An exact power with f = 64
+    and C above its truncation, C >= 64 + u, gives T >= 64 + u/2: D rounds
+    up.  The other near ties, a product outside [10^16, 10^17) * 2^7 (an X
+    off by one, or a rounding that carries) and a non-finite value take
+    ``'%.17g' % v`` itself (the exact fallback of Grisu3, Loitsch, PLDI
+    2010), and so does every value without a 64-bit extended type.  A zero
+    prints as 1.0 does with the digit 0.
 
     D splits by ``//`` into its lead digit and two 8-digit halves, held as
     one ``(2, n)`` array so each step is one contiguous pass, and each half
@@ -441,14 +522,28 @@ def _format_rows(rows: np.ndarray) -> bytes:
     are 0000; exponent and separator.  For X in 1..16 the digits up to digit
     X keep their zeros and, for X <= 15, move one slot toward the lead, with
     the point after them if a later digit is not zero.  A value that falls
-    back fills slots 0-28 with its text padded with spaces.  The zero bytes
-    of unused slots and the spaces are deleted.
+    back fills slots 0-28 with its text padded with zeros.
     """
     tables = _csv_tables()
     values = rows.ravel()
-    if not tables["extended"]:
-        line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-        return (line * rows.shape[0] % tuple(values.tolist())).encode()
+    if tables["extended"]:
+        words, fallback = _digit_slots(values, tables)
+    else:
+        words = np.zeros((len(values), 4), np.uint64)
+        words[:, 3] = tables["exponents"][0]  # no exponent, a ","
+        fallback = np.arange(len(values))
+    words.reshape(*rows.shape, 4)[:, -1, 3] ^= (ord(",") ^ ord("\n")) << 40
+    if fallback.size:
+        texts = "%-29.17g" * fallback.size % tuple(values[fallback].tolist())
+        words.view(np.uint8)[fallback, :29] = np.frombuffer(
+            texts.encode().replace(b" ", b"\0"), np.uint8).reshape(-1, 29)
+    return words
+
+
+def _digit_slots(values: np.ndarray, tables: dict):
+    """The slots of ``values`` from the extended product (see
+    ``_format_slots``), each followed by a ",", and the indices of the
+    values that fall back."""
     x = np.abs(values)
     zero = x == 0
     decided = np.isfinite(x)
@@ -457,9 +552,14 @@ def _format_rows(rows: np.ndarray) -> bytes:
     product = tables["powers"][exponent]
     product *= x
     scaled = product.astype(np.uint64)
-    decided &= tables["decides"][exponent * 128 + (scaled.view(np.intp) & 127)]
     # scaled in [10^16, 10^17 - 1/2) * 2^7: D has 17 digits after rounding
     decided &= scaled - (10 ** 16 << 7) < (9 * 10 ** 16 << 7) - 64
+    # a fraction in doubt is decided where the power is exact (so f = 64)
+    # and the product lies above its truncation: D rounds up
+    doubt = np.flatnonzero(~tables["decides"][exponent * 128 + (scaled.view(np.intp) & 127)])
+    up = tables["exact"][exponent[doubt]] & (product[doubt] > scaled[doubt])
+    decided[doubt[~up]] = False
+    del x, product
     digits = (scaled + 64) >> 7
     digits[zero] = 0
     # D as its lead digit and two 8-digit halves, each two 4-digit groups
@@ -480,10 +580,10 @@ def _format_rows(rows: np.ndarray) -> bytes:
                   out=words[:, 1:3].T)
     # group 1 is bare 0000 exactly when no digit follows the lead
     head = tables["heads"][exponent * 2 + (upper[0] != 10000)]
+    del high, halves, upper, lower
     head |= lead << 48
     np.bitwise_or(head, np.signbit(values) * np.uint64(ord("-")), out=words[:, 0])
     words[:, 3] = tables["exponents"][exponent]
-    words.reshape(*rows.shape, 4)[:, -1, 3] ^= (ord(",") ^ ord("\n")) << 40
     text = words.view(np.uint8)
     # X in 1..16 (fixed notation past the lead digit): digits 1..X keep
     # their zeros and move one slot toward the lead, and the point follows
@@ -493,12 +593,8 @@ def _format_rows(rows: np.ndarray) -> bytes:
         places = exponent[fixed]
         point = digits[fixed] % tables["units"][places] != 0
         moves = tables["point_moves"][places * 2 + point] + 32 * fixed[:, None]
-        text[fixed] = text.ravel()[moves] | tables["integer_zeros"][places]
-    fallback = np.flatnonzero(~decided)
-    if fallback.size:
-        texts = "%-29.17g" * fallback.size % tuple(values[fallback].tolist())
-        text[fallback, :29] = np.frombuffer(texts.encode(), np.uint8).reshape(-1, 29)
-    return words.tobytes().translate(None, b"\0 ")
+        text[fixed, :24] = text.ravel()[moves] | tables["integer_zeros"][places]
+    return words, np.flatnonzero(~decided)
 
 
 def _amplitude_columns(prefix: str, states: np.ndarray) -> dict:
@@ -626,7 +722,7 @@ def write_outputs(out_dir, fmt: str, report: dict, tables: dict | None = None,
     ``report["outputs"]``.  ``fmt`` is checked before the directory is
     created, so a rejected format writes nothing.  A CSV table holds
     ``'%.17g' % v`` fields, ``nan``/``inf`` included, formatted in this
-    process by ``_format_rows``; every JSON file holds each non-finite
+    process by ``_write_csv_tables``; every JSON file holds each non-finite
     number as null, and ``report`` is updated to match.
     """
     if fmt not in {"csv", "json"}:
@@ -641,14 +737,13 @@ def write_outputs(out_dir, fmt: str, report: dict, tables: dict | None = None,
     except OSError as exc:
         raise IoError(f"cannot create {out_dir}: {exc}") from exc
     tables = tables or {}
-    stacks = {kind: np.column_stack(list(table.values())).astype(float, copy=False)
-              for kind, table in tables.items()}
     if fmt == "csv":
-        _write_csv_tables(out_dir, tables, stacks)
+        _write_csv_tables(out_dir, tables)
     else:
-        for kind, rows in stacks.items():
+        for kind, table in tables.items():
+            rows = np.column_stack(list(table.values())).astype(float, copy=False)
             _write_json(out_dir / f"{kind}.json",
-                        {"columns": list(tables[kind]), "rows": _json_safe(rows.tolist())})
+                        {"columns": list(table), "rows": _json_safe(rows.tolist())})
     _write_json(out_dir / name, report)
 
 

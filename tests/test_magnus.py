@@ -146,10 +146,11 @@ def test_midpoint_regime_gate_defers_a_pre_asymptotic_level():
     # eight cells against a fast drive at a general angle: the changes from
     # the cells merged four at a time to those merged two at a time and on to
     # the cells themselves do not yet halve, and the second estimate would
-    # pass the target while understating the true error of that level
+    # pass the target while understating the true error of that level (the
+    # target stays below 0.5, the most any certificate can claim)
     p = SystemParams(1.0, 0.5, 0.1, 0.7, Harmonic(2.0, 1.0, 3.0, 0.3))
     grid = TimeGrid(0.0, 10.0, 8)
-    target = 0.5
+    target = 0.49
     cells = propagators._cells(p, grid)
     half = merged_cells(p, grid, cells)
     quarter = merged_cells(p, grid, half)

@@ -160,6 +160,30 @@ class TestReferencePropagate:
         with pytest.raises(ToleranceNotMet, match=r"unitarity defect 1\.000e\+00"):
             reference_propagate(p, TimeGrid(0.0, 4.0, n_steps), E2, tol_per_time=1e-6)
 
+    @pytest.mark.parametrize("tol_per_time", [0.1, 0.124])
+    def test_all_zero_propagators_are_not_certified_at_loose_targets(self, tol_per_time):
+        # at targets of 0.4 and 0.496 the defect bound 4 d (1 + d) is above
+        # 1 and passes the all-zero node, but its columns of norm 0, below
+        # 1 - 2 d, refute the certificate
+        p = params(0.7, TanhRamp(3.0, 2.0, 4.0), a_par=1e200)
+        with pytest.raises(ToleranceNotMet, match=r"shortest column 0\.000e\+00"):
+            reference_propagate(p, TimeGrid(0.0, 4.0, 40), E2, tol_per_time=tol_per_time)
+
+    @pytest.mark.parametrize("a_par", [1.0, 1e200])
+    @pytest.mark.parametrize("tol_per_time", [0.125, 0.13, 0.2, 1e300])
+    def test_a_target_of_one_half_or_more_is_refused_before_the_first_level(
+            self, monkeypatch, a_par, tol_per_time):
+        # every entry of a 4x4 unitary can be 1/2, so a target of 0.5 or
+        # more (0.125 * 4 is 0.5 exactly) leaves even the zero matrix within
+        # it of a unitary: no run can certify such a target
+        def level(*args, **kwargs):
+            raise AssertionError("a refinement level ran")
+
+        monkeypatch.setattr(propagators, "fixed_step_propagators", level)
+        p = params(0.7, TanhRamp(3.0, 2.0, 4.0), a_par=a_par)
+        with pytest.raises(ToleranceNotMet, match=r"target .* is 0\.5 or more"):
+            reference_propagate(p, TimeGrid(0.0, 4.0, 40), E2, tol_per_time=tol_per_time)
+
     @pytest.mark.parametrize("key, value", [
         ("max_halvings", 0), ("max_halvings", -3), ("max_halvings", 2.0),
         ("max_halvings", True), ("tol_per_time", math.nan), ("tol_per_time", math.inf),
@@ -901,7 +925,8 @@ def test_grid_cell_certificate_holds_at_the_nodes_it_does_not_compare(theta, dri
     nodes, next to a three-cell step too, are within it of a run four
     halvings deeper."""
     p = params(theta, drive)
-    estimate = reference_propagate(p, grid, E2, tol_per_time=1.0).error_estimate
+    estimate = reference_propagate(p, grid, E2,
+                                   tol_per_time=0.4 / grid.duration).error_estimate
     target = estimate * (1.0 + 1e-9)
     traj = reference_propagate(p, grid, E2, tol_per_time=target / grid.duration)
     half = _coarsen(_cells(p, grid))
@@ -927,9 +952,9 @@ def test_a_coarse_rung_that_overflows_shows_no_shrink(monkeypatch):
             nodes[1:] = np.inf
         return nodes
 
-    assert reference_propagate(p, grid, E2, tol_per_time=1.0).halvings == 0
+    assert reference_propagate(p, grid, E2, tol_per_time=0.1).halvings == 0
     monkeypatch.setattr(propagators, "fixed_step_propagators", overflowing)
-    traj = reference_propagate(p, grid, E2, tol_per_time=1.0)
+    traj = reference_propagate(p, grid, E2, tol_per_time=0.1)
     assert traj.halvings == 1
     assert math.isfinite(traj.error_estimate)
 

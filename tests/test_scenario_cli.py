@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -295,7 +296,7 @@ class TestRunScenario:
         values = np.concatenate(list(families.values()))
         rows = np.resize(np.random.default_rng(seed).permuted(values),
                          (-(-len(values) // width), width))
-        lines = spinpair.scenario._format_rows(rows).decode().split("\n")
+        lines = writer_values.format_rows(rows).decode().split("\n")
         assert lines.pop() == ""
         assert lines == [",".join("%.17g" % v for v in row) for row in rows.tolist()]
 
@@ -321,7 +322,7 @@ class TestRunScenario:
         tables = dict(spinpair.scenario._csv_tables(), extended=False)
         monkeypatch.setattr(spinpair.scenario, "_csv_tables", lambda: tables)
         rows = np.array([[0.1, -2.5e-300, 1e22], [np.nan, 7.0, -0.0]])
-        text = spinpair.scenario._format_rows(rows).decode()
+        text = writer_values.format_rows(rows).decode()
         assert text == "".join(",".join("%.17g" % v for v in row) + "\n"
                                for row in rows.tolist())
 
@@ -530,6 +531,137 @@ ROUNDOFF_CONFIG = {
 RATE_CHECKS = ("profile_rate_consistency", "angle_rate_consistency")
 
 
+BLOCK = spinpair.scenario._CSV_BLOCK
+
+
+def adversarial_tables(shapes, seed=0):
+    """Tables ``t0, t1, ...`` of the given ``(width, rows)``, filled with
+    ties, their neighbours, near ties and extremes, signed zeros, nan and
+    both infinities."""
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate([*writer_values.families(rng, 512).values(),
+                           [0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, 1e16, 0.1]])
+    tables = {}
+    for k, (width, rows) in enumerate(shapes):
+        values = rng.choice(pool, (rows, width))
+        tables[f"t{k}"] = {f"c{j}": values[:, j] for j in range(width)}
+    return tables
+
+
+def expected_csv(table) -> bytes:
+    rows = np.column_stack(list(table.values()))
+    return (",".join(table) + "\n").encode() + writer_values.per_value(rows)
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The threads started while the test runs, counted at ``_beside``'s
+    ``threading.Thread``."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(spinpair.propagators.threading, "Thread", Counted)
+    return started
+
+
+# the worker's first compaction waits while the producer fills the queue
+# and blocks on it, then fails as a full disk does
+FULL_DISK = """
+def full(slots):
+    time.sleep(0.3)
+    raise OSError(errno.ENOSPC, "No space left on device")
+scenario._compact = full
+"""
+
+
+class TestCsvPipeline:
+    """The CSV writer formats blocks on the calling thread and compacts and
+    writes them on one worker, once a set holds more than one block of
+    values."""
+
+    @pytest.mark.parametrize("shapes", [
+        [(16, BLOCK // 16), (32, BLOCK // 32)],
+        [(16, BLOCK // 16 + 1)],
+        [(14, 3 * (BLOCK // 14) + 5), (33, 2 * (BLOCK // 33) + 7)],
+        [(33, BLOCK // 33 + 40), (7, 2 * (BLOCK // 7) + 3), (3, 50)]],
+        ids=["one-block-each", "one-block-and-a-row", "straddling-tables",
+             "widths-that-do-not-divide"])
+    def test_pipeline_matches_inline_and_per_value_format(self, tmp_path, thread_starts,
+                                                          shapes):
+        tables = adversarial_tables(shapes)
+        for side in ("pipeline", "inline"):
+            (tmp_path / side).mkdir()
+        spinpair.scenario._write_csv_tables(tmp_path / "pipeline", tables)
+        assert len(thread_starts) == 1
+        spinpair.scenario._write_items(spinpair.scenario._csv_items(tmp_path / "inline", tables))
+        for kind, table in tables.items():
+            written = (tmp_path / "pipeline" / f"{kind}.csv").read_bytes()
+            assert written == (tmp_path / "inline" / f"{kind}.csv").read_bytes()
+            assert written == expected_csv(table)
+
+    @pytest.mark.parametrize("extra, threads", [(0, 0), (1, 1)])
+    def test_a_set_of_at_most_one_block_starts_no_thread(self, tmp_path, thread_starts,
+                                                         extra, threads):
+        # two tables of one half block each, and a third of `extra` values
+        shapes = [(16, BLOCK // 32), (32, BLOCK // 64)] + [(1, extra)] * (extra > 0)
+        tables = adversarial_tables(shapes)
+        spinpair.scenario._write_csv_tables(tmp_path, tables)
+        assert len(thread_starts) == threads
+        for kind, table in tables.items():
+            assert (tmp_path / f"{kind}.csv").read_bytes() == expected_csv(table)
+
+    def test_pipeline_without_extended_type(self, tmp_path, monkeypatch, thread_starts):
+        tables = dict(spinpair.scenario._csv_tables(), extended=False)
+        monkeypatch.setattr(spinpair.scenario, "_csv_tables", lambda: tables)
+        data = adversarial_tables([(14, BLOCK // 14 + 9), (33, 2 * (BLOCK // 33) + 1)])
+        spinpair.scenario._write_csv_tables(tmp_path, data)
+        assert len(thread_starts) == 1
+        for kind, table in data.items():
+            assert (tmp_path / f"{kind}.csv").read_bytes() == expected_csv(table)
+
+    @pytest.mark.parametrize("failing, setup", [
+        ("trajectory", '(out / "trajectory.csv").mkdir()'),
+        ("propagator", '(out / "propagator.csv").mkdir()'),
+        ("trajectory", FULL_DISK)], ids=["trajectory-is-a-directory",
+                                         "propagator-is-a-directory", "disk-full"])
+    def test_failed_write_is_io_error_with_every_file_closed(self, tmp_path, failing, setup):
+        # a directory in place of either table: the first fails before any
+        # block is written, the second after the first table is whole; or a
+        # full disk at the first block, once the producer waits on a full
+        # queue.  A file left open would print an error here under -W
+        # error::ResourceWarning, and a producer left waiting on the worker
+        # would hang to the timeout
+        script = f"""
+import errno, gc, json, threading, time
+import numpy as np
+from pathlib import Path
+from spinpair import scenario
+from spinpair.errors import IoError
+out = Path({str(tmp_path)!r})
+{setup}
+rows = np.linspace(-1.0, 1.0, 6 * scenario._CSV_BLOCK).reshape(-1, 16)
+tables = {{kind: {{f"c{{j}}": rows[:, j] for j in range(16)}}
+          for kind in ("trajectory", "propagator")}}
+try:
+    scenario.write_outputs(out, "csv", {{}}, tables)
+except IoError as exc:
+    message = str(exc)
+gc.collect()
+print(json.dumps({{"error": message, "threads": threading.active_count()}}))
+"""
+        package_root = str(Path(spinpair.scenario.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-W", "error::ResourceWarning", "-c", script],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": package_root})
+        assert done.returncode == 0 and done.stderr == "", done.stderr
+        result = json.loads(done.stdout)
+        assert f"{failing}.csv" in result["error"] and result["threads"] == 1
+
+
 def skew_rate(values, factor):
     """A profile's ``_values`` with its rate scaled by ``factor``."""
     def skewed(self, t):
@@ -734,14 +866,20 @@ class TestCli:
         assert message.count("\n") == 1
         assert not out.exists()
 
-    def test_all_zero_general_angle_run_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("tol_per_time, reason", [
+        (1e-6, "unitarity defect 1.000e+00"), (0.1, "shortest column 0.000e+00"),
+        (0.2, "is 0.5 or more")], ids=["tight", "loose", "one-half-or-more"])
+    def test_all_zero_general_angle_run_exits_3(self, tmp_path, capsys, tol_per_time,
+                                                 reason):
         # a finite a_par whose 4x4 steps take hundreds of squarings: their
         # round-off leaves every step all zeros, so the levels agree exactly,
-        # and the last node's unitarity defect of 1 refutes that certificate
+        # and the last node's unitarity defect of 1 refutes that certificate;
+        # at a target of 0.4 its columns of norm 0 do, and a target of 0.8 is
+        # refused before the first level
         config = json.loads((SCENARIOS / "oblique_propagate.json").read_text())
         config["system"]["a_par"] = 1e200
         config["grid"] = {"t_start": 0.0, "t_end": 4.0, "n_steps": 40}
-        config["integrator"] = {"tol_per_time": 1e-6}
+        config["integrator"] = {"tol_per_time": tol_per_time}
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -750,7 +888,7 @@ class TestCli:
         assert code == 3
         message = capsys.readouterr().err
         assert message.startswith("compute error [spinpair.errors.ToleranceNotMet]")
-        assert "unitarity defect 1.000e+00" in message
+        assert reason in message
         assert message.count("\n") == 1
         assert not out.exists()
 

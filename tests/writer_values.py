@@ -13,8 +13,11 @@ exactly ``'%.17g' % v``.
 * ``extremes``: 3-digit exponents, subnormals and signed zeros.
 
 Every value takes a random sign.  Run as a script, it sends ``--count``
-seeded values through ``scenario._format_rows`` in 4,096-value blocks and
-compares every byte with ``'%.17g' % v``::
+seeded values through both stages of the CSV writer twice: one
+``_CSV_BLOCK``-value block at a time, 16 to a row (``format_rows``), and as a
+set of two tables of widths 14 and 33 that spans several blocks, so that the
+worker thread compacts and writes them (``scenario._write_csv_tables``).
+It compares every byte with ``'%.17g' % v``::
 
     PYTHONPATH=src python tests/writer_values.py --count 1000000 --seed 1
 """
@@ -23,7 +26,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -103,10 +108,23 @@ def families(rng, n) -> dict:
             for name, values in out.items()}
 
 
+def format_rows(rows) -> bytes:
+    """The CSV lines of ``rows``, a C-contiguous ``(n, width)`` float64
+    block, from both stages of the writer run inline on it."""
+    return scenario._compact(scenario._format_slots(rows)).tobytes()
+
+
 def per_value(rows) -> bytes:
     """The CSV lines of ``rows`` formatted one ``'%.17g' % v`` at a time."""
     return "".join(",".join("%.17g" % v for v in row) + "\n"
                    for row in rows.tolist()).encode()
+
+
+def _first_mismatch(got: bytes, want: bytes) -> str:
+    for line, expected in zip(got.decode().split("\n"), want.decode().split("\n")):
+        if line != expected:
+            return f"mismatch: {line!r} != {expected!r}"
+    return f"mismatch in length: {len(got)} != {len(want)} bytes"
 
 
 def main(argv=None) -> int:
@@ -115,18 +133,34 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     rng = np.random.default_rng(args.seed)
-    block, width = scenario._CSV_BLOCK, 16
+    block = scenario._CSV_BLOCK
+    # each round: four blocks of values, as 16-wide rows and as two tables
+    size, narrow = 4 * block, 14 * (block // 10)
     start, checked = time.perf_counter(), 0
-    while checked < args.count:
-        values = np.concatenate(list(families(rng, block // 5 + 1).values()))
-        rows = rng.permuted(values)[:block].reshape(-1, width)
-        got, want = scenario._format_rows(rows), per_value(rows)
-        if got != want:
-            for line, expected in zip(got.decode().split("\n"), want.decode().split("\n")):
-                if line != expected:
-                    print(f"mismatch: {line!r} != {expected!r}", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as out:
+        while checked < args.count:
+            values = np.concatenate(list(families(rng, size // 5 + 1).values()))
+            values = rng.permuted(values)[:size]
+            rows = values.reshape(-1, 16)
+            for first in range(0, len(rows), block // 16):
+                one_block = rows[first:first + block // 16]
+                got, want = format_rows(one_block), per_value(one_block)
+                if got != want:
+                    print(_first_mismatch(got, want), file=sys.stderr)
                     return 1
-        checked += rows.size
+            wide = values[narrow:][:(size - narrow) // 33 * 33]
+            tables = {name: {f"c{j}": table[:, j] for j in range(table.shape[1])}
+                      for name, table in (("narrow", values[:narrow].reshape(-1, 14)),
+                                          ("wide", wide.reshape(-1, 33)))}
+            scenario._write_csv_tables(Path(out), tables)
+            for name, table in tables.items():
+                got = (Path(out) / f"{name}.csv").read_bytes()
+                want = (",".join(table) + "\n").encode() + per_value(
+                    np.column_stack(list(table.values())))
+                if got != want:
+                    print(f"{name}.csv: {_first_mismatch(got, want)}", file=sys.stderr)
+                    return 1
+            checked += size
     print(f"{checked} values byte-identical to '%.17g' in "
           f"{time.perf_counter() - start:.1f} s")
     return 0
