@@ -33,9 +33,6 @@ from .propagators import (
 )
 
 _UNITARY_INPUT_TOL = 1e-9
-# labels of the central and corner blocks in ``ComparisonReport.final_beta_sq``
-BLOCK_CENTRAL = "23"
-BLOCK_CORNER = "14"
 
 
 @dataclass(frozen=True)
@@ -46,14 +43,17 @@ class ComparisonReport:
     against (its grid, node times, halvings and error estimate included).
     ``max_rate_over_gap`` is the peak of |angle rate| / |level splitting|,
     whose denominator never vanishes for a coupled block, unlike the field
-    metric omega_dot/omega^2 (``adiabaticity_profile``).
+    metric omega_dot/omega^2 (``adiabaticity_profile``).  ``final_beta_sq``
+    holds each block's final first-order transition probability ``|beta|^2``
+    on the block axis (``BLOCK_SLOTS`` order, shape ``(2,)``); an uncoupled
+    block reads 0.0.
     """
 
     reference: Trajectory
     initial_index: int
     infidelity_zeroth: np.ndarray
     infidelity_first: np.ndarray
-    final_beta_sq: dict
+    final_beta_sq: np.ndarray
     max_gauge_rate: float
     max_rate_over_gap: float
 
@@ -98,7 +98,7 @@ def lz_asymptotic(params: SystemParams, ramp: LinearRamp) -> float:
 
 
 def _state_infidelities(reference: np.ndarray, approx: np.ndarray) -> np.ndarray:
-    overlaps = np.abs(np.einsum("ni,ni->n", np.conj(reference), approx)) ** 2
+    overlaps = np.abs(np.einsum("...i,...i->...", np.conj(reference), approx)) ** 2
     return np.clip(1.0 - overlaps, 0.0, 1.0)
 
 
@@ -144,21 +144,16 @@ def compare_solutions(params: SystemParams, grid: TimeGrid, initial_index: int,
         raise ValueError(
             f"reference does not start in frame basis state {initial_index}"
         )
-    _, zeroth_nodes, first_nodes = full_propagator_paths(params, grid)
-    zeroth_states = np.einsum("nij,j->ni", zeroth_nodes, phi0)
-    first_states = np.einsum("nij,j->ni", first_nodes, phi0)
-
-    ref_states = reference.adiabatic_states
-    infid_zeroth = _state_infidelities(ref_states, zeroth_states)
-    infid_first = _state_infidelities(ref_states, first_states)
+    # the zeroth and first orders on a leading axis; each approximate state
+    # is column ``initial_index`` of its propagators
+    nodes = np.stack(full_propagator_paths(params, grid)[1:])
+    approx = nodes[..., initial_index]
+    infidelities = _state_infidelities(reference.adiabatic_states, approx)
 
     # same numbers from the lab frame; the rotation drops out of the overlap
-    agreement = 0.0
-    for frame_infid, approx in ((infid_zeroth, zeroth_states),
-                                (infid_first, first_states)):
-        lab_approx = np.einsum("nij,nj->ni", reference.rotations, approx)
-        lab_infid = _state_infidelities(reference.states, lab_approx)
-        agreement = max(agreement, float(np.max(np.abs(lab_infid - frame_infid))))
+    lab_approx = np.einsum("nij,...nj->...ni", reference.rotations, approx)
+    lab_infidelities = _state_infidelities(reference.states, lab_approx)
+    agreement = float(np.max(np.abs(lab_infidelities - infidelities)))
     if agreement > 1e-9:
         raise ComputeError(
             f"lab and frame infidelities disagree by {agreement:.3e}"
@@ -170,16 +165,14 @@ def compare_solutions(params: SystemParams, grid: TimeGrid, initial_index: int,
     max_rate_over_gap = float(np.max(np.abs(rate[moving]) / np.abs(gap[moving]),
                                      initial=0.0))
 
-    beta_sq = [float(abs(first_nodes[-1, i, j]) ** 2) for i, j in BLOCK_SLOTS]
-    final_beta_sq = {BLOCK_CENTRAL: beta_sq[0]}
-    if params.is_perpendicular:
-        final_beta_sq[BLOCK_CORNER] = beta_sq[1]
+    # scalar arithmetic: np.abs over the array rounds some values differently
+    final_beta_sq = np.array([abs(nodes[1, -1, i, j]) ** 2 for i, j in BLOCK_SLOTS])
 
     return ComparisonReport(
         reference=reference,
         initial_index=initial_index,
-        infidelity_zeroth=infid_zeroth,
-        infidelity_first=infid_first,
+        infidelity_zeroth=infidelities[0],
+        infidelity_first=infidelities[1],
         final_beta_sq=final_beta_sq,
         max_gauge_rate=max_gauge_rate,
         max_rate_over_gap=max_rate_over_gap,

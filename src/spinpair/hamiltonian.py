@@ -173,14 +173,14 @@ def closed_eigenvalues(params: SystemParams, t) -> tuple:
     linear form ``d +/- omega zfac / 2``, sign-carrying, so eps1 < eps4 when
     omega < 0 there.
     """
-    constants = block_constants(params).tolist()
     w, _ = params.profile.evaluate(t)
-    pairs = []
-    # Python floats: their products overflow to inf, where ** would raise
-    for c, zfac, d in zip(*constants):
-        detuning = w * zfac
-        half = (0.5 * w * zfac if c == 0.0
-                else 0.5 * np.sqrt(4.0 * c * c + detuning * detuning))
-        pairs.append((d + half, d - half))
-    (eps2, eps3), (eps1, eps4) = pairs
+    # the block axis first, then the axes of ``t``
+    coupling, zfac, offset = block_constants(params).reshape((3, 2) + (1,) * np.ndim(w))
+    detuning = w * zfac
+    # a large coupling or field overflows the gap to inf, which np.where
+    # evaluates even for an uncoupled block: numpy need not warn of it
+    with np.errstate(over="ignore"):
+        half = np.where(coupling == 0.0, 0.5 * w * zfac,
+                        0.5 * np.sqrt(4.0 * coupling * coupling + detuning * detuning))
+    (eps2, eps1), (eps3, eps4) = offset + half, offset - half
     return (eps1, eps2, eps3, eps4)

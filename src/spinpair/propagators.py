@@ -225,40 +225,33 @@ def full_propagator_paths(params: SystemParams, grid: TimeGrid):
     orientations; with the field along the axis the corner path reduces to its
     exact phases automatically (zero coupling, zero rate).
 
-    The integrand rows are each block's splitting ``g`` and, for a coupled
-    block, ``-rate sin(Phi)`` and ``-rate cos(Phi)`` with ``Phi = int g``.
-    They are integrated over the knot-cut cells: a kink inside a cell at a
-    non-dyadic position would stall the quadrature's refinement.
+    The integrand rows are both blocks' splittings ``g``, then ``-rate
+    sin(Phi)`` and then ``-rate cos(Phi)`` of the coupled blocks, with ``Phi =
+    int g``.  They are integrated over the knot-cut cells: a kink inside a
+    cell at a non-dyadic position would stall the quadrature's refinement.
     """
     params.require_special_orientation()
     edges, _, on_grid, _ = _cells(params, grid)
     times = edges[on_grid]
-    coupled = (block_constants(params)[0] != 0.0).tolist()
+    coupled = block_constants(params)[0] != 0.0
 
     def integrand(nodes):
         g, rate = block_splitting_and_rate(params, *params.profile.evaluate(nodes))
-        rows = []
-        for k, has_rate in enumerate(coupled):
-            rows.append(g[k])
-            if has_rate:
-                phi = running_integral(g[k], edges)
-                rows += [-rate[k] * np.sin(phi), -rate[k] * np.cos(phi)]
-        return np.stack(rows)
+        phi = running_integral(g[coupled], edges)
+        rate = rate[coupled]
+        return np.concatenate([g, -rate * np.sin(phi), -rate * np.cos(phi)])
 
-    cumulative = cumulative_integral(integrand, edges)
-    rows = iter(cumulative[:, on_grid])
-    zeroth, first = [], []
-    for has_rate in coupled:
-        pair = (np.exp(-0.5j * next(rows)), np.zeros(times.size, dtype=complex))
-        zeroth.append(pair)
-        # no coupling, no gauge rate: the first order is the zeroth order
-        if has_rate:
-            # the first Magnus term is -i (ix sigma_x + iy sigma_y)
-            ix, iy = next(rows), next(rows)
-            pair = su2_product(pair, su2_exp(np.stack([ix, iy, 0.0 * ix]), 1.0))
-        first.append(pair)
-    return (times, _block_propagators(params, times, *zip(*zeroth)),
-            _block_propagators(params, times, *zip(*first)))
+    phase, ix, iy = np.split(cumulative_integral(integrand, edges)[:, on_grid],
+                             [2, 2 + np.count_nonzero(coupled)])
+    # axes: block, order (zeroth, first), node
+    a = np.repeat(np.exp(-0.5j * phase)[:, None], 2, axis=1)
+    b = np.zeros_like(a)
+    # the first Magnus term is -i (ix sigma_x + iy sigma_y); with no coupling
+    # there is no gauge rate, and the first order is the zeroth order
+    a[coupled, 1], b[coupled, 1] = su2_product(
+        (a[coupled, 0], b[coupled, 0]), su2_exp(np.stack([ix, iy, 0.0 * ix]), 1.0))
+    zeroth, first = _block_propagators(params, times, a, b)
+    return times, zeroth, first
 
 
 def frame_rotations(params: SystemParams, times: np.ndarray,

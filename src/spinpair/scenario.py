@@ -19,13 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    BLOCK_CENTRAL,
-    BLOCK_CORNER,
-    compare_solutions,
-    lz_asymptotic,
-    populations,
-)
+from .analysis import compare_solutions, lz_asymptotic, populations
 from .errors import ConfigError, IoError, ZeroRate
 from .fields import (
     Constant,
@@ -699,9 +693,9 @@ def _summarize(config: ScenarioConfig, trajectory, eta, comparison) -> dict:
     if comparison is not None:
         summary["final_infidelity_zeroth"] = float(comparison.infidelity_zeroth[-1])
         summary["final_infidelity_first"] = float(comparison.infidelity_first[-1])
-        summary["final_beta_sq_central"] = comparison.final_beta_sq[BLOCK_CENTRAL]
-        if BLOCK_CORNER in comparison.final_beta_sq:
-            summary["final_beta_sq_corner"] = comparison.final_beta_sq[BLOCK_CORNER]
+        summary["final_beta_sq_central"] = float(comparison.final_beta_sq[0])
+        if params.is_perpendicular:
+            summary["final_beta_sq_corner"] = float(comparison.final_beta_sq[1])
         summary["max_gauge_rate"] = float(comparison.max_gauge_rate)
         summary["max_rate_over_gap"] = float(comparison.max_rate_over_gap)
     if isinstance(params.profile, LinearRamp) and params.is_parallel and params.a_perp > 0.0:

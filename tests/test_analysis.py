@@ -10,15 +10,16 @@ from spinpair.analysis import (
     transition_probability,
 )
 from spinpair.errors import (
+    ComputeError,
     DegenerateGap,
     NonUnitaryInput,
     UnsupportedOrientation,
     ZeroRate,
 )
 from spinpair.fields import Constant, LinearRamp, TanhRamp, adiabaticity_profile
-from spinpair.hamiltonian import THETA_PERPENDICULAR, SystemParams
+from spinpair.hamiltonian import BLOCK_SLOTS, THETA_PERPENDICULAR, SystemParams
 from spinpair.linalg import expm_unitary
-from spinpair.propagators import Frame, TimeGrid, reference_propagate
+from spinpair.propagators import Frame, TimeGrid, full_propagator_paths, reference_propagate
 from spinpair.scenario import ADIABATIC_WARNING_THRESHOLD
 
 LZ_SURVIVAL = 0.20787957635076193  # exp(-pi/2)
@@ -191,3 +192,31 @@ class TestCompareSolutions:
         for reference in (lab, other_grid, other_start):
             with pytest.raises(ValueError):
                 compare_solutions(p, grid, 1, reference=reference)
+
+    @pytest.mark.parametrize("theta", [0.0, THETA_PERPENDICULAR])
+    def test_lab_and_frame_disagreement_is_a_compute_error(self, theta):
+        # rotations that are not unitary change the lab infidelities of both
+        # orders, and the one check over both raises
+        p = params(theta, TanhRamp(3.0, 2.0, 4.0))
+        grid = TimeGrid(-8.0, 16.0, 60)
+        reference = reference_propagate(p, grid, np.eye(4, dtype=complex)[1],
+                                        Frame.ADIABATIC, tol_per_time=1e-6)
+        compare_solutions(p, grid, 1, reference=reference)
+        scaled = dataclasses.replace(reference, rotations=2 * reference.rotations)
+        with pytest.raises(ComputeError, match="lab and frame infidelities disagree"):
+            compare_solutions(p, grid, 1, reference=scaled)
+
+    @pytest.mark.parametrize("theta, a_perp", [(0.0, 0.5), (THETA_PERPENDICULAR, 0.5),
+                                               (THETA_PERPENDICULAR, 1.0)])
+    def test_final_beta_sq_is_on_the_block_axis(self, theta, a_perp):
+        # the corner is uncoupled along the axis and, across it, at a_par = a_perp
+        p = params(theta, TanhRamp(3.0, 2.0, 4.0), a_perp=a_perp)
+        grid = TimeGrid(-8.0, 16.0, 60)
+        report = compare_solutions(p, grid, 1, tol_per_time=1e-6)
+        _, _, first = full_propagator_paths(p, grid)
+        expected = [abs(first[-1, i, j]) ** 2 for i, j in BLOCK_SLOTS]
+        assert report.final_beta_sq.dtype == np.float64
+        assert report.final_beta_sq.tolist() == expected
+        assert expected[0] > 0.0
+        uncoupled = theta == 0.0 or a_perp == p.a_par
+        assert (expected[1] == 0.0) == uncoupled

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinpair.errors import UnsupportedOrientation
-from spinpair.fields import Constant, TanhRamp
+from spinpair.fields import Constant, LinearRamp, TanhRamp
 from spinpair.hamiltonian import (
     BLOCK_SLOTS,
     THETA_PERPENDICULAR,
@@ -136,6 +137,41 @@ def test_closed_eigenvalues_batch_matches_scalar(theta):
     batch = closed_eigenvalues(p, ts)
     for k, t in enumerate(ts):
         assert [eps[k] for eps in batch] == list(closed_eigenvalues(p, float(t)))
+
+
+def scalar_spectrum(p, t):
+    """``closed_eigenvalues`` one block at a time in Python floats, whose
+    products overflow to inf without a warning."""
+    w = float(p.profile.evaluate(t)[0])
+    pairs = []
+    for c, zfac, d in zip(*block_constants(p).tolist()):
+        detuning = w * zfac
+        half = (0.5 * w * zfac if c == 0.0
+                else 0.5 * math.sqrt(4.0 * c * c + detuning * detuning))
+        pairs.append((d + half, d - half))
+    (eps2, eps3), (eps1, eps4) = pairs
+    return (eps1, eps2, eps3, eps4)
+
+
+@pytest.mark.parametrize("theta, a_par, a_perp", [
+    (0.0, 1.0, 0.5),                   # the corner is uncoupled along the axis
+    (THETA_PERPENDICULAR, 0.8, 0.8),   # and across it at a_par = a_perp
+    (0.0, 1.0, 0.0),                   # both blocks uncoupled
+    (0.0, 1.0, 1e200),                 # the central gap overflows to inf
+    (THETA_PERPENDICULAR, 1.0, 1e200),  # both gaps overflow to inf
+])
+def test_closed_eigenvalues_edge_cases_match_the_scalar_formula(theta, a_par, a_perp):
+    p = SystemParams(a_par, a_perp, 0.1, theta, LinearRamp(-3.0, 0.5))  # omega < 0
+    ts = np.linspace(0.0, 4.0, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = closed_eigenvalues(p, ts)
+        for k, t in enumerate(ts):
+            expected = scalar_spectrum(p, float(t))
+            assert [eps[k] for eps in batch] == list(expected)
+            assert list(closed_eigenvalues(p, float(t))) == list(expected)
+    if a_perp == 1e200:
+        assert np.isinf(batch[2]).all()
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)

@@ -745,6 +745,26 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "out" / "comparison.csv").exists()
 
+    @pytest.mark.parametrize("orientation", ["parallel", "perpendicular"])
+    def test_compare_reports_the_corner_probability_across_the_axis_only(self, tmp_path,
+                                                                          orientation):
+        config = base_config(profile={"kind": "tanh", "omega_mid": 3.0, "amplitude": 2.0,
+                                      "tau": 4.0},
+                             grid={"t_start": -8.0, "t_end": 16.0, "n_steps": 60})
+        config["system"]["orientation"] = orientation
+        path = self.write(tmp_path, config)
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        summary = json.loads((out / "report.json").read_text())["summary"]
+        cfg = load_config(path)
+        _, _, first = full_propagator_paths(cfg.params, cfg.grid)
+        central, corner = (abs(first[-1, i, j]) ** 2 for i, j in BLOCK_SLOTS)
+        assert summary["final_beta_sq_central"] == central
+        if orientation == "parallel":
+            assert "final_beta_sq_corner" not in summary
+        else:
+            assert summary["final_beta_sq_corner"] == corner > 0.0
+
     @pytest.mark.parametrize("command", ["compare", "validate"])
     def test_uncoupled_central_pair_runs_on_either_side_of_the_axis(self, tmp_path,
                                                                    command):
