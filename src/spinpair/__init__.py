@@ -14,8 +14,6 @@ from .analysis import (
     ComparisonReport,
     compare_solutions,
     lz_asymptotic,
-    populations,
-    transition_probability,
 )
 from .errors import (
     ComputeError,
@@ -24,7 +22,6 @@ from .errors import (
     IoError,
     NonHermitianInput,
     NonNormalizedInput,
-    NonUnitaryInput,
     OutOfRange,
     QuadratureFailure,
     SpinPairError,

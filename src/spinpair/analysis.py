@@ -14,14 +14,12 @@ import numpy as np
 from .errors import (
     ComputeError,
     DegenerateGap,
-    NonUnitaryInput,
     UnsupportedOrientation,
     ZeroRate,
 )
 from .fields import LinearRamp
 from .frames import block_splitting_and_rate
 from .hamiltonian import BLOCK_SLOTS, SystemParams
-from .linalg import unitarity_defect
 from .propagators import (
     DEFAULT_MAX_HALVINGS,
     DEFAULT_TOL_PER_TIME,
@@ -31,8 +29,6 @@ from .propagators import (
     full_propagator_paths,
     reference_propagate,
 )
-
-_UNITARY_INPUT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -56,19 +52,6 @@ class ComparisonReport:
     final_beta_sq: np.ndarray
     max_gauge_rate: float
     max_rate_over_gap: float
-
-
-def transition_probability(u: np.ndarray, source: int, target: int) -> float:
-    """Probability ``|U[target, source]|^2`` of the basis transition under ``u``.
-
-    Indices are zero based.  The input must be unitary, which guarantees that
-    each row and column of the probability table sums to one.
-    """
-    u = np.asarray(u, dtype=complex)
-    defect = unitarity_defect(u)
-    if defect > _UNITARY_INPUT_TOL:
-        raise NonUnitaryInput(f"unitarity defect {defect:.3e} exceeds 1e-09")
-    return float(abs(u[target, source]) ** 2)
 
 
 def lz_asymptotic(params: SystemParams, ramp: LinearRamp) -> float:
@@ -177,8 +160,3 @@ def compare_solutions(params: SystemParams, grid: TimeGrid, initial_index: int,
         max_gauge_rate=max_gauge_rate,
         max_rate_over_gap=max_rate_over_gap,
     )
-
-
-def populations(states: np.ndarray) -> np.ndarray:
-    """Squared amplitudes along a trajectory, shape ``(n_nodes, 4)``."""
-    return np.abs(np.asarray(states)) ** 2

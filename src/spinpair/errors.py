@@ -9,10 +9,6 @@ class NonHermitianInput(SpinPairError):
     """A matrix expected to be Hermitian is not, beyond tolerance."""
 
 
-class NonUnitaryInput(SpinPairError):
-    """A matrix expected to be unitary is not, beyond tolerance."""
-
-
 class NonNormalizedInput(SpinPairError):
     """A state vector deviates from unit norm beyond tolerance."""
 

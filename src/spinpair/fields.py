@@ -183,10 +183,12 @@ class Tabulated(FieldProfile):
 
     @classmethod
     def from_csv(cls, path) -> "Tabulated":
-        """Load two columns (t, omega); header optional, comma or whitespace split."""
+        """Load two columns (t, omega) from UTF-8 text, a byte order mark
+        allowed; header optional, comma or whitespace split."""
         times: list[float] = []
         omegas: list[float] = []
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        text = Path(path).read_text(encoding="utf-8-sig")
+        for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line:
                 continue

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import compare_solutions, lz_asymptotic, populations
+from .analysis import compare_solutions, lz_asymptotic
 from .errors import ConfigError, IoError, ZeroRate
 from .fields import (
     Constant,
@@ -144,8 +144,11 @@ def _parse_profile(spec, base_dir: Path) -> FieldProfile:
                 raise IoError(f"cannot read tabulated profile: {exc}") from exc
         if "times" not in spec or "omegas" not in spec:
             raise ConfigError("profile(tabulated): needs csv or times+omegas")
-        return Tabulated(np.asarray(spec["times"], dtype=float),
-                         np.asarray(spec["omegas"], dtype=float))
+        samples = spec["times"], spec["omegas"]
+        if not all(isinstance(s, list) and all(map(_is_finite, s)) for s in samples):
+            raise ConfigError("profile(tabulated): times and omegas must be lists of "
+                              "finite numbers")
+        return Tabulated(*(np.asarray(s, dtype=float) for s in samples))
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"profile: {exc}") from exc
 
@@ -624,7 +627,7 @@ def run_scenario(config: ScenarioConfig, out_dir, fmt: str = "csv",
         table = {"t": times, **_amplitude_columns("chi", trajectory.states)}
         if trajectory.adiabatic_states is not None:
             table |= _amplitude_columns("phi", trajectory.adiabatic_states)
-        pops = populations(trajectory.states)
+        pops = np.abs(trajectory.states) ** 2
         table |= {f"pop_chi{i + 1}": pops[:, i] for i in range(4)}
         tables["trajectory"] = {**table, "eta": eta, **infidelities}
 

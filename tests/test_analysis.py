@@ -3,22 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from spinpair.analysis import (
-    compare_solutions,
-    lz_asymptotic,
-    populations,
-    transition_probability,
-)
+from spinpair.analysis import compare_solutions, lz_asymptotic
 from spinpair.errors import (
     ComputeError,
     DegenerateGap,
-    NonUnitaryInput,
     UnsupportedOrientation,
     ZeroRate,
 )
 from spinpair.fields import Constant, LinearRamp, TanhRamp, adiabaticity_profile
 from spinpair.hamiltonian import BLOCK_SLOTS, THETA_PERPENDICULAR, SystemParams
-from spinpair.linalg import expm_unitary
 from spinpair.propagators import Frame, TimeGrid, full_propagator_paths, reference_propagate
 from spinpair.scenario import ADIABATIC_WARNING_THRESHOLD
 
@@ -34,25 +27,6 @@ def max_eta(p, report):
     summary takes it."""
     eta = adiabaticity_profile(*p.profile.evaluate(report.reference.times()))
     return float(np.max(np.abs(eta)))
-
-
-class TestTransitionProbability:
-    def test_identity(self):
-        eye = np.eye(4, dtype=complex)
-        assert transition_probability(eye, 1, 1) == 1.0
-        assert transition_probability(eye, 1, 2) == 0.0
-
-    def test_rows_sum_to_one(self):
-        rng = np.random.default_rng(9)
-        h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        u = expm_unitary(h + np.conj(h.T), 0.37)
-        for source in range(4):
-            total = sum(transition_probability(u, source, t) for t in range(4))
-            assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(NonUnitaryInput):
-            transition_probability(np.diag([1.0, 1.0, 1.0, 0.5]), 0, 0)
 
 
 class TestLzAsymptotic:
@@ -147,7 +121,7 @@ class TestCompareSolutions:
         p = params(THETA_PERPENDICULAR, TanhRamp(3.0, 2.0, 4.0))
         traj = reference_propagate(p, TimeGrid(-8.0, 16.0, 300),
                                    np.array([0, 1, 0, 0], complex))
-        pops = populations(traj.states)
+        pops = np.abs(traj.states) ** 2
         np.testing.assert_allclose(pops.sum(axis=1), 1.0, atol=1e-9)
 
     @pytest.mark.parametrize("index", [4, -1, True, np.bool_(False), 1.0, "1"])

@@ -131,6 +131,17 @@ class TestTabulated:
         np.testing.assert_array_equal(a.times, b.times)
         np.testing.assert_array_equal(a.omegas, b.omegas)
 
+    @pytest.mark.parametrize("header", [b"", b"t,omega\n"], ids=["headerless", "header"])
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_csv_byte_order_mark_keeps_the_first_sample(self, tmp_path, bom, header):
+        # a byte order mark glued to the first field must not make a
+        # headerless file's first sample read as a header
+        path = tmp_path / "drive.csv"
+        path.write_bytes(bom + header + b"0,2.0\n2,2.4\n4,3.1\n")
+        table = Tabulated.from_csv(path)
+        np.testing.assert_array_equal(table.times, [0.0, 2.0, 4.0])
+        np.testing.assert_array_equal(table.omegas, [2.0, 2.4, 3.1])
+
     def test_csv_bad_row(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("0.0,1.0\nnot,numeric\n")

@@ -801,6 +801,14 @@ def test_fused_levels_reject_a_stack_they_cannot_run(theta, substeps, levels):
         fixed_step_propagators(p, TimeGrid(0.0, 4.0, 4), Frame.LAB, substeps, levels=levels)
 
 
+@pytest.mark.parametrize("theta", [0.0, 0.7])
+@pytest.mark.parametrize("substeps", [0, 3, 6, -2])
+def test_substeps_must_be_a_power_of_two(theta, substeps):
+    p = params(theta, TanhRamp(3.0, 2.0, 4.0))
+    with pytest.raises(ValueError, match="substeps must be a positive power of two"):
+        fixed_step_propagators(p, TimeGrid(0.0, 4.0, 4), Frame.LAB, substeps)
+
+
 @pytest.mark.parametrize("theta, tol_per_time, halvings, first_pass", [
     (0.7, 1e-3, 0, [(1, None, 10), (1, None, 20), (1, None, 40)]),
     (0.0, 1e-6, 2, [(4, 3, 40)])], ids=["midpoint", "magnus4"])
@@ -1071,4 +1079,20 @@ def test_roundoff_stall_at_the_first_halving_keeps_its_message():
                f"{target:.3e}")
     with pytest.raises(ToleranceNotMet) as info:
         reference_propagate(p, grid, E2, tol_per_time=1e-18)
+    assert str(info.value) == message
+
+
+def test_exhausted_budget_within_target_without_a_shrink_is_not_certified():
+    # two cells of a fast ramp: the last Magnus change is within target, but
+    # not an eighth of the change before it, so the budget ends uncertified
+    p = params(0.0, TanhRamp(3.0, 2.0, 1.0))
+    grid = TimeGrid(0.0, 4.0, 2)
+    levels = [fixed_step_propagators(p, grid, Frame.LAB, m, 4) for m in (1, 2, 4)]
+    first, last = (float(np.max(np.abs(b - a))) for a, b in zip(levels, levels[1:]))
+    target = 0.1 * grid.duration
+    assert last / 15 <= target and first < 8 * last
+    message = (f"estimate {last / 15:.3e} within target {target:.3e} after 2 halvings, "
+               f"but the level changes show no 8-fold shrink")
+    with pytest.raises(ToleranceNotMet) as info:
+        reference_propagate(p, grid, E2, tol_per_time=0.1, max_halvings=2)
     assert str(info.value) == message

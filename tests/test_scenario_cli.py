@@ -26,10 +26,10 @@ import writer_values
 
 from spinpair.cli import main
 from spinpair.errors import ConfigError, IoError
-from spinpair.fields import FieldProfile, Tabulated, TanhRamp
+from spinpair.fields import FieldProfile, Harmonic, Tabulated, TanhRamp
 from spinpair.hamiltonian import BLOCK_SLOTS, hamiltonian_batch
 from spinpair.linalg import unitarity_defect
-from spinpair.propagators import full_propagator_paths
+from spinpair.propagators import TimeGrid, full_propagator_paths
 from spinpair.scenario import (
     _PROFILES,
     ADIABATIC_WARNING_THRESHOLD,
@@ -119,6 +119,38 @@ class TestConfigValidation:
                                    "omegas": [1.0, 1.5, 2.0]})
         with pytest.raises(ConfigError):
             parse_config(bad)
+
+    def test_shipped_inline_samples_parse_to_their_values(self):
+        raw = json.loads((SCENARIOS / "tabulated_compare.json").read_text())["profile"]
+        profile = load_config(SCENARIOS / "tabulated_compare.json").params.profile
+        for key in ("times", "omegas"):
+            assert getattr(profile, key).dtype == np.float64
+            np.testing.assert_array_equal(getattr(profile, key), raw[key])
+
+    @pytest.mark.parametrize("key, samples", [
+        ("times", [False, True, 2.0, 3.0]),
+        ("omegas", [1.0, True, 2.0, 2.5]),
+        ("times", ["0", "1", "2", "3"]),
+        ("omegas", [1.0, "1.5", 2.0, 2.5]),
+        ("times", 3.0),
+        ("omegas", {"0": 1.0}),
+        ("times", [[0.0, 1.0], [2.0, 3.0]]),
+    ], ids=["bool-times", "bool-omegas", "string-times", "string-omegas", "number",
+            "object", "nested"])
+    def test_tabulated_samples_must_be_lists_of_numbers(self, tmp_path, capsys, key,
+                                                        samples):
+        profile = {"kind": "tabulated", "times": [0.0, 1.0, 2.0, 3.0],
+                   "omegas": [1.0, 1.5, 2.0, 2.5]}
+        config = base_config(profile=dict(profile, **{key: samples}),
+                             grid={"t_start": 0.0, "t_end": 3.0, "n_steps": 6})
+        with pytest.raises(ConfigError, match="times and omegas must be lists of finite"):
+            parse_config(config)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(path), "--out", str(out), "--quiet"]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
 
     def test_bad_profile_kind(self):
         bad = base_config(profile={"kind": "sawtooth", "omega0": 1.0})
@@ -495,6 +527,24 @@ class TestRunScenario:
         assert csv_header(tmp_path / "sweep.csv") == [
             "value", "survival_probability", "max_eta", "final_infidelity_zeroth",
             "final_infidelity_first", "final_beta_sq_central", "lz_prediction"]
+
+    @pytest.mark.parametrize("s", [2.0, 0.25])
+    def test_rate_point_runs_a_harmonic_drive_on_a_compressed_time_axis(self, s):
+        config = base_config(profile={"kind": "harmonic", "omega0": 3.0, "amplitude": 0.5,
+                                      "angular_frequency": 0.7, "phase": 0.3},
+                             grid={"t_start": -1.0, "t_end": 9.0, "n_steps": 40},
+                             sweep={"parameter": "rate", "values": [s]})
+        cfg = parse_config(config)
+        point = _scaled_scenario(cfg, "rate", s)
+        assert point.params.profile == Harmonic(3.0, 0.5, 0.7 * s, 0.3)
+        assert point.grid == TimeGrid(-1.0 / s, 9.0 / s, 40)
+        assert dataclasses.replace(point.params, profile=cfg.params.profile) == cfg.params
+        # the same drive, s times as fast: the field at t / s is the field at t
+        t = cfg.grid.times()
+        w, wdot = cfg.params.profile.evaluate(t)
+        w_s, wdot_s = point.params.profile.evaluate(t / s)
+        np.testing.assert_allclose(w_s, w, rtol=1e-13)
+        np.testing.assert_allclose(wdot_s, s * wdot, rtol=0, atol=1e-13)
 
     def test_json_files_write_non_finite_numbers_as_null(self, tmp_path):
         report = {"summary": {"max_eta": math.inf, "points": [{"v": math.nan}, 1.5]}}
@@ -1144,6 +1194,62 @@ class TestCli:
             np.testing.assert_allclose(first[-1][np.ix_(slots, slots)],
                                        first_order_block(cfg.params, k, knots),
                                        rtol=0, atol=1e-11)
+
+    def csv_twin(self, tmp_path, **profile):
+        """A config in its own directory whose tabulated profile names a CSV
+        file under it by a relative path, and the rest of the shipped inline
+        scenario ``tabulated_compare.json``."""
+        inline = json.loads((SCENARIOS / "tabulated_compare.json").read_text())
+        samples = zip(inline["profile"]["times"], inline["profile"]["omegas"])
+        drives = tmp_path / "configs" / "drives"
+        drives.mkdir(parents=True)
+        (drives / "drive.csv").write_text(
+            "t,omega\n" + "".join(f"{t!r},{w!r}\n" for t, w in samples))
+        config = dict(inline, profile={"kind": "tabulated", "csv": "drives/drive.csv",
+                                       **profile})
+        path = tmp_path / "configs" / "scenario.json"
+        path.write_text(json.dumps(config))
+        return path
+
+    def test_csv_profile_resolves_against_the_config_and_matches_its_inline_twin(
+            self, tmp_path, monkeypatch):
+        path = self.csv_twin(tmp_path)
+        # a path resolved against the working directory would not exist
+        monkeypatch.chdir(tmp_path)
+        runs = {}
+        for name, config in (("inline", SCENARIOS / "tabulated_compare.json"),
+                             ("csv", path)):
+            out = tmp_path / name
+            assert main(["compare", "--config", str(config), "--out", str(out),
+                         "--quiet"]) == 0
+            runs[name] = out
+        names = sorted(p.name for p in runs["inline"].iterdir())
+        assert names == sorted(p.name for p in runs["csv"].iterdir())
+        for name in names:
+            if name != "report.json":
+                assert (runs["csv"] / name).read_bytes() == (runs["inline"] / name).read_bytes()
+        reports = [json.loads((out / "report.json").read_text()) for out in runs.values()]
+        for report in reports:
+            del report["config"]  # its profile names the samples or their file
+        assert reports[0] == reports[1]
+
+    def test_missing_csv_profile_exits_4(self, tmp_path, capsys):
+        path = self.csv_twin(tmp_path)
+        (path.parent / "drives" / "drive.csv").unlink()
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(path), "--out", str(out), "--quiet"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: cannot read tabulated profile")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_csv_profile_with_inline_samples_exits_2(self, tmp_path, capsys):
+        path = self.csv_twin(tmp_path, times=[0.0, 12.0], omegas=[2.0, 4.0])
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(path), "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: profile(tabulated): give csv or inline samples, not both\n")
+        assert not out.exists()
 
     def test_sweep_subcommand_ordering(self, tmp_path):
         config = base_config(outputs=["comparison"])
